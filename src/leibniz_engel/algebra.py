@@ -61,28 +61,67 @@ class LeibnizValidation:
                f"{self.violations[0][:3]}"
 
 
-def validate_leibniz(structure, field: Field, n: int) -> LeibnizValidation:
-    """Check x(yz) = (xy)z + y(xz) on all basis triples of the tensor."""
+def _left_mult_matrices(field: Field, structure) -> tuple:
+    """L_{e_i} for every basis element: column j is e_i e_j."""
+    n = len(structure)
+    return tuple(Matrix.from_columns(field, [structure[i][j] for j in range(n)])
+                 for i in range(n))
+
+
+def _add_combination(base: Matrix, coords: Sequence, mats: Sequence[Matrix]) -> Matrix:
+    """base + sum_t coords[t] mats[t], touching only the nonzero terms."""
+    add, mul = base.field.add, base.field.mul
+    out = [list(row) for row in base.entries]
+    for c, m in zip(coords, mats):
+        if c == 0:
+            continue
+        for acc, row in zip(out, m.entries):
+            for k, x in enumerate(row):
+                if x != 0:
+                    acc[k] = add(acc[k], mul(c, x))
+    return Matrix(base.field, base.rows, base.cols, tuple(map(tuple, out)))
+
+
+def validate_leibniz(structure, field: Field, n: int,
+                     lefts: Sequence[Matrix] | None = None) -> LeibnizValidation:
+    """Check x(yz) = (xy)z + y(xz) on all basis triples of the tensor.
+
+    On z = e_k this is the operator identity L_i L_j = L_{e_i e_j} + L_j L_i
+    for the pair (i, j), whose column k is the triple (i, j, k). Each pair is
+    compared whole, and only a failing pair is split into its columns.
+    ``lefts`` may pass the matrices L_i already built from the tensor.
+    """
     if len(structure) != n or any(
             len(ci) != n or any(len(cij) != n for cij in ci) for ci in structure):
         raise ShapeMismatch(f"structure tensor is not {n}x{n}x{n}")
-    sub = field.sub
+    if lefts is None:
+        lefts = _left_mult_matrices(field, structure)
     violations = []
+
+    def check(i, j, lhs, swapped):
+        # lhs = L_i L_j and swapped = L_j L_i
+        rhs = _add_combination(swapped, structure[i][j], lefts)
+        if lhs == rhs:
+            return
+        for k in range(n):
+            lcol, rcol = lhs.column(k), rhs.column(k)
+            if lcol != rcol:
+                violations.append((i + 1, j + 1, k + 1,
+                                   tuple(field.to_str(x) for x in lcol),
+                                   tuple(field.to_str(x) for x in rcol)))
+
+    # both products of a pair serve both of its orders; walking unordered
+    # pairs keeps two products alive instead of all n^2
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # e_i (e_j e_k) vs (e_i e_j) e_k + e_j (e_i e_k)
-                ei = tuple(field.one() if t == i else field.zero() for t in range(n))
-                ej = tuple(field.one() if t == j else field.zero() for t in range(n))
-                ek = tuple(field.one() if t == k else field.zero() for t in range(n))
-                lhs = _mult_coords(field, structure, ei, structure[j][k])
-                rhs1 = _mult_coords(field, structure, structure[i][j], ek)
-                rhs2 = _mult_coords(field, structure, ej, structure[i][k])
-                rhs = tuple(field.add(a, b) for a, b in zip(rhs1, rhs2))
-                if any(sub(a, b) != 0 for a, b in zip(lhs, rhs)):
-                    violations.append((i + 1, j + 1, k + 1,
-                                       tuple(field.to_str(x) for x in lhs),
-                                       tuple(field.to_str(x) for x in rhs)))
+        for j in range(i, n):
+            p_ij = lefts[i] @ lefts[j]
+            if j == i:
+                check(i, i, p_ij, p_ij)
+                continue
+            p_ji = lefts[j] @ lefts[i]
+            check(i, j, p_ij, p_ji)
+            check(j, i, p_ji, p_ij)
+    violations.sort(key=lambda v: v[:3])
     return LeibnizValidation(not violations, violations)
 
 
@@ -113,12 +152,13 @@ class LeibnizAlgebra:
         names = tuple(basis_names) if basis_names is not None else None
         if names is not None and len(names) != n:
             raise ShapeMismatch("basis_names length differs from dimension")
-        if unvalidated:
-            return LeibnizAlgebra(field, n, norm, names, validated=False)
-        report = validate_leibniz(norm, field, n)
-        if not report.ok:
-            raise InvalidAlgebra(report)
-        return LeibnizAlgebra(field, n, norm, names, validated=True)
+        lefts = _left_mult_matrices(field, norm)
+        if not unvalidated:
+            report = validate_leibniz(norm, field, n, lefts)
+            if not report.ok:
+                raise InvalidAlgebra(report)
+        return LeibnizAlgebra(field, n, norm, names, validated=not unvalidated,
+                              _cache={"lefts": lefts})
 
     def name(self, i: int) -> str:
         if self.basis_names is not None:
@@ -150,14 +190,13 @@ class LeibnizAlgebra:
         cached = self._cache.get("mult_matrices")
         if cached is None:
             n, f = self.dim, self.field
-            lefts, rights = [], []
-            for i in range(n):
-                # column j of L_{e_i} is e_i e_j; of R_{e_i} is e_j e_i
-                lefts.append(Matrix.from_columns(f, [self.structure[i][j]
-                                                     for j in range(n)]))
-                rights.append(Matrix.from_columns(f, [self.structure[j][i]
-                                                      for j in range(n)]))
-            cached = (tuple(lefts), tuple(rights))
+            lefts = self._cache.get("lefts") or \
+                _left_mult_matrices(f, self.structure)
+            # column j of R_{e_i} is e_j e_i
+            rights = tuple(Matrix.from_columns(f, [self.structure[j][i]
+                                                   for j in range(n)])
+                           for i in range(n))
+            cached = (lefts, rights)
             self._cache["mult_matrices"] = cached
         return cached
 
@@ -213,10 +252,6 @@ class Element:
         return "(" + ", ".join(ts(x) for x in self.coords) + ")"
 
 
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
 def left_mult_matrix(a: Element) -> Matrix:
     """Matrix of x -> a x in the basis (columns are images of basis vectors)."""
     lefts, _ = a.algebra._basis_mult_matrices()
@@ -230,11 +265,8 @@ def right_mult_matrix(a: Element) -> Matrix:
 
 
 def _combine(a: Element, mats: Sequence[Matrix]) -> Matrix:
-    out = Matrix.zero(a.algebra.field, a.algebra.dim, a.algebra.dim)
-    for coeff, m in zip(a.coords, mats):
-        if coeff != 0:
-            out = out + m.scale(coeff)
-    return out
+    n = a.algebra.dim
+    return _add_combination(Matrix.zero(a.algebra.field, n, n), a.coords, mats)
 
 
 def power(a: Element, k: int) -> Element:
@@ -286,20 +318,14 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     A = algebra
     n = A.dim
     lefts, rights = A._basis_mult_matrices()
+    zero = Matrix.zero(A.field, n, n)
     violations = []
-
-    def vec_matrix(coords, mats):
-        out = Matrix.zero(A.field, n, n)
-        for coeff, m in zip(coords, mats):
-            if coeff != 0:
-                out = out + m.scale(coeff)
-        return out
 
     for b in range(n):
         for c in range(n):
             Lb, Rb, Lc, Rc = lefts[b], rights[b], lefts[c], rights[c]
-            r_bc = vec_matrix(A.structure[b][c], rights)
-            l_cb = vec_matrix(A.structure[c][b], lefts)
+            r_bc = _add_combination(zero, A.structure[b][c], rights)
+            l_cb = _add_combination(zero, A.structure[c][b], lefts)
             checks = [
                 ("right_mult_of_product", r_bc, Rc @ Rb + Lb @ Rc),
                 ("mixed_mult_commutation", Lb @ Rc, Rc @ Lb + r_bc),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import FieldMismatch, FormatError
+from .errors import FormatError
 
 Scalar = Union[Fraction, int]
 
@@ -32,17 +32,37 @@ def _fraction_from_literal(text: str) -> Fraction:
         raise FormatError(f"zero denominator in {text!r}") from exc
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster 2015, "Strong pseudoprimes to twelve
+# prime bases").
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality test; fields here are desk-scale."""
+    """Deterministic Miller-Rabin; ValueError at or above MR_EXACT_BOUND."""
+    if p >= MR_EXACT_BOUND:
+        raise ValueError(f"{p} is too large to test for primality "
+                         f"(limit {MR_EXACT_BOUND})")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -113,7 +133,11 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        try:
+            prime = is_prime(self.p)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+        if not prime:
             raise FormatError(f"{self.p} is not prime")
 
     @property
@@ -189,8 +213,3 @@ QQ = RationalField()
 def GF(p: int) -> PrimeField:
     """Prime field of order ``p``."""
     return PrimeField(p)
-
-
-def check_same_field(a: Field, b: Field) -> None:
-    if a != b:
-        raise FieldMismatch(f"fields differ: {a} vs {b}")

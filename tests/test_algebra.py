@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from leibniz_engel import (cyclic, heisenberg3, sol2, abelian,
+from leibniz_engel import (cyclic, heisenberg3, sol2, abelian, fuzz_corpus,
                            is_ideal, is_lie_set, is_nilpotent_algebra,
                            left_mult_matrix, lie_set_closure,
                            lower_central_series, power, right_mult_matrix,
@@ -13,6 +13,8 @@ from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   InvalidAlgebra, InvalidExponent)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
+
+from oracles import leibniz_triple_violations
 
 
 def _square_algebra(unvalidated=True):
@@ -236,3 +238,23 @@ def test_identity_verifier_flags_invalid_algebra():
     assert not report.ok
     names = {v.identity for v in report.violations}
     assert "right_mult_of_product" in names
+
+
+def test_validate_matches_triple_loop_oracle_on_corrupted_tensors():
+    rng = random.Random(1101)
+    fields_seen, broken = set(), 0
+    for algebra, _ in fuzz_corpus(11, 36, 8):
+        f, n = algebra.field, algebra.dim
+        if n < 2:
+            continue
+        assert validate_leibniz(algebra.structure, f, n).ok
+        tensor = [[list(cij) for cij in ci] for ci in algebra.structure]
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        tensor[i][j][k] = f.add(tensor[i][j][k], f.from_int(rng.randrange(1, 5)))
+        corrupted = LeibnizAlgebra.create(f, tensor, unvalidated=True).structure
+        got = validate_leibniz(corrupted, f, n).violations
+        assert got == leibniz_triple_violations(corrupted, f, n)
+        fields_seen.add(str(f))
+        broken += bool(got)
+    assert fields_seen == {"Q", "F5", "F7"}
+    assert broken > 20

@@ -220,3 +220,21 @@ def test_reports_carry_conventions(c2_file, tmp_path):
         assert key in report["conventions"]
     assert report["command"] == "validate"
     assert "input" in report
+
+
+def test_huge_prime_field_exits_2(tmp_path):
+    huge = _write(tmp_path, "huge.json",
+                  {"field": {"Fp": 10**25 + 13}, "dim": 1, "products": []})
+    report_path = tmp_path / "report.json"
+    assert main(["validate", huge, "--quiet",
+                 "--json", str(report_path)]) == 2
+    report = json.loads(report_path.read_text())
+    assert report["verdict"] == "error"
+    assert "too large" in report["data"]["error"]
+
+
+def test_large_prime_field_loads(tmp_path):
+    big = _write(tmp_path, "big.json",
+                 {"field": {"Fp": 10**18 + 3}, "dim": 2,
+                  "products": [[1, 1, 2, 1]]})
+    assert main(["validate", big, "--quiet"]) == 0

@@ -1,11 +1,11 @@
 import pytest
 
 from leibniz_engel import (LieSet, abelian, check_engel_premises, cyclic,
-                           engel_flag, generated_operator_algebra,
-                           heisenberg3, is_nilpotent_algebra,
-                           joint_annihilator, lemma_word_bound_check,
-                           lie_set_closure, lower_central_series,
-                           regular_bimodule, sol2, theorem2_verify)
+                           engel_flag, heisenberg3, image_filtration,
+                           is_nilpotent_algebra, joint_annihilator,
+                           lemma_word_bound_check, lie_set_closure,
+                           lower_central_series, regular_bimodule, sol2,
+                           theorem2_verify)
 from leibniz_engel.bimodule import Bimodule
 from leibniz_engel.errors import (DimensionMismatch, FieldMismatch,
                                   FlagStalled, NoAnnihilator,
@@ -13,7 +13,7 @@ from leibniz_engel.errors import (DimensionMismatch, FieldMismatch,
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 
-from oracles import min_vanishing_word_length
+from oracles import min_vanishing_word_length, operator_algebra_closure
 
 
 def _zero_module(algebra, dim):
@@ -23,49 +23,69 @@ def _zero_module(algebra, dim):
 
 def test_operator_algebra_single_nilpotent_generator():
     n = Matrix.from_rows(QQ, [[0, 0], [1, 0]])
-    op = generated_operator_algebra([n])
+    op = operator_algebra_closure([n])
     assert len(op.basis) == 1
-    assert op.nilpotent and op.index == 2
+    assert op.index == 2
     assert op.power_dims == (1, 0)
+    filtration = image_filtration([n])
+    assert filtration.index == op.index
+    assert filtration.dims == (2, 1, 0)
 
 
 def test_operator_algebra_identity_not_nilpotent():
-    op = generated_operator_algebra([Matrix.identity(QQ, 2)])
+    identity = Matrix.identity(QQ, 2)
+    op = operator_algebra_closure([identity])
     assert len(op.basis) == 1
-    assert not op.nilpotent and op.index is None
+    assert op.index is None
     assert op.power_dims == (1, 1)
+    filtration = image_filtration([identity])
+    assert filtration.index is None
+    assert filtration.dims == (2, 2)
 
 
 def test_operator_algebra_regular_cyclic3_pair():
     A = cyclic(3)
     M = regular_bimodule(A)
-    op = generated_operator_algebra([M.left_actions[0], M.right_actions[0]])
-    assert op.nilpotent and op.index <= 3
+    pair = [M.left_actions[0], M.right_actions[0]]
+    op = operator_algebra_closure(pair)
+    assert op.index is not None and op.index <= 3
     for mat in op.basis:
         for i in range(3):
             for j in range(i, 3):
                 assert mat.entries[i][j] == 0  # strictly lower triangular
+    filtration = image_filtration(pair)
+    assert filtration.index == op.index
+    assert list(filtration.dims) == sorted(filtration.dims, reverse=True)
 
 
 def test_operator_algebra_power_filtration_shape():
     A = cyclic(4, GF(7))
     M = regular_bimodule(A)
-    op = generated_operator_algebra(list(M.left_actions) + list(M.right_actions))
-    assert op.nilpotent
+    ops = list(M.left_actions) + list(M.right_actions)
+    op = operator_algebra_closure(ops)
+    assert op.index is not None
     assert op.index <= 4 * 4 + 1
     assert op.power_dims[-1] == 0
     assert op.power_dims[-2] > 0
     assert op.power_dims[0] == len(op.basis)
+    filtration = image_filtration(ops)
+    assert filtration.index == op.index <= 4 + 1
+    assert len(filtration.dims) == op.index + 1
+    assert filtration.dims[0] == 4
+    assert filtration.dims[-1] == 0
+    assert filtration.dims[-2] > 0
+    assert all(a > b for a, b in zip(filtration.dims, filtration.dims[1:]))
 
 
 def test_operator_algebra_input_checks():
     with pytest.raises(DimensionMismatch):
-        generated_operator_algebra([])
+        image_filtration([])
     with pytest.raises(DimensionMismatch):
-        generated_operator_algebra([Matrix.zero(QQ, 2, 2), Matrix.zero(QQ, 3, 3)])
+        image_filtration([Matrix.zero(QQ, 2, 2), Matrix.zero(QQ, 3, 3)])
+    with pytest.raises(DimensionMismatch):
+        image_filtration([Matrix.zero(QQ, 2, 3)])
     with pytest.raises(FieldMismatch):
-        generated_operator_algebra([Matrix.zero(QQ, 2, 2),
-                                    Matrix.zero(GF(5), 2, 2)])
+        image_filtration([Matrix.zero(QQ, 2, 2), Matrix.zero(GF(5), 2, 2)])
 
 
 def test_lemma_bound_regular_cyclic2():
@@ -76,6 +96,9 @@ def test_lemma_bound_regular_cyclic2():
     assert report.data["n"] == 3
     assert report.data["word_bound"] == 5
     assert report.data["operator_index"] <= 5
+    # T = S = the 2x2 shift: V > e2-line > 0
+    assert report.data["image_dims"] == [2, 1, 0]
+    assert report.data["operator_index"] == 2
 
 
 def test_lemma_bound_zero_actions():
@@ -214,6 +237,27 @@ def test_theorem2_cyclic2():
     assert report.data["joint_index"] <= 3
 
 
+def test_theorem2_joint_index_equals_flag_length():
+    for A in (cyclic(2), cyclic(4), heisenberg3(), abelian(3),
+              cyclic(3, GF(5))):
+        report = theorem2_verify(regular_bimodule(A),
+                                 lie_set_closure(A.basis()))
+        assert report.verdict == "pass"
+        by_name = {c.name: c for c in report.conclusions}
+        check = by_name["joint_index_equals_flag_length"]
+        assert check.passed
+        assert check.data["flag_length"] == len(report.data["flag_dims"]) - 1
+        assert report.data["joint_index"] == is_nilpotent_algebra(A)[1]
+    for m, flag_length in ((3, 1), (0, 0)):
+        zero = theorem2_verify(_zero_module(cyclic(2), m),
+                               lie_set_closure(cyclic(2).basis()))
+        by_name = {c.name: c for c in zero.conclusions}
+        check = by_name["joint_index_equals_flag_length"]
+        assert check.passed
+        assert check.data["flag_length"] == flag_length
+        assert zero.data["joint_index"] == 1
+
+
 def test_theorem2_abelian2():
     A = abelian(2)
     report = theorem2_verify(regular_bimodule(A), lie_set_closure(A.basis()))
@@ -243,11 +287,12 @@ def test_joint_algebra_bound_small_corpus(small_corpus):
     for algebra, module in small_corpus:
         if not is_nilpotent_algebra(algebra)[0]:
             continue
-        joint = generated_operator_algebra(
-            list(module.left_actions) + list(module.right_actions))
-        assert joint.nilpotent
+        ops = list(module.left_actions) + list(module.right_actions)
+        joint = image_filtration(ops)
+        assert joint.index is not None
         assert joint.index <= module.module_dim + 1
         assert joint.index <= module.module_dim ** 2 + 1
+        assert joint.index == operator_algebra_closure(ops).index
 
 
 def _operator_span(field, mats, size):
@@ -263,13 +308,49 @@ def test_single_element_algebra_covers_generated_subalgebra_actions():
     for A in (cyclic(4), heisenberg3(), cyclic(3, GF(5))):
         M = regular_bimodule(A)
         for a in A.basis():
-            pair = generated_operator_algebra([t_matrix(M, a), s_matrix(M, a)])
+            pair_ops = [t_matrix(M, a), s_matrix(M, a)]
+            pair = operator_algebra_closure(pair_ops)
             sub = subalgebra_generated([a])
             gens = []
             for v in sub.basis:
                 b = A.element(v)
                 gens.extend([t_matrix(M, b), s_matrix(M, b)])
-            full = generated_operator_algebra(gens)
+            full = operator_algebra_closure(gens)
             lhs = _operator_span(A.field, pair.basis, M.module_dim)
             rhs = _operator_span(A.field, full.basis, M.module_dim)
             assert lhs == rhs
+            assert image_filtration(pair_ops).index == \
+                image_filtration(gens).index == pair.index
+
+
+def _assert_index_agrees(ops, module_dim):
+    """Filtration index == closure index == least vanishing word length;
+    a nilpotent index never exceeds module_dim + 1."""
+    index = image_filtration(ops).index
+    assert index == operator_algebra_closure(ops).index
+    assert index == min_vanishing_word_length(ops, module_dim + 1)
+    return index
+
+
+def test_image_filtration_index_matches_oracles_on_corpus(small_corpus):
+    non_nilpotent = 0
+    for algebra, module in small_corpus:
+        for i in range(algebra.dim):
+            pair = [module.left_actions[i], module.right_actions[i]]
+            non_nilpotent += _assert_index_agrees(pair, module.module_dim) is None
+        joint = list(module.left_actions) + list(module.right_actions)
+        non_nilpotent += _assert_index_agrees(joint, module.module_dim) is None
+    S = regular_bimodule(sol2())
+    for i in range(2):
+        pair = [S.left_actions[i], S.right_actions[i]]
+        _assert_index_agrees(pair, 2)
+    assert _assert_index_agrees(
+        list(S.left_actions) + list(S.right_actions), 2) is None
+    for field in (QQ, GF(5)):
+        for size in (1, 3):
+            identity = Matrix.identity(field, size)
+            assert _assert_index_agrees([identity], size) is None
+            nil = Matrix.zero(field, size, size)
+            assert _assert_index_agrees([nil, identity], size) is None
+            assert _assert_index_agrees([nil], size) == 1
+    assert non_nilpotent > 0

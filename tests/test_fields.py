@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from leibniz_engel.errors import FormatError
-from leibniz_engel.fields import GF, QQ, is_prime
+from leibniz_engel.fields import GF, MR_EXACT_BOUND, QQ, is_prime
 
 
 def test_rational_parse_and_reduce():
@@ -54,3 +54,23 @@ def test_field_equality_and_str():
     assert QQ != GF(5)
     assert str(QQ) == "Q"
     assert str(GF(7)) == "F7"
+
+
+def test_is_prime_large_values():
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+    assert GF(10**18 + 3).p == 10**18 + 3
+    assert GF(2**61 - 1).p == 2**61 - 1
+    # a product of two primes, and a strong pseudoprime to every prime base
+    # up to 37 (Sorenson and Webster 2015)
+    for composite in ((10**9 + 7) * (10**9 + 9), 318665857834031151167461):
+        assert not is_prime(composite)
+        with pytest.raises(FormatError):
+            GF(composite)
+
+
+def test_is_prime_refuses_values_past_exact_bound():
+    with pytest.raises(ValueError):
+        is_prime(MR_EXACT_BOUND)
+    with pytest.raises(FormatError):
+        GF(MR_EXACT_BOUND + 2)
