@@ -6,8 +6,9 @@ exact field, validated against the defining identity
     x(yz) = (xy)z + y(xz)
 
 on all basis triples (bilinearity makes that sufficient). On top of that sit
-multiplication operators, element powers, generated subalgebras, Lie sets,
-the lower central series and ideal tests.
+multiplication operators and the operator identities they satisfy, element
+powers, generated subalgebras, Lie sets, the lower central series of a
+subspace (cached for the whole algebra) and the ideal test.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .fields import Field
 from .linalg import Matrix, Subspace, vec_is_zero
 
 DEFAULT_CLOSURE_CAP = 1000
+
+# Largest dimension taken from input files or family specs, checked before
+# anything of that size (a structure tensor holds dim**3 scalars) is built.
+MAX_DIM = 64
 
 
 def _mult_coords(field: Field, structure, x: Sequence, y: Sequence) -> tuple:
@@ -254,19 +259,16 @@ class Element:
 
 def left_mult_matrix(a: Element) -> Matrix:
     """Matrix of x -> a x in the basis (columns are images of basis vectors)."""
-    lefts, _ = a.algebra._basis_mult_matrices()
-    return _combine(a, lefts)
+    A = a.algebra
+    lefts, _ = A._basis_mult_matrices()
+    return _add_combination(Matrix.zero(A.field, A.dim, A.dim), a.coords, lefts)
 
 
 def right_mult_matrix(a: Element) -> Matrix:
     """Matrix of x -> x a."""
-    _, rights = a.algebra._basis_mult_matrices()
-    return _combine(a, rights)
-
-
-def _combine(a: Element, mats: Sequence[Matrix]) -> Matrix:
-    n = a.algebra.dim
-    return _add_combination(Matrix.zero(a.algebra.field, n, n), a.coords, mats)
+    A = a.algebra
+    _, rights = A._basis_mult_matrices()
+    return _add_combination(Matrix.zero(A.field, A.dim, A.dim), a.coords, rights)
 
 
 def power(a: Element, k: int) -> Element:
@@ -296,6 +298,36 @@ class IdentityReport:
         return self.violations[0] if self.violations else None
 
 
+def _pair_identity_violations(algebra: LeibnizAlgebra, lefts: Sequence[Matrix],
+                               rights: Sequence[Matrix], size: int,
+                               names: Sequence[str]) -> list:
+    """The four pair identities of :func:`verify_operator_identities` with
+    L, R replaced by an action family T, S of size x size matrices, one per
+    basis element, named by ``names`` in that order. Violations come pair
+    by pair, in that order within a pair.
+    """
+    n = algebra.dim
+    zero = Matrix.zero(algebra.field, size, size)
+    violations = []
+    for b in range(n):
+        for c in range(n):
+            Tb, Tc, Sb, Sc = lefts[b], lefts[c], rights[b], rights[c]
+            s_bc = _add_combination(zero, algebra.structure[b][c], rights)
+            ss, ts, st = Sc @ Sb, Tb @ Sc, Sc @ Tb
+            sides = [
+                (s_bc, ss + ts),
+                (ts, st + s_bc),
+                (Tc @ Tb, _add_combination(Tb @ Tc, algebra.structure[c][b],
+                                           lefts)),
+                (ss, -st),
+            ]
+            for name, (lhs, rhs) in zip(names, sides):
+                if lhs != rhs:
+                    violations.append(IdentityViolation(
+                        name, {"pair": (b + 1, c + 1)}))
+    return violations
+
+
 def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     """Check the operator consequences of the defining identity.
 
@@ -318,24 +350,10 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     A = algebra
     n = A.dim
     lefts, rights = A._basis_mult_matrices()
-    zero = Matrix.zero(A.field, n, n)
-    violations = []
-
-    for b in range(n):
-        for c in range(n):
-            Lb, Rb, Lc, Rc = lefts[b], rights[b], lefts[c], rights[c]
-            r_bc = _add_combination(zero, A.structure[b][c], rights)
-            l_cb = _add_combination(zero, A.structure[c][b], lefts)
-            checks = [
-                ("right_mult_of_product", r_bc, Rc @ Rb + Lb @ Rc),
-                ("mixed_mult_commutation", Lb @ Rc, Rc @ Lb + r_bc),
-                ("left_mult_of_product", Lc @ Lb, l_cb + Lb @ Lc),
-                ("right_right_reduction", Rc @ Rb, -(Rc @ Lb)),
-            ]
-            for name, lhs, rhs in checks:
-                if lhs != rhs:
-                    violations.append(IdentityViolation(
-                        name, {"pair": (b + 1, c + 1)}))
+    violations = _pair_identity_violations(
+        A, lefts, rights, n,
+        ("right_mult_of_product", "mixed_mult_commutation",
+         "left_mult_of_product", "right_right_reduction"))
 
     for i in range(n):
         a = A.basis_element(i)
@@ -459,45 +477,64 @@ def lie_set_closure(elements: Sequence[Element],
     return LieSet(A, tuple(members))
 
 
-def lower_central_series(algebra: LeibnizAlgebra) -> list:
-    """Two-sided series: next term is span(A * T + T * A); stops once stable.
+def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
+    """Lower central series of a subspace with products taken in the algebra.
 
-    The returned list starts at the whole algebra and ends with the first
-    stable term (0 exactly when the algebra is nilpotent).
+    The next term after T is span(S * T + T * S) for the carrier S. For an
+    ideal the terms decrease monotonically and the series ends at its first
+    stable term. A carrier that is not even a subalgebra can make the step
+    map cycle through subspaces without stabilizing, so the series cuts off
+    at the first repeated term; either way it reaches zero exactly when the
+    induced structure is nilpotent.
     """
-    full = algebra.full_space()
-    series = [full]
+    series = [carrier]
+    seen = {carrier.basis}
     while True:
         last = series[-1]
-        nxt = product_span(algebra, full, last) + product_span(algebra, last, full)
-        if nxt == last:
+        nxt = product_span(algebra, carrier, last) + \
+            product_span(algebra, last, carrier)
+        if nxt == last or nxt.basis in seen:
             break
         series.append(nxt)
+        seen.add(nxt.basis)
     return series
 
 
-def is_nilpotent_algebra(algebra: LeibnizAlgebra) -> tuple:
-    """(verdict, class): class c means term c is nonzero and term c+1 is 0."""
-    series = lower_central_series(algebra)
+def series_nilpotency(series: Sequence[Subspace]) -> tuple:
+    """(verdict, class) read from a series that ends at its first stable or
+    repeated term: class c means term c is nonzero and term c+1 is 0."""
     if series[-1].is_zero():
         return True, len(series) - 1
     return False, None
 
 
+def lower_central_series(algebra: LeibnizAlgebra) -> list:
+    """Two-sided series: next term is span(A * T + T * A); stops once stable.
+
+    The returned list starts at the whole algebra and ends with the first
+    stable term (0 exactly when the algebra is nilpotent). It is computed
+    once per algebra; each call returns a fresh list.
+    """
+    series = algebra._cache.get("series")
+    if series is None:
+        series = tuple(carrier_series(algebra, algebra.full_space()))
+        algebra._cache["series"] = series
+    return list(series)
+
+
+def is_nilpotent_algebra(algebra: LeibnizAlgebra) -> tuple:
+    """(verdict, class): class c means term c is nonzero and term c+1 is 0."""
+    return series_nilpotency(lower_central_series(algebra))
+
+
 def is_ideal(algebra: LeibnizAlgebra, carrier: Subspace) -> bool:
-    """Both A * S and S * A must land back in S."""
+    """Both A * S and S * A must land back in S, that is, the first step of
+    the series from the whole algebra maps S into itself."""
     if carrier.ambient_dim != algebra.dim or carrier.field != algebra.field:
         raise ShapeMismatch("carrier does not sit inside the algebra")
-    f, c = algebra.field, algebra.structure
-    n = algebra.dim
-    for s in carrier.basis:
-        for i in range(n):
-            ei = tuple(f.one() if t == i else f.zero() for t in range(n))
-            if not carrier.contains(_mult_coords(f, c, ei, s)):
-                return False
-            if not carrier.contains(_mult_coords(f, c, s, ei)):
-                return False
-    return True
+    full = algebra.full_space()
+    return carrier.contains_subspace(product_span(algebra, full, carrier) +
+                                     product_span(algebra, carrier, full))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (Element, Ideal, IdentityViolation, LeibnizAlgebra,
-                      is_ideal, left_mult_matrix, mult_coords,
-                      right_mult_matrix)
+from .algebra import (Element, Ideal, LeibnizAlgebra, _add_combination,
+                      _pair_identity_violations, is_ideal, left_mult_matrix,
+                      mult_coords, right_mult_matrix)
 from .errors import AlgebraMismatch, ShapeMismatch
 from .linalg import Matrix, Subspace, kernel_basis
 
@@ -66,30 +66,20 @@ def regular_bimodule(algebra: LeibnizAlgebra) -> Bimodule:
 
 def t_matrix(module: Bimodule, a: Element) -> Matrix:
     """Left action of an arbitrary element, by linearity."""
-    return _combine(module, a, module.left_actions)
+    if a.algebra != module.algebra:
+        raise AlgebraMismatch("element does not belong to the module's algebra")
+    m = module.module_dim
+    return _add_combination(Matrix.zero(module.algebra.field, m, m), a.coords,
+                            module.left_actions)
 
 
 def s_matrix(module: Bimodule, a: Element) -> Matrix:
     """Right action of an arbitrary element."""
-    return _combine(module, a, module.right_actions)
-
-
-def _combine(module: Bimodule, a: Element, mats: Sequence[Matrix]) -> Matrix:
     if a.algebra != module.algebra:
         raise AlgebraMismatch("element does not belong to the module's algebra")
-    out = Matrix.zero(module.algebra.field, module.module_dim, module.module_dim)
-    for coeff, m in zip(a.coords, mats):
-        if coeff != 0:
-            out = out + m.scale(coeff)
-    return out
-
-
-def _vec_action(module: Bimodule, coords, mats) -> Matrix:
-    out = Matrix.zero(module.algebra.field, module.module_dim, module.module_dim)
-    for coeff, m in zip(coords, mats):
-        if coeff != 0:
-            out = out + m.scale(coeff)
-    return out
+    m = module.module_dim
+    return _add_combination(Matrix.zero(module.algebra.field, m, m), a.coords,
+                            module.right_actions)
 
 
 @dataclass
@@ -116,41 +106,26 @@ def validate_bimodule(module: Bimodule) -> BimoduleValidation:
     S_c S_b = -(S_c T_b); its failure while the axioms hold would mean an
     implementation bug.
     """
-    A = module.algebra
-    n = A.dim
-    T, S = module.left_actions, module.right_actions
-    violations, derived = [], []
-    for b in range(n):
-        for c in range(n):
-            s_bc = _vec_action(module, A.structure[b][c], S)
-            t_cb = _vec_action(module, A.structure[c][b], T)
-            checks = [
-                ("right_action_of_product", s_bc, S[c] @ S[b] + T[b] @ S[c]),
-                ("mixed_action_commutation", T[b] @ S[c], S[c] @ T[b] + s_bc),
-                ("left_action_of_product", T[c] @ T[b], t_cb + T[b] @ T[c]),
-            ]
-            for name, lhs, rhs in checks:
-                if lhs != rhs:
-                    violations.append(IdentityViolation(name, {"pair": (b + 1, c + 1)}))
-            if S[c] @ S[b] != -(S[c] @ T[b]):
-                derived.append(IdentityViolation(
-                    "right_right_action_reduction", {"pair": (b + 1, c + 1)}))
+    derived_name = "right_right_action_reduction"
+    found = _pair_identity_violations(
+        module.algebra, module.left_actions, module.right_actions,
+        module.module_dim,
+        ("right_action_of_product", "mixed_action_commutation",
+         "left_action_of_product", derived_name))
+    violations = [v for v in found if v.identity != derived_name]
+    derived = [v for v in found if v.identity == derived_name]
     return BimoduleValidation(not violations, violations, not derived, derived)
 
 
 def annihilator_ideal(module: Bimodule) -> Ideal:
     """{a : T_a = 0 and S_a = 0}, the joint kernel of a -> (T_a, S_a)."""
     A = module.algebra
-    n, m = A.dim, module.module_dim
     columns = []
-    for i in range(n):
+    for i in range(A.dim):
         flat = [x for row in module.left_actions[i].entries for x in row]
         flat += [x for row in module.right_actions[i].entries for x in row]
         columns.append(tuple(flat))
-    if n == 0:
-        carrier = Subspace.zero(A.field, 0)
-    else:
-        carrier = kernel_basis(Matrix.from_columns(A.field, columns))
+    carrier = kernel_basis(Matrix.from_columns(A.field, columns))
     assert is_ideal(A, carrier), "annihilator failed the ideal check"
     return Ideal(A, carrier)
 
@@ -174,8 +149,8 @@ def faithful_quotient(module: Bimodule) -> tuple:
             row.append(q.apply(mult_coords(A, u, v)))
         structure.append(row)
     quotient = LeibnizAlgebra.create(A.field, structure)
-    left = [_vec_action(module, u, module.left_actions) for u in lifts]
-    right = [_vec_action(module, u, module.right_actions) for u in lifts]
+    left = [t_matrix(module, Element(A, u)) for u in lifts]
+    right = [s_matrix(module, Element(A, u)) for u in lifts]
     induced = Bimodule.create(quotient, module.module_dim, left, right)
     assert new_dim == quotient.dim
     return quotient, induced

@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .algebra import (DEFAULT_CLOSURE_CAP, LeibnizAlgebra, LieSet,
-                      is_nilpotent_algebra, lie_set_closure,
-                      lower_central_series, validate_leibniz,
+                      lie_set_closure, lower_central_series,
+                      series_nilpotency, validate_leibniz,
                       verify_operator_identities)
 from .bimodule import annihilator_ideal, regular_bimodule
 from .corollaries import (corollary3_check, corollary4_check,
@@ -152,8 +152,8 @@ def _cmd_validate(args):
 
 def _cmd_analyze(args):
     algebra = load_algebra(args.algebra)
-    verdict, cls = is_nilpotent_algebra(algebra)
     series = lower_central_series(algebra)
+    verdict, cls = series_nilpotency(series)
     ann = annihilator_ideal(regular_bimodule(algebra))
     data = {
         "dim": algebra.dim,
@@ -260,10 +260,9 @@ def _cmd_fuzz(args):
                           "note": "basis closure exceeded the fuzz cap"})
             continue
         verdicts = [theorem2_verify(module, closure).verdict]
-        nilpotent, _ = is_nilpotent_algebra(algebra)
-        if nilpotent:
+        series = lower_central_series(algebra)
+        if series_nilpotency(series)[0]:
             verdicts.append(corollary3_check(algebra, closure).verdict)
-            series = lower_central_series(algebra)
             for first, second in zip(series, series[1:]):
                 verdicts.append(
                     sum_of_nilpotent_ideals(algebra, first, second).verdict)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (LeibnizAlgebra, LieSet, is_ideal, is_nilpotent_algebra,
-                      lower_central_series, mult_coords, product_span)
+from .algebra import (LeibnizAlgebra, LieSet, carrier_series, is_ideal,
+                      lower_central_series, mult_coords, series_nilpotency)
 from .bimodule import regular_bimodule
 from .engel import check_engel_premises
 from .errors import (NotAnIdealError, NotNilpotentIdealError, ShapeMismatch,
@@ -96,8 +96,8 @@ def _check_map_shape(algebra: LeibnizAlgebra, m: Matrix) -> None:
 
 
 def _nilpotency_conclusion(algebra: LeibnizAlgebra) -> tuple:
-    verdict, cls = is_nilpotent_algebra(algebra)
     series = lower_central_series(algebra)
+    verdict, cls = series_nilpotency(series)
     check = Check("algebra_nilpotent", verdict,
                   data={"class": cls, "series_dims": [s.dim for s in series]})
     return check, cls, [s.dim for s in series]
@@ -174,34 +174,9 @@ def corollary5_check(algebra: LeibnizAlgebra, d: Matrix) -> Report:
                   data={"class": cls, "series_dims": dims})
 
 
-def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
-    """Lower central series of a subspace with products taken in the algebra.
-
-    For an ideal the terms decrease monotonically and the series ends at its
-    first stable term. A carrier that is not even a subalgebra can make the
-    step map cycle through subspaces without stabilizing, so the series cuts
-    off at the first repeated term; either way it reaches zero exactly when
-    the induced structure is nilpotent.
-    """
-    series = [carrier]
-    seen = {carrier.basis}
-    while True:
-        last = series[-1]
-        nxt = product_span(algebra, carrier, last) + \
-            product_span(algebra, last, carrier)
-        if nxt == last or nxt.basis in seen:
-            break
-        series.append(nxt)
-        seen.add(nxt.basis)
-    return series
-
-
 def carrier_nilpotency(algebra: LeibnizAlgebra, carrier: Subspace) -> tuple:
     """(verdict, class) of the induced structure on a carrier subspace."""
-    series = carrier_series(algebra, carrier)
-    if series[-1].is_zero():
-        return True, len(series) - 1
-    return False, None
+    return series_nilpotency(carrier_series(algebra, carrier))
 
 
 def sum_of_nilpotent_ideals(algebra: LeibnizAlgebra, first: Subspace,

@@ -216,9 +216,12 @@ def theorem2_verify(module: Bimodule, lie_set: LieSet) -> Report:
     that index, the length of the image filtration under all actions, equals
     the length of the flag, which is built the other way up from the Lie
     set members alone. Premise failure short-circuits with no conclusions
-    attempted.
+    attempted. The theorem is about a nonzero module: a zero one raises
+    DimensionMismatch.
     """
     A = module.algebra
+    if module.module_dim < 1:
+        raise DimensionMismatch("the module must be nonzero")
     premises_report = check_engel_premises(module, lie_set)
     if not all(c.passed for c in premises_report.premises):
         return Report(premises=premises_report.premises, conclusions=[],
@@ -276,8 +279,7 @@ def theorem2_verify(module: Bimodule, lie_set: LieSet) -> Report:
     data["joint_index"] = joint.index
 
     if flag is not None and joint.index is not None:
-        # the zero module has an empty flag, but every index is at least 1
-        equal = joint.index == max(flag.length, 1)
+        equal = joint.index == flag.length
         conclusions.append(Check("joint_index_equals_flag_length", equal,
                                  witness=None if equal else
                                  {"index": joint.index,

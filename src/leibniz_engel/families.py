@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, lower_central_series, mult_coords
+from .algebra import (MAX_DIM, LeibnizAlgebra, lower_central_series,
+                      mult_coords)
 from .bimodule import (Bimodule, quotient_bimodule, regular_bimodule,
                        submodule_generated)
 from .errors import FieldMismatch, InvalidSpec
@@ -36,8 +37,8 @@ class FamilySpec:
 def cyclic(n: int, field: Field = QQ) -> LeibnizAlgebra:
     """Basis e1..en with e1 e_i = e_{i+1}; nilpotent of class n, non-Lie
     for n >= 2 (the square of e1 is nonzero)."""
-    if n < 1:
-        raise InvalidSpec(f"cyclic needs n >= 1, got {n}")
+    if not 1 <= n <= MAX_DIM:
+        raise InvalidSpec(f"cyclic needs 1 <= n <= {MAX_DIM}, got {n}")
     z, o = field.zero(), field.one()
     structure = [[[z] * n for _ in range(n)] for _ in range(n)]
     for i in range(n - 1):
@@ -56,8 +57,8 @@ def heisenberg3(field: Field = QQ) -> LeibnizAlgebra:
 
 
 def abelian(n: int, field: Field = QQ) -> LeibnizAlgebra:
-    if n < 1:
-        raise InvalidSpec(f"abelian needs n >= 1, got {n}")
+    if not 1 <= n <= MAX_DIM:
+        raise InvalidSpec(f"abelian needs 1 <= n <= {MAX_DIM}, got {n}")
     z = field.zero()
     structure = [[[z] * n for _ in range(n)] for _ in range(n)]
     return LeibnizAlgebra.create(field, structure,
@@ -80,6 +81,8 @@ def direct_sum(left: LeibnizAlgebra, right: LeibnizAlgebra) -> LeibnizAlgebra:
     field = left.field
     a, b = left.dim, right.dim
     n = a + b
+    if n > MAX_DIM:
+        raise InvalidSpec(f"direct sum of dimension {n} exceeds {MAX_DIM}")
     z = field.zero()
     structure = [[[z] * n for _ in range(n)] for _ in range(n)]
     for i in range(a):
@@ -316,8 +319,9 @@ def fuzz_corpus(seed: int, count: int, max_dim: int) -> list:
     spun submodule); every algebra is validated at construction and the
     rotation guarantees a non-nilpotent control for count >= 4.
     """
-    if count < 1 or max_dim < 1:
-        raise InvalidSpec("count and max_dim must be at least 1")
+    if count < 1 or not 1 <= max_dim <= MAX_DIM:
+        raise InvalidSpec(f"count must be at least 1 and max_dim in "
+                          f"[1, {MAX_DIM}]")
     rng = random.Random(seed)
     corpus = []
     for idx in range(count):

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import Element, LeibnizAlgebra
+from .algebra import MAX_DIM, Element, LeibnizAlgebra
 from .bimodule import Bimodule
 from .corollaries import LinearSelfMap
 from .errors import FormatError
@@ -62,9 +62,7 @@ def load_algebra_dict(data: dict, force_unvalidated: bool = False) -> LeibnizAlg
         if key not in data:
             raise FormatError(f"algebra file is missing {key!r}")
     field = field_from_json(data["field"])
-    n = data["dim"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FormatError(f"dim must be a positive integer, got {n!r}")
+    n = _dimension(data, "dim")
     names = data.get("names")
     if names is not None:
         if (not isinstance(names, list) or len(names) != n
@@ -129,9 +127,7 @@ def load_bimodule(path, algebra: LeibnizAlgebra) -> Bimodule:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise FormatError("bimodule file must hold a JSON object")
-    m = data.get("module_dim")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise FormatError(f"module_dim must be a nonnegative integer, got {m!r}")
+    m = _dimension(data, "module_dim")
     lefts = data.get("left_actions")
     rights = data.get("right_actions")
     n = algebra.dim
@@ -194,6 +190,17 @@ def load_ideals(path, algebra: LeibnizAlgebra) -> list:
                 for raw in spanning]
         out.append(Subspace.span(algebra.field, algebra.dim, vecs))
     return out
+
+
+def _dimension(data: dict, key: str) -> int:
+    """A dimension from a file: an integer in [1, MAX_DIM], checked before
+    anything of that size is allocated."""
+    value = data.get(key)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise FormatError(f"{key} must be a positive integer, got {value!r}")
+    if value > MAX_DIM:
+        raise FormatError(f"{key} {value} exceeds the limit of {MAX_DIM}")
+    return value
 
 
 def _read_json(path):

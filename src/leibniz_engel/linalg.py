@@ -66,9 +66,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
@@ -166,10 +163,6 @@ class Matrix:
             raise DimensionMismatch("augment needs equal row counts")
         return Matrix(self.field, self.rows, self.cols + other.cols,
                       tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
-
-    def to_str_rows(self) -> list:
-        ts = self.field.to_str
-        return [[ts(x) for x in row] for row in self.entries]
 
     def __str__(self) -> str:
         ts = self.field.to_str

@@ -3,9 +3,11 @@
 These deliberately avoid the library's subspace/series machinery: nilpotency
 is decided by evaluating every parenthesized product of basis elements, flag
 length by multiplying out every operator word, the nilpotency index of an
-operator algebra by span-closing it in the m*m-dim matrix space, and the
-defining identity triple by triple. They exist to cross-check the production
-algorithms, so they must stay dumb.
+operator algebra by span-closing it in the m*m-dim matrix space, the
+defining identity triple by triple, the ideal property one basis product at
+a time, and the operator pair identities with every matrix product written
+out. They exist to cross-check the production algorithms, so they must stay
+dumb.
 """
 
 from __future__ import annotations
@@ -162,4 +164,57 @@ def leibniz_triple_violations(structure, field, n: int) -> list:
                     violations.append((i + 1, j + 1, k + 1,
                                        tuple(field.to_str(x) for x in lhs),
                                        tuple(field.to_str(x) for x in rhs)))
+    return violations
+
+
+def ideal_by_unit_vectors(algebra: LeibnizAlgebra, carrier) -> bool:
+    """e_i s and s e_i lie in the carrier for every unit vector e_i and
+    every basis vector s of the carrier, one membership test each."""
+    f, n = algebra.field, algebra.dim
+    for s in carrier.basis:
+        for i in range(n):
+            ei = tuple(f.one() if t == i else f.zero() for t in range(n))
+            if not carrier.contains(mult_coords(algebra, ei, s)):
+                return False
+            if not carrier.contains(mult_coords(algebra, s, ei)):
+                return False
+    return True
+
+
+def operator_pair_violations(structure, lefts: list, rights: list,
+                             names: tuple) -> list:
+    """(name, pair) for each failing pair identity of an action family:
+
+    - S_{bc} = S_c S_b + T_b S_c
+    - T_b S_c = S_c T_b + S_{bc}
+    - T_c T_b = T_{cb} + T_b T_c
+    - S_c S_b = -(S_c T_b)
+
+    for all basis pairs (b, c), labelled by ``names`` in this order, pair by
+    pair. The actions of the product elements are sums of scaled matrices."""
+    n = len(structure)
+    field, size = lefts[0].field, lefts[0].rows
+
+    def action(coords, mats):
+        out = Matrix.zero(field, size, size)
+        for coeff, m in zip(coords, mats):
+            if coeff != 0:
+                out = out + m.scale(coeff)
+        return out
+
+    T, S = lefts, rights
+    violations = []
+    for b in range(n):
+        for c in range(n):
+            s_bc = action(structure[b][c], S)
+            t_cb = action(structure[c][b], T)
+            checks = [
+                (s_bc, S[c] @ S[b] + T[b] @ S[c]),
+                (T[b] @ S[c], S[c] @ T[b] + s_bc),
+                (T[c] @ T[b], t_cb + T[b] @ T[c]),
+                (S[c] @ S[b], -(S[c] @ T[b])),
+            ]
+            for name, (lhs, rhs) in zip(names, checks):
+                if lhs != rhs:
+                    violations.append((name, (b + 1, c + 1)))
     return violations

@@ -5,16 +5,19 @@ import pytest
 from leibniz_engel import (cyclic, heisenberg3, sol2, abelian, fuzz_corpus,
                            is_ideal, is_lie_set, is_nilpotent_algebra,
                            left_mult_matrix, lie_set_closure,
-                           lower_central_series, power, right_mult_matrix,
-                           subalgebra_generated, validate_leibniz,
+                           lower_central_series, power, regular_bimodule,
+                           right_mult_matrix, subalgebra_generated,
+                           validate_bimodule, validate_leibniz,
                            verify_operator_identities)
-from leibniz_engel.algebra import LeibnizAlgebra, product_span
+from leibniz_engel.algebra import (LeibnizAlgebra, carrier_series,
+                                   product_span)
 from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   InvalidAlgebra, InvalidExponent)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 
-from oracles import leibniz_triple_violations
+from oracles import (ideal_by_unit_vectors, leibniz_triple_violations,
+                     operator_pair_violations)
 
 
 def _square_algebra(unvalidated=True):
@@ -240,21 +243,98 @@ def test_identity_verifier_flags_invalid_algebra():
     assert "right_mult_of_product" in names
 
 
-def test_validate_matches_triple_loop_oracle_on_corrupted_tensors():
+def _corrupted_algebras():
+    """(valid algebra, unvalidated copy with one seeded constant changed)
+    for the tensors of dims 2-8 of a seeded corpus over Q, F5 and F7."""
     rng = random.Random(1101)
-    fields_seen, broken = set(), 0
     for algebra, _ in fuzz_corpus(11, 36, 8):
         f, n = algebra.field, algebra.dim
         if n < 2:
             continue
-        assert validate_leibniz(algebra.structure, f, n).ok
         tensor = [[list(cij) for cij in ci] for ci in algebra.structure]
         i, j, k = (rng.randrange(n) for _ in range(3))
         tensor[i][j][k] = f.add(tensor[i][j][k], f.from_int(rng.randrange(1, 5)))
-        corrupted = LeibnizAlgebra.create(f, tensor, unvalidated=True).structure
+        yield algebra, LeibnizAlgebra.create(f, tensor, unvalidated=True)
+
+
+def test_validate_matches_triple_loop_oracle_on_corrupted_tensors():
+    fields_seen, broken = set(), 0
+    for algebra, corrupted_algebra in _corrupted_algebras():
+        f, n = algebra.field, algebra.dim
+        assert validate_leibniz(algebra.structure, f, n).ok
+        corrupted = corrupted_algebra.structure
         got = validate_leibniz(corrupted, f, n).violations
         assert got == leibniz_triple_violations(corrupted, f, n)
         fields_seen.add(str(f))
         broken += bool(got)
     assert fields_seen == {"Q", "F5", "F7"}
     assert broken > 20
+
+
+MULT_IDENTITIES = ("right_mult_of_product", "mixed_mult_commutation",
+                   "left_mult_of_product", "right_right_reduction")
+ACTION_IDENTITIES = ("right_action_of_product", "mixed_action_commutation",
+                     "left_action_of_product", "right_right_action_reduction")
+
+
+def test_pair_identities_match_loop_oracle_on_corrupted_tensors():
+    broken = 0
+    for _, A in _corrupted_algebras():
+        n, c = A.dim, A.structure
+        lefts = [Matrix.from_columns(A.field, [c[i][j] for j in range(n)])
+                 for i in range(n)]
+        rights = [Matrix.from_columns(A.field, [c[j][i] for j in range(n)])
+                  for i in range(n)]
+
+        expected = operator_pair_violations(c, lefts, rights, MULT_IDENTITIES)
+        got = [(v.identity, v.witness["pair"])
+               for v in verify_operator_identities(A).violations
+               if v.identity in MULT_IDENTITIES]
+        assert got == expected
+        broken += bool(got)
+
+        expected = operator_pair_violations(c, lefts, rights,
+                                            ACTION_IDENTITIES)
+        derived_name = ACTION_IDENTITIES[-1]
+        check = validate_bimodule(regular_bimodule(A))
+        assert [(v.identity, v.witness["pair"]) for v in check.violations] == \
+            [v for v in expected if v[0] != derived_name]
+        assert [(v.identity, v.witness["pair"])
+                for v in check.derived_violations] == \
+            [v for v in expected if v[0] == derived_name]
+        assert check.all_ok() == (not expected)
+    assert broken > 20
+
+
+def test_is_ideal_matches_unit_vector_oracle(small_corpus):
+    # e1 e2 = e2: span(e1) is a left ideal (A e1 = 0) but e1 e2 = e2 leaves it
+    one_sided = LeibnizAlgebra.create(QQ, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])
+    assert not is_ideal(one_sided, Subspace.span(QQ, 2, [(1, 0)]))
+    rng = random.Random(2438)
+    ideals = non_ideals = 0
+    for A in [A for A, _ in small_corpus] + [one_sided]:
+        f, n = A.field, A.dim
+        carriers = lower_central_series(A)
+        for _ in range(4):
+            vecs = [[f.from_int(rng.randrange(-2, 3)) for _ in range(n)]
+                    for _ in range(rng.randint(1, n))]
+            carriers.append(Subspace.span(f, n, vecs))
+        for carrier in carriers:
+            verdict = is_ideal(A, carrier)
+            assert verdict == ideal_by_unit_vectors(A, carrier)
+            ideals += verdict
+            non_ideals += not verdict
+    assert ideals > 100 and non_ideals > 20
+
+
+def test_lower_central_series_is_the_carrier_series_of_the_algebra(
+        small_corpus):
+    for A, _ in small_corpus:
+        expected = carrier_series(A, A.full_space())
+        series = lower_central_series(A)
+        assert series == expected
+        series.append(A.zero_space())
+        series[0] = A.zero_space()
+        again = lower_central_series(A)
+        assert again == expected
+        assert again is not series

@@ -238,3 +238,24 @@ def test_large_prime_field_loads(tmp_path):
                  {"field": {"Fp": 10**18 + 3}, "dim": 2,
                   "products": [[1, 1, 2, 1]]})
     assert main(["validate", big, "--quiet"]) == 0
+
+
+def test_oversized_inputs_exit_2(tmp_path):
+    huge = _write(tmp_path, "huge.json",
+                  {"field": "Q", "dim": 10**9, "products": []})
+    assert main(["validate", huge, "--quiet"]) == 2
+    assert main(["generate", "--family", "cyclic(1000000000)",
+                 "--out", str(tmp_path / "x.json"), "--quiet"]) == 2
+    assert main(["fuzz", "--seed", "1", "--count", "1",
+                 "--max-dim", "1000000000", "--quiet"]) == 2
+
+
+def test_engel_zero_module_exits_2(c2_file, tmp_path):
+    module = _write(tmp_path, "zero.json",
+                    {"module_dim": 0, "left_actions": [[], []],
+                     "right_actions": [[], []]})
+    report_path = tmp_path / "r.json"
+    assert main(["engel", c2_file, "--module", module, "--quiet",
+                 "--json", str(report_path)]) == 2
+    report = json.loads(report_path.read_text())
+    assert "module_dim" in report["data"]["error"]

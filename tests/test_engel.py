@@ -248,14 +248,21 @@ def test_theorem2_joint_index_equals_flag_length():
         assert check.passed
         assert check.data["flag_length"] == len(report.data["flag_dims"]) - 1
         assert report.data["joint_index"] == is_nilpotent_algebra(A)[1]
-    for m, flag_length in ((3, 1), (0, 0)):
-        zero = theorem2_verify(_zero_module(cyclic(2), m),
-                               lie_set_closure(cyclic(2).basis()))
-        by_name = {c.name: c for c in zero.conclusions}
-        check = by_name["joint_index_equals_flag_length"]
-        assert check.passed
-        assert check.data["flag_length"] == flag_length
-        assert zero.data["joint_index"] == 1
+    zero = theorem2_verify(_zero_module(cyclic(2), 3),
+                           lie_set_closure(cyclic(2).basis()))
+    by_name = {c.name: c for c in zero.conclusions}
+    check = by_name["joint_index_equals_flag_length"]
+    assert check.passed
+    assert check.data["flag_length"] == 1
+    assert zero.data["joint_index"] == 1
+
+
+def test_theorem2_rejects_zero_module():
+    """The theorem is about nonzero modules: the zero module has no nonzero
+    annihilated vector, so its conclusions cannot hold."""
+    with pytest.raises(DimensionMismatch):
+        theorem2_verify(_zero_module(cyclic(2), 0),
+                        lie_set_closure(cyclic(2).basis()))
 
 
 def test_theorem2_abelian2():

@@ -74,7 +74,9 @@ def test_family_spec_parsing():
 
 @pytest.mark.parametrize("bad", ["cyclic", "cyclic()", "unknown(2)",
                                  "basis_change(cyclic(2))", "cyclic(2) extra",
-                                 "cyclic(0)", "direct_sum(cyclic(2))"])
+                                 "cyclic(0)", "direct_sum(cyclic(2))",
+                                 "cyclic(1000000000)", "abelian(65)",
+                                 "direct_sum(abelian(33),abelian(32))"])
 def test_family_spec_rejects_malformed(bad):
     with pytest.raises(InvalidSpec):
         build(parse_family_spec(bad))
@@ -119,3 +121,5 @@ def test_fuzz_corpus_rejects_bad_arguments():
         fuzz_corpus(1, 0, 3)
     with pytest.raises(InvalidSpec):
         fuzz_corpus(1, 3, 0)
+    with pytest.raises(InvalidSpec):
+        fuzz_corpus(1, 3, 10**9)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from leibniz_engel import cyclic, heisenberg3, regular_bimodule
+from leibniz_engel.algebra import MAX_DIM
 from leibniz_engel.errors import FormatError
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.formats import (dump_bimodule,
@@ -72,6 +73,19 @@ def test_algebra_file_requires_positive_dim():
         load_algebra_dict({"field": "Q", "dim": 0, "products": []})
     with pytest.raises(FormatError):
         load_algebra_dict({"field": "Q"})
+
+
+def test_dimensions_past_the_limit_are_refused_before_allocation(tmp_path):
+    for dim in (MAX_DIM + 1, 10**9):
+        with pytest.raises(FormatError, match="limit"):
+            load_algebra_dict({"field": "Q", "dim": dim, "products": []})
+    path = tmp_path / "m.json"
+    for m in (0, MAX_DIM + 1, 10**9):
+        path.write_text(json.dumps({"module_dim": m,
+                                    "left_actions": [[], []],
+                                    "right_actions": [[], []]}))
+        with pytest.raises(FormatError, match="module_dim"):
+            load_bimodule(path, cyclic(2))
 
 
 def test_names_round_trip(tmp_path):
