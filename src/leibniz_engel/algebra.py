@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
@@ -29,23 +30,32 @@ DEFAULT_CLOSURE_CAP = 1000
 MAX_DIM = 64
 
 
-def _mult_coords(field: Field, structure, x: Sequence, y: Sequence) -> tuple:
-    """Bilinear product of coordinate vectors through the structure tensor."""
-    n = len(x)
-    add, mul = field.add, field.mul
-    out = [field.zero()] * n
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        ci = structure[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            coeff = mul(xi, yj)
-            for k, c in enumerate(ci[j]):
-                if c != 0:
-                    out[k] = add(out[k], mul(coeff, c))
-    return tuple(out)
+def _mult_coords(algebra: "LeibnizAlgebra", x: Sequence, y: Sequence) -> tuple:
+    """Bilinear product of coordinate vectors through the structure tensor.
+
+    Walks the nonzero coordinates of x and y and, for each pair (i, j), the
+    nonzero terms (k, c) of e_i e_j from a table built once per algebra.
+    """
+    table = algebra._cache.get("product_terms")
+    if table is None:
+        table = tuple(tuple(tuple((k, c) for k, c in enumerate(cij) if c)
+                            for cij in ci) for ci in algebra.structure)
+        algebra._cache["product_terms"] = table
+    zero = algebra.field.zero()
+    y_terms = list(compress(enumerate(y), y))
+    out = None
+    for xi, row in compress(zip(x, table), x):
+        for j, yj in y_terms:
+            terms = row[j]
+            if terms:
+                if out is None:
+                    out = [zero] * algebra.dim
+                coeff = xi * yj
+                for k, c in terms:
+                    out[k] += coeff * c
+    if out is None:
+        return (zero,) * algebra.dim
+    return algebra.field.reduce_row(out)
 
 
 @dataclass
@@ -74,17 +84,25 @@ def _left_mult_matrices(field: Field, structure) -> tuple:
 
 
 def _add_combination(base: Matrix, coords: Sequence, mats: Sequence[Matrix]) -> Matrix:
-    """base + sum_t coords[t] mats[t], touching only the nonzero terms."""
-    add, mul = base.field.add, base.field.mul
-    out = [list(row) for row in base.entries]
+    """base + sum_t coords[t] mats[t], touching only the nonzero terms and
+    reducing only the rows that received one."""
+    rows = list(base.entries)
+    touched = {}
     for c, m in zip(coords, mats):
-        if c == 0:
+        if not c:
             continue
-        for acc, row in zip(out, m.entries):
-            for k, x in enumerate(row):
-                if x != 0:
-                    acc[k] = add(acc[k], mul(c, x))
-    return Matrix(base.field, base.rows, base.cols, tuple(map(tuple, out)))
+        for i, row in enumerate(m.entries):
+            if not any(row):
+                continue
+            acc = touched.get(i)
+            if acc is None:
+                acc = touched[i] = list(rows[i])
+            for k, x in compress(enumerate(row), row):
+                acc[k] += c * x
+    reduce_row = base.field.reduce_row
+    for i, acc in touched.items():
+        rows[i] = reduce_row(acc)
+    return Matrix(base.field, base.rows, base.cols, tuple(rows))
 
 
 def validate_leibniz(structure, field: Field, n: int,
@@ -150,7 +168,7 @@ class LeibnizAlgebra:
     def create(field: Field, structure, basis_names: Sequence[str] | None = None,
                unvalidated: bool = False) -> "LeibnizAlgebra":
         n = len(structure)
-        norm = tuple(tuple(tuple(field.normalize(x) for x in cij) for cij in ci)
+        norm = tuple(tuple(tuple(map(field.normalize, cij)) for cij in ci)
                      for ci in structure)
         if any(len(ci) != n or any(len(cij) != n for cij in ci) for ci in norm):
             raise ShapeMismatch(f"structure tensor is not {n}x{n}x{n}")
@@ -184,7 +202,7 @@ class LeibnizAlgebra:
         return [self.basis_element(i) for i in range(self.dim)]
 
     def element(self, coords: Sequence) -> "Element":
-        coords = tuple(self.field.normalize(x) for x in coords)
+        coords = tuple(map(self.field.normalize, coords))
         if len(coords) != self.dim:
             raise ShapeMismatch("coordinate length differs from dimension")
         return Element(self, coords)
@@ -249,8 +267,7 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
         return Element(self.algebra,
-                       _mult_coords(self.algebra.field, self.algebra.structure,
-                                    self.coords, other.coords))
+                       _mult_coords(self.algebra, self.coords, other.coords))
 
     def to_str(self) -> str:
         ts = self.algebra.field.to_str
@@ -384,9 +401,8 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
 
 def product_span(algebra: LeibnizAlgebra, left: Subspace, right: Subspace) -> Subspace:
     """span{u v : u in basis(left), v in basis(right)}."""
-    f, c = algebra.field, algebra.structure
-    vecs = [_mult_coords(f, c, u, v) for u in left.basis for v in right.basis]
-    return Subspace.span(f, algebra.dim, vecs)
+    vecs = [_mult_coords(algebra, u, v) for u in left.basis for v in right.basis]
+    return Subspace.span(algebra.field, algebra.dim, vecs)
 
 
 def subalgebra_generated(elements: Sequence[Element]) -> Subspace:
@@ -547,4 +563,4 @@ class Ideal:
 
 def mult_coords(algebra: LeibnizAlgebra, x: Sequence, y: Sequence) -> tuple:
     """Product of two coordinate vectors in the algebra."""
-    return _mult_coords(algebra.field, algebra.structure, x, y)
+    return _mult_coords(algebra, x, y)

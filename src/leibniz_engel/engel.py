@@ -15,8 +15,8 @@ from typing import NamedTuple, Sequence
 
 from .algebra import Element, LieSet, is_lie_set, subalgebra_generated
 from .bimodule import Bimodule, s_matrix, t_matrix
-from .errors import (DimensionMismatch, FieldMismatch, FlagStalled,
-                     NoAnnihilator, NotNilpotentError)
+from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
+                     FlagStalled, NoAnnihilator, NotNilpotentError)
 from .linalg import Matrix, Subspace, is_nilpotent_matrix, kernel_basis
 from .reports import Check, Report
 
@@ -164,13 +164,20 @@ def engel_flag(module: Bimodule, generators: Sequence) -> Flag:
 
     Level i+1 is {v : T_c v and S_c v lie in level i for every generator c}.
     Invariance under the supplied generators already forces invariance under
-    everything they span and generate, so closures add no constraints.
-    Raises FlagStalled when a level fails to grow before reaching the top.
+    everything they span and generate, so closures add no constraints. The
+    condition is linear in c, so it is imposed for a basis of the
+    generators' span, which gives the same level as imposing it member by
+    member. Raises FlagStalled when a level fails to grow before reaching
+    the top.
     """
-    field = module.algebra.field
+    A = module.algebra
+    field = A.field
     m = module.module_dim
-    action_pairs = [(t_matrix(module, c), s_matrix(module, c))
-                    for c in generators]
+    if any(c.algebra != A for c in generators):
+        raise AlgebraMismatch("element does not belong to the module's algebra")
+    span = Subspace.span(field, A.dim, [c.coords for c in generators])
+    basis = [Element(A, v) for v in span.basis]
+    action_pairs = [(t_matrix(module, c), s_matrix(module, c)) for c in basis]
     chain = [Subspace.zero(field, m)]
     current = chain[0]
     while not current.is_full():

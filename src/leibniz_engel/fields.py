@@ -2,9 +2,17 @@
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 (automatically reduced, positive denominator) and ``int`` residues in
-``[0, p)`` over a prime field. A field object bundles the arithmetic so that
-matrix and algebra code never branches on the field kind. Every operation is
-exact; nothing here ever rounds.
+``[0, p)`` over a prime field. Every operation is exact; nothing here ever
+rounds.
+
+The matrix and product kernels do not call the scalar methods below. They
+combine entries with the raw operators ``+``, ``-`` and ``*``, which are
+exact on both ``Fraction`` and ``int``, and pass each finished row through
+the field's ``reduce_row`` once: ``% p`` over a prime field, and nothing
+beyond making a tuple over the rationals. ``inv`` is the only field call
+they make, once per pivot. The per-scalar methods remain for parsing,
+element arithmetic and the family builders. Either way no code branches on
+the field kind.
 """
 
 from __future__ import annotations
@@ -105,9 +113,16 @@ class RationalField:
 
     def normalize(self, value) -> Fraction:
         """Coerce an int or Fraction into a field element."""
+        if type(value) is Fraction:
+            return value
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise FormatError(f"not a rational scalar: {value!r}")
         return Fraction(value)
+
+    def reduce_row(self, row) -> tuple:
+        """A row of raw-operator results as field elements: Fraction
+        arithmetic is already exact and reduced."""
+        return tuple(row)
 
     def parse(self, text) -> Fraction:
         """Parse an int, or a string like ``"3"`` or ``"-2/5"``."""
@@ -175,6 +190,8 @@ class PrimeField:
         return n % self.p
 
     def normalize(self, value) -> int:
+        if type(value) is int:
+            return value % self.p
         if isinstance(value, bool):
             raise FormatError(f"not a scalar: {value!r}")
         if isinstance(value, int):
@@ -183,6 +200,11 @@ class PrimeField:
             return self.div(self.from_int(value.numerator),
                             self.from_int(value.denominator))
         raise FormatError(f"not a residue: {value!r}")
+
+    def reduce_row(self, row) -> tuple:
+        """A row of raw-operator results as residues in [0, p)."""
+        p = self.p
+        return tuple(x % p for x in row)
 
     def parse(self, text) -> int:
         """Parse an int or a ``"num"`` / ``"num/den"`` string into a residue."""

@@ -70,8 +70,12 @@ def load_algebra_dict(data: dict, force_unvalidated: bool = False) -> LeibnizAlg
             raise FormatError("names must be a list of dim strings")
     z = field.zero()
     structure = [[[z] * n for _ in range(n)] for _ in range(n)]
+    products = data.get("products", [])
+    if not isinstance(products, list):
+        raise FormatError(f"products must be a list of [i, j, k, coeff] "
+                          f"entries, got {products!r}")
     seen = set()
-    for entry in data.get("products", []):
+    for entry in products:
         if not isinstance(entry, list) or len(entry) != 4:
             raise FormatError(f"product entries are [i, j, k, coeff], got {entry!r}")
         i, j, k, coeff = entry

@@ -4,11 +4,17 @@ Everything is immutable (tuples all the way down) and exact. Subspaces are
 stored as reduced-row-echelon bases, so two equal subspaces have literally
 identical representations and equality is a plain comparison. Dimensions are
 desk-scale; elimination is the straightforward textbook algorithm.
+
+The kernels combine entries with raw ``+``, ``-`` and ``*`` and skip zero
+entries, then pass each row that received a term through the field's
+``reduce_row`` once (see fields.py); a row that received none is a shared
+zero row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, NonSquareError
@@ -18,7 +24,7 @@ Vector = tuple  # tuple of scalars over one field
 
 
 def vec_is_zero(v: Sequence[Scalar]) -> bool:
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 @dataclass(frozen=True)
@@ -32,7 +38,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Iterable]) -> "Matrix":
-        norm = tuple(tuple(field.normalize(x) for x in row) for row in rows)
+        norm = tuple(tuple(map(field.normalize, row)) for row in rows)
         nrows = len(norm)
         ncols = len(norm[0]) if norm else 0
         if any(len(row) != ncols for row in norm):
@@ -53,7 +59,7 @@ class Matrix:
 
     @staticmethod
     def from_columns(field: Field, columns: Sequence[Sequence]) -> "Matrix":
-        cols = [tuple(field.normalize(x) for x in c) for c in columns]
+        cols = [tuple(map(field.normalize, c)) for c in columns]
         nrows = len(cols[0]) if cols else 0
         if any(len(c) != nrows for c in cols):
             raise DimensionMismatch("ragged columns")
@@ -61,7 +67,7 @@ class Matrix:
                       tuple(tuple(c[i] for c in cols) for i in range(nrows)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -81,18 +87,20 @@ class Matrix:
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        add = self.field.add
+        reduce_row = self.field.reduce_row
         return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(add(a, b) for a, b in zip(r1, r2))
+                      tuple(r1 if not any(r2) else r2 if not any(r1)
+                            else reduce_row([a + b for a, b in zip(r1, r2)])
                             for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
+        reduce_row = self.field.reduce_row
         return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(neg(a) for a in row) for row in self.entries))
+                      tuple(reduce_row([-a for a in row]) if any(row) else row
+                            for row in self.entries))
 
     def scale(self, c) -> "Matrix":
         c = self.field.normalize(c)
@@ -105,20 +113,22 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero()
-        ot = other.entries
+        zero, reduce_row = self.field.zero(), self.field.reduce_row
+        ncols = other.cols
+        zero_row = (zero,) * ncols
+        terms = [list(compress(enumerate(orow), orow))
+                 for orow in other.entries]
         out = []
         for row in self.entries:
-            acc = [zero] * other.cols
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                orow = ot[k]
-                for j, b in enumerate(orow):
-                    if b != 0:
-                        acc[j] = add(acc[j], mul(a, b))
-            out.append(tuple(acc))
-        return Matrix(self.field, self.rows, other.cols, tuple(out))
+            acc = None
+            for a, ts in zip(row, terms):
+                if a and ts:
+                    if acc is None:
+                        acc = [zero] * ncols
+                    for j, b in ts:
+                        acc[j] += a * b
+            out.append(zero_row if acc is None else reduce_row(acc))
+        return Matrix(self.field, self.rows, ncols, tuple(out))
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square():
@@ -138,15 +148,19 @@ class Matrix:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match columns")
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero()
+        zero = self.field.zero()
+        terms = list(compress(enumerate(v), v))
+        if not terms:
+            return (zero,) * self.rows
         out = []
         for row in self.entries:
             s = zero
-            for a, x in zip(row, v):
-                if a != 0 and x != 0:
-                    s = add(s, mul(a, x))
+            for k, x in terms:
+                a = row[k]
+                if a:
+                    s += a * x
             out.append(s)
-        return tuple(out)
+        return self.field.reduce_row(out)
 
     def stack(self, other: "Matrix") -> "Matrix":
         """Vertical concatenation."""
@@ -179,32 +193,34 @@ class RrefResult(NamedTuple):
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns."""
     field = m.field
-    rows = [list(r) for r in m.entries]
+    reduce_row, one = field.reduce_row, field.one()
+    rows = list(m.entries)
     nrows, ncols = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        if rows[r][c] != field.one():
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
+        prow = rows[r]
+        if prow[c] != one:
+            inv = field.inv(prow[c])
+            prow = rows[r] = reduce_row([x and inv * x for x in prow])
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = reduce_row([x - f * y if y else x
+                                      for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    reduced = Matrix(field, nrows, ncols, tuple(tuple(row) for row in rows))
+    reduced = Matrix(field, nrows, ncols, tuple(map(tuple, rows)))
     return RrefResult(reduced, len(pivots), tuple(pivots))
 
 
@@ -219,8 +235,8 @@ def kernel_basis(m: Matrix) -> "Subspace":
         v = [field.zero()] * m.cols
         v[f] = field.one()
         for r, c in enumerate(pivots):
-            v[c] = field.neg(red.entries[r][f])
-        basis.append(tuple(v))
+            v[c] = -red.entries[r][f]
+        basis.append(field.reduce_row(v))
     return Subspace.span(field, m.cols, basis)
 
 
@@ -278,7 +294,7 @@ class Subspace:
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [tuple(field.normalize(x) for x in v) for v in vectors]
+        vecs = [tuple(map(field.normalize, v)) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length differs from ambient dimension")
@@ -317,13 +333,13 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
         field = self.field
-        work = [field.normalize(x) for x in v]
+        work = tuple(map(field.normalize, v))
         for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x != 0)
-            if work[lead] != 0:
-                f = work[lead]
-                work = [field.sub(x, field.mul(f, y)) for x, y in zip(work, row)]
-        return all(x == 0 for x in work)
+            f = work[next(j for j, x in enumerate(row) if x)]
+            if f:
+                work = field.reduce_row([x - f * y if y else x
+                                         for x, y in zip(work, row)])
+        return not any(work)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)

@@ -8,6 +8,12 @@ defining identity triple by triple, the ideal property one basis product at
 a time, and the operator pair identities with every matrix product written
 out. They exist to cross-check the production algorithms, so they must stay
 dumb.
+
+The per-scalar kernels below (matrix product, matrix-vector product, row
+reduction, the product of coordinate vectors, the linear combination of
+matrices, and the flag built from every Lie set member) are the textbook
+loops the sparse library kernels replaced: one field method call per scalar
+operation.
 """
 
 from __future__ import annotations
@@ -15,7 +21,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from leibniz_engel.algebra import LeibnizAlgebra, mult_coords
-from leibniz_engel.linalg import Matrix
+from leibniz_engel.bimodule import s_matrix, t_matrix
+from leibniz_engel.engel import Flag
+from leibniz_engel.errors import FlagStalled
+from leibniz_engel.linalg import Matrix, Subspace, kernel_basis
 
 
 def products_of_length(algebra: LeibnizAlgebra, length: int) -> set:
@@ -218,3 +227,103 @@ def operator_pair_violations(structure, lefts: list, rights: list,
                 if lhs != rhs:
                     violations.append((name, (b + 1, c + 1)))
     return violations
+
+
+def matmul_per_scalar(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b with one field call per scalar operation."""
+    add, mul, zero = a.field.add, a.field.mul, a.field.zero()
+    out = []
+    for row in a.entries:
+        acc = [zero] * b.cols
+        for k, x in enumerate(row):
+            if x == 0:
+                continue
+            for j, y in enumerate(b.entries[k]):
+                if y != 0:
+                    acc[j] = add(acc[j], mul(x, y))
+        out.append(tuple(acc))
+    return Matrix(a.field, a.rows, b.cols, tuple(out))
+
+
+def apply_per_scalar(m: Matrix, v) -> tuple:
+    """m times the column vector v."""
+    add, mul, zero = m.field.add, m.field.mul, m.field.zero()
+    out = []
+    for row in m.entries:
+        s = zero
+        for a, x in zip(row, v):
+            if a != 0 and x != 0:
+                s = add(s, mul(a, x))
+        out.append(s)
+    return tuple(out)
+
+
+def rref_per_scalar(m: Matrix) -> tuple:
+    """(reduced matrix, rank, pivot columns) by textbook Gauss-Jordan."""
+    field = m.field
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    reduced = Matrix(field, m.rows, m.cols, tuple(tuple(row) for row in rows))
+    return reduced, len(pivots), tuple(pivots)
+
+
+def mult_coords_per_scalar(field, structure, x, y) -> tuple:
+    """sum_{i,j,k} x_i y_j c[i][j][k] e_k, term by term."""
+    out = [field.zero()] * len(x)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi == 0 or yj == 0:
+                continue
+            coeff = field.mul(xi, yj)
+            for k, c in enumerate(structure[i][j]):
+                if c != 0:
+                    out[k] = field.add(out[k], field.mul(coeff, c))
+    return tuple(out)
+
+
+def add_combination_per_scalar(base: Matrix, coords, mats) -> Matrix:
+    """base + sum_t coords[t] mats[t], entry by entry."""
+    add, mul = base.field.add, base.field.mul
+    out = [list(row) for row in base.entries]
+    for c, m in zip(coords, mats):
+        for acc, row in zip(out, m.entries):
+            for k, x in enumerate(row):
+                acc[k] = add(acc[k], mul(c, x))
+    return Matrix(base.field, base.rows, base.cols, tuple(map(tuple, out)))
+
+
+def engel_flag_all_members(module, generators) -> Flag:
+    """The joint-preimage flag with the conditions of every generator
+    stacked, one action pair per member rather than per basis vector of
+    their span; raises FlagStalled like ``engel_flag``."""
+    field, m = module.algebra.field, module.module_dim
+    pairs = [(t_matrix(module, c), s_matrix(module, c)) for c in generators]
+    chain = [Subspace.zero(field, m)]
+    while not chain[-1].is_full():
+        q, _ = chain[-1].quotient_data()
+        blocks = [q @ mat for pair in pairs for mat in pair]
+        stacked = blocks[0] if blocks else None
+        for block in blocks[1:]:
+            stacked = stacked.stack(block)
+        nxt = kernel_basis(stacked) if stacked is not None \
+            else Subspace.full(field, m)
+        if nxt == chain[-1]:
+            raise FlagStalled(len(chain), nxt.dim, m)
+        chain.append(nxt)
+    return Flag(tuple(chain))

@@ -259,3 +259,15 @@ def test_engel_zero_module_exits_2(c2_file, tmp_path):
                  "--json", str(report_path)]) == 2
     report = json.loads(report_path.read_text())
     assert "module_dim" in report["data"]["error"]
+
+
+@pytest.mark.parametrize("products", [5, {}, "[[1, 1, 2, 1]]", None])
+def test_non_list_products_exit_2(tmp_path, products):
+    path = _write(tmp_path, "bad.json",
+                  {"field": "Q", "dim": 2, "products": products})
+    report_path = tmp_path / "report.json"
+    assert main(["validate", path, "--quiet",
+                 "--json", str(report_path)]) == 2
+    report = json.loads(report_path.read_text())
+    assert report["verdict"] == "error"
+    assert "products must be a list" in report["data"]["error"]

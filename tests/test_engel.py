@@ -1,19 +1,22 @@
 import pytest
 
-from leibniz_engel import (LieSet, abelian, check_engel_premises, cyclic,
-                           engel_flag, heisenberg3, image_filtration,
+from leibniz_engel import (LieSet, abelian, basis_change, check_engel_premises,
+                           cyclic, direct_sum, engel_flag, heisenberg3,
+                           image_filtration,
                            is_nilpotent_algebra, joint_annihilator,
                            lemma_word_bound_check, lie_set_closure,
                            lower_central_series, regular_bimodule, sol2,
                            theorem2_verify)
 from leibniz_engel.bimodule import Bimodule
-from leibniz_engel.errors import (DimensionMismatch, FieldMismatch,
+from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
+                                  DimensionMismatch, FieldMismatch,
                                   FlagStalled, NoAnnihilator,
                                   NotNilpotentError)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 
-from oracles import min_vanishing_word_length, operator_algebra_closure
+from oracles import (engel_flag_all_members, min_vanishing_word_length,
+                     operator_algebra_closure)
 
 
 def _zero_module(algebra, dim):
@@ -361,3 +364,44 @@ def test_image_filtration_index_matches_oracles_on_corpus(small_corpus):
             assert _assert_index_agrees([nil, identity], size) is None
             assert _assert_index_agrees([nil], size) == 1
     assert non_nilpotent > 0
+
+
+def _flag_outcome(build, module, generators):
+    """The flag's chain, or the level and dimension where it stalled."""
+    try:
+        return build(module, generators).chain
+    except FlagStalled as exc:
+        return ("stalled", exc.level, exc.stalled_dim)
+
+
+def _basis_closure(algebra):
+    try:
+        return lie_set_closure(algebra.basis()).members
+    except CapExceeded:
+        return tuple(algebra.basis())
+
+
+def test_flag_over_span_basis_matches_all_members(small_corpus, corpus2024,
+                                                  closures2024):
+    cases = [(module, _basis_closure(algebra))
+             for algebra, module in small_corpus]
+    cases += [(module, closure.members if closure is not None
+               else tuple(algebra.basis()))
+              for (algebra, module), closure in zip(corpus2024, closures2024)]
+    # dense F7 bases of heisenberg3 + cyclic(n - 3), as in the engel-fp
+    # benchmark workload, with Lie sets of 16 to 147 members
+    F7 = GF(7)
+    for n, seed in ((8, 1), (9, 2), (10, 3), (11, 4), (12, 5)):
+        A = basis_change(direct_sum(heisenberg3(F7), cyclic(n - 3, F7)), seed)
+        cases.append((regular_bimodule(A), _basis_closure(A)))
+    stalled = 0
+    for module, members in cases:
+        ours = _flag_outcome(engel_flag, module, members)
+        assert ours == _flag_outcome(engel_flag_all_members, module, members)
+        stalled += ours[0] == "stalled"
+    assert 0 < stalled < len(cases)
+
+
+def test_engel_flag_rejects_foreign_generators():
+    with pytest.raises(AlgebraMismatch):
+        engel_flag(regular_bimodule(cyclic(2)), cyclic(2, GF(5)).basis())

@@ -1,0 +1,204 @@
+"""Property tests: the sparse kernels against the per-scalar oracles.
+
+Random sparse and dense inputs over Q, F_5 and F_7, with negative and
+fractional entries, all-zero rows and zero-row shapes. Skipped when
+hypothesis is not installed; the sympy comparison also needs sympy.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from leibniz_engel.algebra import LeibnizAlgebra, _add_combination, mult_coords
+from leibniz_engel.fields import GF, QQ
+from leibniz_engel.linalg import Matrix, Subspace, kernel_basis, rref
+
+from oracles import (add_combination_per_scalar, apply_per_scalar,
+                     matmul_per_scalar, mult_coords_per_scalar,
+                     rref_per_scalar)
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+FIELDS = st.sampled_from((QQ, GF(5), GF(7)))
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def scalars(field):
+    ints = st.integers(-9, 9)
+    if field == QQ:
+        return st.one_of(ints, st.fractions(-4, 4, max_denominator=6))
+    return ints
+
+
+@st.composite
+def vectors(draw, field, size):
+    sparse = draw(st.booleans())
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), scalars(field)) \
+        if sparse else scalars(field)
+    return tuple(field.normalize(draw(entry)) for _ in range(size))
+
+
+@st.composite
+def matrices(draw, field, rows=None, cols=None):
+    nrows = draw(st.integers(0, 6)) if rows is None else rows
+    ncols = draw(st.integers(1, 6)) if cols is None else cols
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
+    entries = tuple((field.zero(),) * ncols if i in zero_rows
+                    else draw(vectors(field, ncols)) for i in range(nrows))
+    return Matrix(field, nrows, ncols, entries)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two multipliable matrices over one field."""
+    field = draw(FIELDS)
+    inner = draw(st.integers(0, 6))
+    a = draw(matrices(field, cols=inner))
+    b = draw(matrices(field, rows=inner))
+    return a, b
+
+
+@st.composite
+def field_matrices(draw):
+    field = draw(FIELDS)
+    return draw(matrices(field))
+
+
+def assert_canonical(field, values):
+    """Entries are Fractions over Q and residues in [0, p) over F_p."""
+    for x in values:
+        if field == QQ:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is int and 0 <= x < field.p
+
+
+def flat(m: Matrix) -> list:
+    return [x for row in m.entries for x in row]
+
+
+@SETTINGS
+@given(matrix_pairs())
+def test_matmul_equals_oracle(pair):
+    a, b = pair
+    product = a @ b
+    assert product == matmul_per_scalar(a, b)
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert_canonical(a.field, flat(product))
+
+
+@SETTINGS
+@given(st.data())
+def test_apply_equals_oracle(data):
+    field = data.draw(FIELDS)
+    m = data.draw(matrices(field))
+    v = data.draw(vectors(field, m.cols))
+    out = m.apply(v)
+    assert out == apply_per_scalar(m, v)
+    assert len(out) == m.rows
+    assert_canonical(field, out)
+
+
+@SETTINGS
+@given(st.data())
+def test_add_and_neg_equal_elementwise(data):
+    field = data.draw(FIELDS)
+    a = data.draw(matrices(field))
+    b = data.draw(matrices(field, rows=a.rows, cols=a.cols))
+    total, negated = a + b, -a
+    assert flat(total) == [field.add(x, y) for x, y in zip(flat(a), flat(b))]
+    assert flat(negated) == [field.neg(x) for x in flat(a)]
+    assert_canonical(field, flat(total) + flat(negated))
+
+
+@SETTINGS
+@given(st.data())
+def test_add_combination_equals_oracle(data):
+    field = data.draw(FIELDS)
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+    count = data.draw(st.integers(0, 4))
+    base = data.draw(matrices(field, rows, cols))
+    mats = [data.draw(matrices(field, rows, cols)) for _ in range(count)]
+    coords = data.draw(vectors(field, count))
+    out = _add_combination(base, coords, mats)
+    assert out == add_combination_per_scalar(base, coords, mats)
+    assert_canonical(field, flat(out))
+
+
+@SETTINGS
+@given(st.data())
+def test_mult_coords_equals_oracle(data):
+    field = data.draw(FIELDS)
+    n = data.draw(st.integers(0, 5))
+    structure = [[data.draw(vectors(field, n)) for _ in range(n)]
+                 for _ in range(n)]
+    algebra = LeibnizAlgebra.create(field, structure, unvalidated=True)
+    for _ in range(3):
+        x, y = data.draw(vectors(field, n)), data.draw(vectors(field, n))
+        out = mult_coords(algebra, x, y)
+        assert out == mult_coords_per_scalar(field, algebra.structure, x, y)
+        assert_canonical(field, out)
+
+
+@SETTINGS
+@given(field_matrices())
+def test_rref_equals_oracle(m):
+    red, rank, pivots = rref(m)
+    assert (red, rank, pivots) == rref_per_scalar(m)
+    assert_canonical(m.field, flat(red))
+
+
+@SETTINGS
+@given(field_matrices())
+def test_rref_is_canonical_and_idempotent(m):
+    red, rank, pivots = rref(m)
+    assert rref(red) == (red, rank, pivots)
+    for r, row in enumerate(red.entries):
+        if r >= rank:
+            assert not any(row)
+            continue
+        c = pivots[r]
+        assert row[c] == 1 and not any(row[:c])
+        assert all(red.entries[i][c] == 0 for i in range(m.rows) if i != r)
+    # a row-equivalent matrix (rows reversed, the last added to the first)
+    # has the same reduced form
+    if m.rows:
+        rows = list(reversed(m.entries))
+        rows[0] = tuple(m.field.add(x, y) for x, y in zip(rows[0], rows[-1])) \
+            if m.rows > 1 else rows[0]
+        assert rref(Matrix(m.field, m.rows, m.cols, tuple(rows))).matrix == red
+
+
+@SETTINGS
+@given(field_matrices())
+def test_kernel_basis_vectors_are_killed(m):
+    kernel = kernel_basis(m)
+    assert kernel.dim == m.cols - rref(m).rank
+    zero = (m.field.zero(),) * m.rows
+    for v in kernel.basis:
+        assert m.apply(v) == zero
+        assert_canonical(m.field, v)
+
+
+@SETTINGS
+@given(st.data())
+def test_contains_agrees_with_rank(data):
+    field = data.draw(FIELDS)
+    m = data.draw(matrices(field))
+    v = data.draw(vectors(field, m.cols))
+    space = Subspace.span(field, m.cols, m.entries)
+    grown = Matrix(field, m.rows + 1, m.cols, m.entries + (v,))
+    assert space.contains(v) == (rref_per_scalar(grown)[1] == space.dim)
+    assert all(space.contains(row) for row in m.entries)
+
+
+@SETTINGS
+@given(matrices(QQ))
+def test_rref_matches_sympy_over_q(m):
+    sympy = pytest.importorskip("sympy")
+    expected, pivots = sympy.Matrix(m.rows, m.cols, flat(m)).rref()
+    red, _, ours = rref(m)
+    assert ours == tuple(pivots)
+    assert flat(red) == [Fraction(int(x.p), int(x.q)) for x in expected]
