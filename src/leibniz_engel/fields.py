@@ -1,18 +1,23 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Scalars are plain Python values: ``fractions.Fraction`` over the rationals
-(automatically reduced, positive denominator) and ``int`` residues in
-``[0, p)`` over a prime field. Every operation is exact; nothing here ever
-rounds.
+Scalars are plain Python values. Over the rationals an element is an
+``int`` when it is integral and a ``fractions.Fraction`` (reduced, positive
+denominator > 1) otherwise; that is the one canonical form, so the integer
+structure constants of most algebras never build a ``Fraction``. ``int``
+and ``Fraction`` agree on ``==``, ``hash`` and ``str``, so comparisons,
+sets and printed reports do not see the difference. Over a prime field an
+element is an ``int`` residue in ``[0, p)``. Every operation is exact;
+nothing here ever rounds, and no result is ever a ``float``: ``inv`` and
+``div`` over the rationals divide a ``Fraction``, never an ``int``.
 
 The matrix and product kernels do not call the scalar methods below. They
 combine entries with the raw operators ``+``, ``-`` and ``*``, which are
 exact on both ``Fraction`` and ``int``, and pass each finished row through
-the field's ``reduce_row`` once: ``% p`` over a prime field, and nothing
-beyond making a tuple over the rationals. ``inv`` is the only field call
-they make, once per pivot. The per-scalar methods remain for parsing,
-element arithmetic and the family builders. Either way no code branches on
-the field kind.
+the field's ``reduce_row`` once: ``% p`` over a prime field, and over the
+rationals a ``Fraction`` with denominator 1 becomes its numerator.
+``inv`` is the only field call they make, once per pivot. The per-scalar
+methods remain for parsing, element arithmetic and the family builders.
+Either way no code branches on the field kind.
 """
 
 from __future__ import annotations
@@ -74,67 +79,77 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _canonical(x: Scalar) -> Scalar:
+    """An integral Fraction as its numerator; anything else as it is."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class RationalField:
-    """The field of rational numbers; elements are ``Fraction``."""
+    """The field of rational numbers; elements are ``int`` when integral,
+    ``Fraction`` otherwise."""
 
     characteristic: int = 0
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
+    def add(self, a: Scalar, b: Scalar) -> Scalar:
+        return _canonical(a + b)
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
+    def sub(self, a: Scalar, b: Scalar) -> Scalar:
+        return _canonical(a - b)
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
+    def mul(self, a: Scalar, b: Scalar) -> Scalar:
+        return _canonical(a * b)
 
-    def neg(self, a: Fraction) -> Fraction:
+    def neg(self, a: Scalar) -> Scalar:
         return -a
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a: Scalar) -> Scalar:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _canonical(Fraction(1) / a)
 
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
+    def div(self, a: Scalar, b: Scalar) -> Scalar:
         if b == 0:
             raise ZeroDivisionError("division by zero")
-        return a / b
+        return _canonical(Fraction(a) / b)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def normalize(self, value) -> Fraction:
+    def normalize(self, value) -> Scalar:
         """Coerce an int or Fraction into a field element."""
-        if type(value) is Fraction:
+        if type(value) is int:
             return value
+        if type(value) is Fraction:
+            return _canonical(value)
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise FormatError(f"not a rational scalar: {value!r}")
-        return Fraction(value)
+        return _canonical(Fraction(value))
 
     def reduce_row(self, row) -> tuple:
         """A row of raw-operator results as field elements: Fraction
-        arithmetic is already exact and reduced."""
-        return tuple(row)
+        arithmetic is already exact and reduced, and an integral Fraction
+        becomes its numerator."""
+        return tuple([x.numerator if type(x) is Fraction and x.denominator == 1
+                      else x for x in row])
 
-    def parse(self, text) -> Fraction:
+    def parse(self, text) -> Scalar:
         """Parse an int, or a string like ``"3"`` or ``"-2/5"``."""
         if isinstance(text, bool):
             raise FormatError(f"not a scalar: {text!r}")
         if isinstance(text, int):
-            return Fraction(text)
+            return int(text)
         if isinstance(text, str):
-            return _fraction_from_literal(text)
+            return _canonical(_fraction_from_literal(text))
         raise FormatError(f"bad rational literal {text!r}")
 
-    def to_str(self, a: Fraction) -> str:
+    def to_str(self, a: Scalar) -> str:
         return str(a)
 
     def __str__(self) -> str:

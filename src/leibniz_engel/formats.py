@@ -8,7 +8,6 @@ like ``"3"`` and ``"-2/5"``; rationals are never written as floats.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import MAX_DIM, Element, LeibnizAlgebra
@@ -47,11 +46,10 @@ def parse_field_name(name: str) -> Field:
 
 
 def _scalar_to_json(field: Field, x):
+    """An integral scalar as a JSON integer, any other rational as a
+    ``"num/den"`` string."""
     if field == QQ:
-        frac = Fraction(x)
-        if frac.denominator == 1:
-            return int(frac)
-        return str(frac)
+        return x.numerator if x.denominator == 1 else str(x)
     return int(x)
 
 
@@ -68,12 +66,15 @@ def load_algebra_dict(data: dict, force_unvalidated: bool = False) -> LeibnizAlg
         if (not isinstance(names, list) or len(names) != n
                 or not all(isinstance(s, str) for s in names)):
             raise FormatError("names must be a list of dim strings")
-    z = field.zero()
-    structure = [[[z] * n for _ in range(n)] for _ in range(n)]
     products = data.get("products", [])
     if not isinstance(products, list):
         raise FormatError(f"products must be a list of [i, j, k, coeff] "
                           f"entries, got {products!r}")
+    if len(products) > n ** 3:
+        raise FormatError(f"products has {len(products)} entries, more than "
+                          f"the dim**3 = {n ** 3} distinct (i, j, k)")
+    z = field.zero()
+    structure = [[[z] * n for _ in range(n)] for _ in range(n)]
     seen = set()
     for entry in products:
         if not isinstance(entry, list) or len(entry) != 4:

@@ -367,21 +367,24 @@ class Subspace:
         with ``q.apply(lifts[i])`` the i-th standard quotient coordinate.
         """
         field, n = self.field, self.ambient_dim
-        pivots = {next(j for j, x in enumerate(row) if x != 0)
-                  for row in self.basis}
-        free = [j for j in range(n) if j not in pivots]
-        columns = [tuple(row) for row in self.basis]
-        lifts = []
-        for j in free:
-            e = [field.zero()] * n
-            e[j] = field.one()
+        zero, one = field.zero(), field.one()
+        pivots = [next(j for j, x in enumerate(row) if x)
+                  for row in self.basis]
+        pivot_set = set(pivots)
+        rows, lifts = [], []
+        for f in range(n):
+            if f in pivot_set:
+                continue
+            e = [zero] * n
+            e[f] = one
             lifts.append(tuple(e))
-        columns += lifts
-        b = Matrix.from_columns(field, columns)
-        b_inv = invert(b)
-        assert b_inv is not None  # basis plus complement is always invertible
-        q = Matrix(field, len(free), n, b_inv.entries[self.dim:])
-        return q, lifts
+            # 1 at f and -b_i[f] at the pivot P_i of b_i: this row kills
+            # every b_i (b_i[P_k] is 1 for k = i, else 0), is 1 on e_f and
+            # 0 on the other lifts
+            for c, row in zip(pivots, self.basis):
+                e[c] = -row[f]
+            rows.append(field.reduce_row(e))
+        return Matrix(field, len(rows), n, tuple(rows)), lifts
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

@@ -13,7 +13,9 @@ The per-scalar kernels below (matrix product, matrix-vector product, row
 reduction, the product of coordinate vectors, the linear combination of
 matrices, and the flag built from every Lie set member) are the textbook
 loops the sparse library kernels replaced: one field method call per scalar
-operation.
+operation. The quotient projection is read off the inverse of the basis
+completed by unit vectors, as it was before it was read off the echelon
+basis directly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from leibniz_engel.algebra import LeibnizAlgebra, mult_coords
 from leibniz_engel.bimodule import s_matrix, t_matrix
 from leibniz_engel.engel import Flag
 from leibniz_engel.errors import FlagStalled
-from leibniz_engel.linalg import Matrix, Subspace, kernel_basis
+from leibniz_engel.linalg import Matrix, Subspace, invert, kernel_basis
 
 
 def products_of_length(algebra: LeibnizAlgebra, length: int) -> set:
@@ -327,3 +329,16 @@ def engel_flag_all_members(module, generators) -> Flag:
             raise FlagStalled(len(chain), nxt.dim, m)
         chain.append(nxt)
     return Flag(tuple(chain))
+
+
+def quotient_data_by_inverse(space: Subspace) -> tuple:
+    """(q, lifts) with q the last n-s rows of the inverse of the matrix whose
+    columns are the basis of the space followed by the unit vectors e_f of
+    its free columns f, and lifts those unit vectors."""
+    field, n = space.field, space.ambient_dim
+    pivots = {next(j for j, x in enumerate(row) if x != 0)
+              for row in space.basis}
+    lifts = [tuple(field.one() if i == f else field.zero() for i in range(n))
+             for f in range(n) if f not in pivots]
+    b_inv = invert(Matrix.from_columns(field, list(space.basis) + lifts))
+    return Matrix(field, len(lifts), n, b_inv.entries[space.dim:]), lifts

@@ -271,3 +271,28 @@ def test_non_list_products_exit_2(tmp_path, products):
     report = json.loads(report_path.read_text())
     assert report["verdict"] == "error"
     assert "products must be a list" in report["data"]["error"]
+
+
+def test_oversized_products_exit_2_before_any_entry_is_parsed(tmp_path):
+    # dim 1 has one (i, j, k); the second entry is malformed, and the count
+    # is refused before it is read
+    path = _write(tmp_path, "long.json",
+                  {"field": "Q", "dim": 1,
+                   "products": [[1, 1, 1, 1], "not an entry"]})
+    report_path = tmp_path / "report.json"
+    assert main(["validate", path, "--quiet",
+                 "--json", str(report_path)]) == 2
+    report = json.loads(report_path.read_text())
+    assert report["verdict"] == "error"
+    assert "more than the dim**3 = 1" in report["data"]["error"]
+
+
+def test_corollary4_order_past_the_limit_exits_2(tmp_path):
+    abelian2 = _write(tmp_path, "ab2.json", {"field": "Q", "dim": 2})
+    double = _write(tmp_path, "double.json", {"matrix": [[2, 0], [0, 2]]})
+    report_path = tmp_path / "c4.json"
+    assert main(["corollary", "4", abelian2, "--map", double,
+                 "--order", str(10**30), "--quiet",
+                 "--json", str(report_path)]) == 2
+    report = json.loads(report_path.read_text())
+    assert "order must be in [2, 1024]" in report["data"]["error"]

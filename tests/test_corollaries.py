@@ -8,6 +8,7 @@ from leibniz_engel import (abelian, corollary3_check, corollary4_check,
                            lower_central_series, nilradical_from_family,
                            sol2, sum_of_nilpotent_ideals)
 from leibniz_engel.algebra import mult_coords
+from leibniz_engel.corollaries import MAX_ORDER
 from leibniz_engel.errors import (NotAnIdealError, NotNilpotentIdealError)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
@@ -112,6 +113,52 @@ def test_corollary4_composite_order_noted():
     assert report.verdict == "pass"
     with pytest.raises(ValueError):
         corollary4_check(A, T, 1)
+
+
+def _order_premise_by_sequential_powers(t: Matrix, p: int) -> tuple:
+    """The exact-order premise from T, T^2, ..., T^p multiplied out."""
+    identity = Matrix.identity(t.field, t.rows)
+    powers, power = [], t
+    for _ in range(p):
+        powers.append(power)
+        power = power @ t
+    if powers[-1] != identity:
+        return False, {"power_p_not_identity": p}
+    q = next(q for q in range(1, p + 1) if powers[q - 1] == identity)
+    return (True, None) if q == p else (False, {"lower_power_is_identity": q})
+
+
+def test_corollary4_order_premise_matches_sequential_powers():
+    maps = [Matrix.from_rows(F7, [[3, 0], [0, 2]]),   # order 6
+            Matrix.from_rows(F7, [[2, 0], [0, 4]]),   # order 3
+            Matrix.from_rows(QQ, [[0, -1], [1, 0]]),  # order 4
+            Matrix.from_rows(QQ, [[0, -1], [1, -1]]),  # order 3
+            Matrix.from_rows(QQ, [[-1, 0], [0, -1]]),  # order 2
+            Matrix.identity(QQ, 2),                     # order 1
+            Matrix.from_rows(QQ, [[2, 0], [0, 2]]),   # infinite order
+            Matrix.from_rows(QQ, [[1, 1], [0, 1]])]   # infinite order
+    seen = set()
+    for t in maps:
+        A = abelian(2, t.field)
+        for p in range(2, 25):
+            by_name = {c.name: c for c in corollary4_check(A, t, p).premises}
+            check = by_name["exact_order"]
+            expected = _order_premise_by_sequential_powers(t, p)
+            assert (check.passed, check.witness) == expected, (t, p)
+            seen.add(next(iter(expected[1])) if expected[1] else "pass")
+    assert seen == {"pass", "power_p_not_identity", "lower_power_is_identity"}
+
+
+def test_corollary4_refuses_orders_past_the_limit():
+    # refused before any power is taken: T = 2I never returns to 1, and
+    # its entries double with every power
+    A = abelian(2)
+    T = Matrix.from_rows(QQ, [[2, 0], [0, 2]])
+    assert corollary4_check(A, T, MAX_ORDER).premises[1].witness == \
+        {"power_p_not_identity": MAX_ORDER}
+    for p in (MAX_ORDER + 1, 10**30, 0):
+        with pytest.raises(ValueError, match="order must be in"):
+            corollary4_check(A, T, p)
 
 
 def test_corollary5_cyclic2():

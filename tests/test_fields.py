@@ -24,6 +24,22 @@ def test_rational_arithmetic_is_exact():
     assert QQ.characteristic == 0
 
 
+def test_rational_canonical_form():
+    # an integral rational is an int, anything else a Fraction, never a float
+    assert [type(x) for x in (QQ.zero(), QQ.one(), QQ.from_int(-4),
+                              QQ.parse(7), QQ.parse("6/3"),
+                              QQ.normalize(Fraction(8, 4)), QQ.inv(-1),
+                              QQ.div(6, 3), QQ.mul(Fraction(2, 3), 3),
+                              QQ.add(Fraction(1, 2), Fraction(1, 2)))] \
+        == [int] * 10
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert type(QQ.div(1, 3)) is Fraction
+    row = QQ.reduce_row([Fraction(4, 2), Fraction(1, 2), 3])
+    assert row == (2, Fraction(1, 2), 3)
+    assert [type(x) for x in row] == [int, Fraction, int]
+    assert QQ.to_str(QQ.parse("4/2")) == str(Fraction(2)) == "2"
+
+
 def test_prime_field_residues():
     f5 = GF(5)
     assert f5.parse(7) == 2

@@ -1,7 +1,8 @@
 """Property tests: the sparse kernels against the per-scalar oracles.
 
 Random sparse and dense inputs over Q, F_5 and F_7, with negative and
-fractional entries, all-zero rows and zero-row shapes. Skipped when
+fractional entries, all-zero rows and zero-row shapes. Every result is in
+the canonical form of its field and never a float. Skipped when
 hypothesis is not installed; the sympy comparison also needs sympy.
 """
 
@@ -9,13 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from leibniz_engel.algebra import LeibnizAlgebra, _add_combination, mult_coords
+from leibniz_engel.algebra import (LeibnizAlgebra, _add_combination,
+                                   _mult_coords, mult_coords)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace, kernel_basis, rref
 
 from oracles import (add_combination_per_scalar, apply_per_scalar,
                      matmul_per_scalar, mult_coords_per_scalar,
-                     rref_per_scalar)
+                     quotient_data_by_inverse, rref_per_scalar)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -67,10 +69,13 @@ def field_matrices(draw):
 
 
 def assert_canonical(field, values):
-    """Entries are Fractions over Q and residues in [0, p) over F_p."""
+    """Over Q an entry is an int exactly when it is integral, otherwise a
+    Fraction with denominator > 1, and never a float; over F_p it is a
+    residue in [0, p)."""
     for x in values:
         if field == QQ:
-            assert type(x) is Fraction
+            assert type(x) is int or (type(x) is Fraction
+                                      and x.denominator > 1)
         else:
             assert type(x) is int and 0 <= x < field.p
 
@@ -195,6 +200,18 @@ def test_contains_agrees_with_rank(data):
 
 
 @SETTINGS
+@given(field_matrices())
+def test_quotient_data_equals_inverse_oracle(m):
+    space = Subspace.span(m.field, m.cols, m.entries)
+    q, lifts = space.quotient_data()
+    assert (q, lifts) == quotient_data_by_inverse(space)
+    assert all(not any(q.apply(b)) for b in space.basis)
+    unit_rows = Matrix.identity(m.field, q.rows).entries
+    assert tuple(q.apply(e) for e in lifts) == unit_rows
+    assert_canonical(m.field, flat(q))
+
+
+@SETTINGS
 @given(matrices(QQ))
 def test_rref_matches_sympy_over_q(m):
     sympy = pytest.importorskip("sympy")
@@ -202,3 +219,45 @@ def test_rref_matches_sympy_over_q(m):
     red, _, ours = rref(m)
     assert ours == tuple(pivots)
     assert flat(red) == [Fraction(int(x.p), int(x.q)) for x in expected]
+
+
+def assert_no_float(values):
+    assert not any(isinstance(x, float) for x in values)
+
+
+@SETTINGS
+@given(st.data())
+def test_field_methods_never_return_a_float(data):
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    field = data.draw(FIELDS)
+    raw_a, raw_b = data.draw(scalars(field)), data.draw(scalars(field))
+    a, b = field.normalize(raw_a), field.normalize(raw_b)
+    results = [field.add(a, b), field.sub(a, b), field.mul(a, b),
+               field.neg(a), field.normalize(raw_a), field.parse(str(raw_a)),
+               *field.reduce_row([a + b, a - b, a * b, -a])]
+    if type(raw_a) is int:
+        results.append(field.parse(raw_a))
+    if b:
+        results += [field.inv(b), field.div(a, b)]
+    assert_no_float(results)
+    assert_canonical(field, results)
+
+
+@SETTINGS
+@given(st.data())
+def test_kernels_never_return_a_float(data):
+    field = data.draw(FIELDS)
+    m = data.draw(matrices(field))
+    other = data.draw(matrices(field, rows=m.cols))
+    v = data.draw(vectors(field, m.cols))
+    n = data.draw(st.integers(0, 4))
+    structure = [[data.draw(vectors(field, n)) for _ in range(n)]
+                 for _ in range(n)]
+    algebra = LeibnizAlgebra.create(field, structure, unvalidated=True)
+    x, y = data.draw(vectors(field, n)), data.draw(vectors(field, n))
+    combination = _add_combination(m, v, [m] * len(v))
+    results = (flat(m @ other) + list(m.apply(v)) + flat(rref(m).matrix)
+               + [c for u in kernel_basis(m).basis for c in u]
+               + flat(combination) + list(_mult_coords(algebra, x, y)))
+    assert_no_float(results)
+    assert_canonical(field, results)
