@@ -9,6 +9,11 @@ on all basis triples (bilinearity makes that sufficient). On top of that sit
 multiplication operators and the operator identities they satisfy, element
 powers, generated subalgebras, Lie sets, the lower central series of a
 subspace (cached for the whole algebra) and the ideal test.
+
+The Lie set check and closure take the products of one member x with all
+members at once: with the members as the rows of Y, row y of Y @ L_x^T is
+x y and row y of Y @ R_x^T is y x. L_x^T and R_x^T are combinations of the
+per-basis transposes, built once per algebra.
 """
 
 from __future__ import annotations
@@ -456,21 +461,51 @@ class LieSetCheck:
     witness: tuple | None  # (x, y) with x y neither zero nor a member
 
 
+def _products_with(x: Element, ys: Matrix, right: bool = False) -> tuple:
+    """The products x y for every row y of ``ys`` (y x with ``right``), as
+    the rows of one matmul ys @ L_x^T (ys @ R_x^T).
+
+    L_x^T and R_x^T are combined from the per-basis transposes, built once
+    per algebra: row j of L_{e_i}^T is e_i e_j and row j of R_{e_i}^T is
+    e_j e_i.
+    """
+    A = x.algebra
+    transposes = A._cache.get("mult_transposes")
+    if transposes is None:
+        n, f, c = A.dim, A.field, A.structure
+        transposes = (tuple(Matrix(f, n, n, ci) for ci in c),
+                      tuple(Matrix(f, n, n, tuple(cj[i] for cj in c))
+                            for i in range(n)))
+        A._cache["mult_transposes"] = transposes
+    op = _add_combination(Matrix.zero(A.field, A.dim, A.dim), x.coords,
+                          transposes[right])
+    return (ys @ op).entries
+
+
 def is_lie_set(elements: Sequence[Element]) -> LieSetCheck:
-    """Every pairwise product must be zero or exactly a listed member."""
+    """Every pairwise product must be zero or exactly a listed member.
+
+    The products x y of one member x with all members y come from one
+    matmul; the first failing pair is reported, x outer and y inner.
+    """
     A, members = _prepare_members(elements)
     coords = {x.coords for x in members}
+    ys = Matrix(A.field, len(members), A.dim, tuple(y.coords for y in members))
     for x in members:
-        for y in members:
-            p = x * y
-            if not p.is_zero() and p.coords not in coords:
+        for y, p in zip(members, _products_with(x, ys)):
+            if any(p) and p not in coords:
                 return LieSetCheck(False, (x, y))
     return LieSetCheck(True, None)
 
 
 def lie_set_closure(elements: Sequence[Element],
                     cap: int = DEFAULT_CLOSURE_CAP) -> LieSet:
-    """Adjoin nonzero products until closed; CapExceeded past ``cap`` members."""
+    """Adjoin nonzero products until closed; CapExceeded past ``cap`` members.
+
+    Each round multiplies every frontier member x with the members present
+    at the start of the round, x y and y x from one matmul per side, and
+    adjoins new products in the order x, y, then x y before y x.
+    """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     A, members = _prepare_members(elements)
@@ -480,12 +515,15 @@ def lie_set_closure(elements: Sequence[Element],
     frontier = list(members)
     while frontier:
         fresh = []
+        ys = Matrix(A.field, len(members), A.dim,
+                    tuple(y.coords for y in members))
         for x in frontier:
-            for y in members:
-                for p in (x * y, y * x):
-                    if not p.is_zero() and p.coords not in coords:
-                        coords.add(p.coords)
-                        fresh.append(p)
+            for pair in zip(_products_with(x, ys),
+                            _products_with(x, ys, right=True)):
+                for p in pair:
+                    if any(p) and p not in coords:
+                        coords.add(p)
+                        fresh.append(Element(A, p))
                         if len(coords) > cap:
                             raise CapExceeded(cap, len(coords))
         members.extend(fresh)

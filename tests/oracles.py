@@ -13,7 +13,9 @@ The per-scalar kernels below (matrix product, matrix-vector product, row
 reduction, the product of coordinate vectors, the linear combination of
 matrices, and the flag built from every Lie set member) are the textbook
 loops the sparse library kernels replaced: one field method call per scalar
-operation. The quotient projection is read off the inverse of the basis
+operation. The Lie set check and closure multiply one pair of members at a
+time, as they did before the products of a member with the whole set came
+from one matrix product. The quotient projection is read off the inverse of the basis
 completed by unit vectors, as it was before it was read off the echelon
 basis directly.
 """
@@ -25,7 +27,7 @@ from typing import NamedTuple
 from leibniz_engel.algebra import LeibnizAlgebra, mult_coords
 from leibniz_engel.bimodule import s_matrix, t_matrix
 from leibniz_engel.engel import Flag
-from leibniz_engel.errors import FlagStalled
+from leibniz_engel.errors import CapExceeded, FlagStalled
 from leibniz_engel.linalg import Matrix, Subspace, invert, kernel_basis
 
 
@@ -308,6 +310,52 @@ def add_combination_per_scalar(base: Matrix, coords, mats) -> Matrix:
             for k, x in enumerate(row):
                 acc[k] = add(acc[k], mul(c, x))
     return Matrix(base.field, base.rows, base.cols, tuple(map(tuple, out)))
+
+
+def _distinct_members(elements) -> list:
+    """The elements in order, each coordinate vector once."""
+    seen = {}
+    for x in elements:
+        seen.setdefault(x.coords, x)
+    return list(seen.values())
+
+
+def lie_set_check_per_pair(elements) -> tuple:
+    """(ok, witness) of the Lie set test, one product per pair of members,
+    x outer and y inner: the witness is the first (x, y) whose product is
+    neither zero nor a member."""
+    members = _distinct_members(elements)
+    coords = {x.coords for x in members}
+    for x in members:
+        for y in members:
+            p = x * y
+            if not p.is_zero() and p.coords not in coords:
+                return False, (x, y)
+    return True, None
+
+
+def lie_set_closure_per_pair(elements, cap: int) -> tuple:
+    """Members of the closure, adjoined one pair product at a time: each
+    round takes every new member x against the members present at the
+    start of the round, x y before y x. Raises CapExceeded past ``cap``."""
+    members = _distinct_members(elements)
+    coords = {x.coords for x in members}
+    if len(members) > cap:
+        raise CapExceeded(cap, len(members))
+    frontier = list(members)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for y in members:
+                for p in (x * y, y * x):
+                    if not p.is_zero() and p.coords not in coords:
+                        coords.add(p.coords)
+                        fresh.append(p)
+                        if len(coords) > cap:
+                            raise CapExceeded(cap, len(coords))
+        members.extend(fresh)
+        frontier = fresh
+    return tuple(members)
 
 
 def engel_flag_all_members(module, generators) -> Flag:

@@ -17,6 +17,7 @@ from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 
 from oracles import (ideal_by_unit_vectors, leibniz_triple_violations,
+                     lie_set_check_per_pair, lie_set_closure_per_pair,
                      operator_pair_violations)
 
 
@@ -163,6 +164,59 @@ def test_closure_cap():
     A = LeibnizAlgebra.create(QQ, [[[0, 0], [0, 2]], [[0, -2], [0, 0]]])
     with pytest.raises(CapExceeded):
         lie_set_closure(A.basis(), cap=50)
+
+
+def _closure_outcome(close, elements, cap):
+    """The closure's member coordinates in order, or the cap and member
+    count at which it stopped."""
+    try:
+        return [x.coords for x in close(elements, cap)]
+    except CapExceeded as exc:
+        return ("cap", exc.cap, exc.members_so_far)
+
+
+def _check_outcome(ok, witness):
+    return ok, witness and tuple(x.coords for x in witness)
+
+
+def test_lie_sets_match_per_pair_oracles(small_corpus, corpus2024,
+                                         closures2024, dense_f7_closures):
+    def batched(elements, cap):
+        return lie_set_closure(elements, cap=cap).members
+
+    cases = [(A, lie_set_closure(A.basis())) for A, _ in small_corpus]
+    cases += [(A, closure) for (A, _), closure in zip(corpus2024, closures2024)
+              if closure is not None]
+    cases += dense_f7_closures
+    stopped = open_sets = 0
+    for A, closure in cases:
+        basis, members = A.basis(), closure.members
+        assert _closure_outcome(lie_set_closure_per_pair, basis, 1000) == \
+            [x.coords for x in members]
+        for cap in {50, max(len(members) - 1, 1)}:
+            ours = _closure_outcome(batched, basis, cap)
+            assert ours == _closure_outcome(lie_set_closure_per_pair,
+                                            basis, cap)
+            stopped += ours[0] == "cap"
+        check = is_lie_set(members)
+        assert (check.ok, check.witness) == (True, None)
+        assert lie_set_check_per_pair(members) == (True, None)
+        if len(members) > A.dim:
+            # members past the basis were adjoined as products of earlier
+            # ones, so dropping one leaves a set that is not closed
+            middle = (A.dim + len(members)) // 2
+            dropped = members[:middle] + members[middle + 1:]
+            check = is_lie_set(dropped)
+            assert not check.ok
+            assert _check_outcome(check.ok, check.witness) == \
+                _check_outcome(*lie_set_check_per_pair(dropped))
+            open_sets += 1
+    # e1 e2 = 2 e2 doubles forever over Q: both stop at the same count
+    A = LeibnizAlgebra.create(QQ, [[[0, 0], [0, 2]], [[0, -2], [0, 0]]])
+    assert _closure_outcome(batched, A.basis(), 50) == \
+        _closure_outcome(lie_set_closure_per_pair, A.basis(), 50) == \
+        ("cap", 50, 51)
+    assert stopped > 200 and open_sets > 100
 
 
 def test_lower_central_series_examples():

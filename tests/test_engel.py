@@ -1,7 +1,7 @@
 import pytest
 
-from leibniz_engel import (LieSet, abelian, basis_change, check_engel_premises,
-                           cyclic, direct_sum, engel_flag, heisenberg3,
+from leibniz_engel import (LieSet, abelian, check_engel_premises, cyclic,
+                           engel_flag, heisenberg3,
                            image_filtration,
                            is_nilpotent_algebra, joint_annihilator,
                            lemma_word_bound_check, lie_set_closure,
@@ -382,18 +382,15 @@ def _basis_closure(algebra):
 
 
 def test_flag_over_span_basis_matches_all_members(small_corpus, corpus2024,
-                                                  closures2024):
+                                                  closures2024,
+                                                  dense_f7_closures):
     cases = [(module, _basis_closure(algebra))
              for algebra, module in small_corpus]
     cases += [(module, closure.members if closure is not None
                else tuple(algebra.basis()))
               for (algebra, module), closure in zip(corpus2024, closures2024)]
-    # dense F7 bases of heisenberg3 + cyclic(n - 3), as in the engel-fp
-    # benchmark workload, with Lie sets of 16 to 147 members
-    F7 = GF(7)
-    for n, seed in ((8, 1), (9, 2), (10, 3), (11, 4), (12, 5)):
-        A = basis_change(direct_sum(heisenberg3(F7), cyclic(n - 3, F7)), seed)
-        cases.append((regular_bimodule(A), _basis_closure(A)))
+    cases += [(regular_bimodule(A), closure.members)
+              for A, closure in dense_f7_closures]
     stalled = 0
     for module, members in cases:
         ours = _flag_outcome(engel_flag, module, members)

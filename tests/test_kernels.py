@@ -1,7 +1,9 @@
 """Property tests: the sparse kernels against the per-scalar oracles.
 
 Random sparse and dense inputs over Q, F_5 and F_7, with negative and
-fractional entries, all-zero rows and zero-row shapes. Every result is in
+fractional entries, all-zero rows and zero-row shapes; the batched
+products of one element with many are checked against the product of
+coordinate vectors on the small fuzz corpus. Every result is in
 the canonical form of its field and never a float. Skipped when
 hypothesis is not installed; the sympy comparison also needs sympy.
 """
@@ -10,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from leibniz_engel.algebra import (LeibnizAlgebra, _add_combination,
-                                   _mult_coords, mult_coords)
+from leibniz_engel.algebra import (Element, LeibnizAlgebra, _add_combination,
+                                   _mult_coords, _products_with, mult_coords)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace, kernel_basis, rref
 
@@ -145,6 +147,22 @@ def test_mult_coords_equals_oracle(data):
         out = mult_coords(algebra, x, y)
         assert out == mult_coords_per_scalar(field, algebra.structure, x, y)
         assert_canonical(field, out)
+
+
+@SETTINGS
+@given(st.data())
+def test_batched_products_equal_mult_coords(small_corpus, data):
+    algebra, _ = data.draw(st.sampled_from(small_corpus))
+    field, n = algebra.field, algebra.dim
+    x = data.draw(st.one_of(st.just((field.zero(),) * n), vectors(field, n)))
+    ys = data.draw(matrices(field, cols=n))
+    lefts = _products_with(Element(algebra, x), ys)
+    rights = _products_with(Element(algebra, x), ys, right=True)
+    assert len(lefts) == len(rights) == ys.rows
+    for y, left, right in zip(ys.entries, lefts, rights):
+        assert left == _mult_coords(algebra, x, y)
+        assert right == _mult_coords(algebra, y, x)
+        assert_canonical(field, left + right)
 
 
 @SETTINGS
