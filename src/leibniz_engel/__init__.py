@@ -8,14 +8,13 @@ consequences. All arithmetic is exact; every comparison is equality, never
 tolerance.
 """
 
-from .algebra import (DEFAULT_CLOSURE_CAP, Element, Ideal, LeibnizAlgebra,
+from .algebra import (DEFAULT_CLOSURE_CAP, Element, LeibnizAlgebra,
                       LieSet, is_ideal, is_lie_set, is_nilpotent_algebra,
                       left_mult_matrix, lie_set_closure, lower_central_series,
                       power, right_mult_matrix,
                       subalgebra_generated, validate_leibniz,
                       verify_operator_identities)
-from .bimodule import (Bimodule, Submodule, annihilator_ideal,
-                       composition_chain, faithful_quotient, quotient_bimodule,
+from .bimodule import (Bimodule, annihilator_ideal, quotient_bimodule,
                        regular_bimodule, s_matrix, submodule_generated,
                        t_matrix, validate_bimodule)
 from .corollaries import (LinearSelfMap, corollary3_check, corollary4_check,

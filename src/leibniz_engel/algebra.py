@@ -8,7 +8,7 @@ exact field, validated against the defining identity
 on all basis triples (bilinearity makes that sufficient). On top of that sit
 multiplication operators and the operator identities they satisfy, element
 powers, generated subalgebras, Lie sets, the lower central series of a
-subspace (cached for the whole algebra) and the ideal test.
+subspace (cached per carrier) and the ideal test.
 
 The Lie set check and closure take the products of one member x with all
 members at once: with the members as the rows of Y, row y of Y @ L_x^T is
@@ -73,12 +73,6 @@ class LeibnizValidation:
 
     ok: bool
     violations: list
-
-    def summary(self) -> str:
-        if self.ok:
-            return "defining identity holds on all basis triples"
-        return f"{len(self.violations)} violating basis triples, first at " \
-               f"{self.violations[0][:3]}"
 
 
 def _left_mult_matrices(field: Field, structure) -> tuple:
@@ -264,11 +258,6 @@ class Element:
         f = self.algebra.field
         return Element(self.algebra, tuple(f.neg(a) for a in self.coords))
 
-    def scale(self, c) -> "Element":
-        f = self.algebra.field
-        c = f.normalize(c)
-        return Element(self.algebra, tuple(f.mul(c, a) for a in self.coords))
-
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
         return Element(self.algebra,
@@ -315,9 +304,6 @@ class IdentityReport:
 
     ok: bool
     violations: list
-
-    def first(self) -> IdentityViolation | None:
-        return self.violations[0] if self.violations else None
 
 
 def _pair_identity_violations(algebra: LeibnizAlgebra, lefts: Sequence[Matrix],
@@ -540,18 +526,25 @@ def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
     map cycle through subspaces without stabilizing, so the series cuts off
     at the first repeated term; either way it reaches zero exactly when the
     induced structure is nilpotent.
+
+    The series of each carrier is computed once per algebra; each call
+    returns a fresh list.
     """
-    series = [carrier]
-    seen = {carrier.basis}
-    while True:
-        last = series[-1]
-        nxt = product_span(algebra, carrier, last) + \
-            product_span(algebra, last, carrier)
-        if nxt == last or nxt.basis in seen:
-            break
-        series.append(nxt)
-        seen.add(nxt.basis)
-    return series
+    memo = algebra._cache.setdefault("series", {})
+    series = memo.get(carrier)
+    if series is None:
+        terms = [carrier]
+        seen = {carrier.basis}
+        while True:
+            last = terms[-1]
+            nxt = product_span(algebra, carrier, last) + \
+                product_span(algebra, last, carrier)
+            if nxt == last or nxt.basis in seen:
+                break
+            terms.append(nxt)
+            seen.add(nxt.basis)
+        series = memo[carrier] = tuple(terms)
+    return list(series)
 
 
 def series_nilpotency(series: Sequence[Subspace]) -> tuple:
@@ -566,14 +559,10 @@ def lower_central_series(algebra: LeibnizAlgebra) -> list:
     """Two-sided series: next term is span(A * T + T * A); stops once stable.
 
     The returned list starts at the whole algebra and ends with the first
-    stable term (0 exactly when the algebra is nilpotent). It is computed
-    once per algebra; each call returns a fresh list.
+    stable term (0 exactly when the algebra is nilpotent). It is the
+    carrier series of the whole algebra, so it shares that cache.
     """
-    series = algebra._cache.get("series")
-    if series is None:
-        series = tuple(carrier_series(algebra, algebra.full_space()))
-        algebra._cache["series"] = series
-    return list(series)
+    return carrier_series(algebra, algebra.full_space())
 
 
 def is_nilpotent_algebra(algebra: LeibnizAlgebra) -> tuple:
@@ -589,14 +578,6 @@ def is_ideal(algebra: LeibnizAlgebra, carrier: Subspace) -> bool:
     full = algebra.full_space()
     return carrier.contains_subspace(product_span(algebra, full, carrier) +
                                      product_span(algebra, carrier, full))
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """A two-sided ideal, carried as a subspace of the algebra."""
-
-    algebra: LeibnizAlgebra
-    carrier: Subspace
 
 
 def mult_coords(algebra: LeibnizAlgebra, x: Sequence, y: Sequence) -> tuple:

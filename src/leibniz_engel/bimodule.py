@@ -10,17 +10,14 @@ consistency guard.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (Element, Ideal, LeibnizAlgebra, _add_combination,
+from .algebra import (Element, LeibnizAlgebra, _add_combination,
                       _pair_identity_violations, is_ideal, left_mult_matrix,
-                      mult_coords, right_mult_matrix)
+                      right_mult_matrix)
 from .errors import AlgebraMismatch, ShapeMismatch
-from .linalg import Matrix, Subspace, kernel_basis
-
-_CHAIN_SEED = 0x1eaf
+from .linalg import Matrix, Subspace, _image, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -48,12 +45,6 @@ class Bimodule:
                right_actions: Sequence[Matrix]) -> "Bimodule":
         return Bimodule(algebra, module_dim, tuple(left_actions),
                         tuple(right_actions))
-
-    def zero_space(self) -> Subspace:
-        return Subspace.zero(self.algebra.field, self.module_dim)
-
-    def full_space(self) -> Subspace:
-        return Subspace.full(self.algebra.field, self.module_dim)
 
 
 def regular_bimodule(algebra: LeibnizAlgebra) -> Bimodule:
@@ -117,8 +108,9 @@ def validate_bimodule(module: Bimodule) -> BimoduleValidation:
     return BimoduleValidation(not violations, violations, not derived, derived)
 
 
-def annihilator_ideal(module: Bimodule) -> Ideal:
-    """{a : T_a = 0 and S_a = 0}, the joint kernel of a -> (T_a, S_a)."""
+def annihilator_ideal(module: Bimodule) -> Subspace:
+    """{a : T_a = 0 and S_a = 0}, the joint kernel of a -> (T_a, S_a), an
+    ideal of the algebra."""
     A = module.algebra
     columns = []
     for i in range(A.dim):
@@ -127,69 +119,31 @@ def annihilator_ideal(module: Bimodule) -> Ideal:
         columns.append(tuple(flat))
     carrier = kernel_basis(Matrix.from_columns(A.field, columns))
     assert is_ideal(A, carrier), "annihilator failed the ideal check"
-    return Ideal(A, carrier)
+    return carrier
 
 
-def faithful_quotient(module: Bimodule) -> tuple:
-    """Quotient the algebra by the annihilator; induce actions of the cosets.
-
-    Returns ``(quotient_algebra, induced_bimodule)`` on the same module
-    space. The induced bimodule always has zero annihilator. Well-definedness
-    of the quotient structure constants is asserted via the ideal check
-    inside :func:`annihilator_ideal`.
-    """
-    A = module.algebra
-    ann = annihilator_ideal(module).carrier
-    q, lifts = ann.quotient_data()
-    new_dim = A.dim - ann.dim
-    structure = []
-    for u in lifts:
-        row = []
-        for v in lifts:
-            row.append(q.apply(mult_coords(A, u, v)))
-        structure.append(row)
-    quotient = LeibnizAlgebra.create(A.field, structure)
-    left = [t_matrix(module, Element(A, u)) for u in lifts]
-    right = [s_matrix(module, Element(A, u)) for u in lifts]
-    induced = Bimodule.create(quotient, module.module_dim, left, right)
-    assert new_dim == quotient.dim
-    return quotient, induced
-
-
-@dataclass(frozen=True)
-class Submodule:
-    """A subspace invariant under every action matrix."""
-
-    module: Bimodule
-    carrier: Subspace
-
-
-def _spin(field, actions: Sequence[Matrix], ambient: int, vectors) -> Subspace:
-    """Smallest subspace containing the vectors and invariant under actions."""
-    current = Subspace.span(field, ambient, vectors)
+def submodule_generated(module: Bimodule, vector: Sequence) -> Subspace:
+    """The smallest submodule containing the vector: spin it under all left
+    and right actions until the span stops growing."""
+    field = module.algebra.field
+    v = tuple(field.normalize(x) for x in vector)
+    if len(v) != module.module_dim:
+        raise ShapeMismatch("vector length differs from module dimension")
+    transposes = [m.transpose()
+                  for m in module.left_actions + module.right_actions]
+    current = Subspace.span(field, module.module_dim, [v])
     while True:
-        images = [m.apply(v) for m in actions for v in current.basis]
-        grown = current + Subspace.span(field, ambient, images)
+        grown = current + _image(current, transposes)
         if grown == current:
             return current
         current = grown
 
 
-def submodule_generated(module: Bimodule, vector: Sequence) -> Submodule:
-    """Spin a vector under all left and right actions."""
-    field = module.algebra.field
-    v = tuple(field.normalize(x) for x in vector)
-    if len(v) != module.module_dim:
-        raise ShapeMismatch("vector length differs from module dimension")
-    actions = list(module.left_actions) + list(module.right_actions)
-    return Submodule(module, _spin(field, actions, module.module_dim, [v]))
-
-
 def is_submodule(module: Bimodule, carrier: Subspace) -> bool:
-    for m in list(module.left_actions) + list(module.right_actions):
-        if not carrier.contains_subspace(carrier.image_under(m)):
-            return False
-    return True
+    """Whether every left and right action maps the carrier into itself."""
+    transposes = [m.transpose()
+                  for m in module.left_actions + module.right_actions]
+    return carrier.contains_subspace(_image(carrier, transposes))
 
 
 def quotient_bimodule(module: Bimodule, sub: Subspace) -> Bimodule:
@@ -206,55 +160,3 @@ def quotient_bimodule(module: Bimodule, sub: Subspace) -> Bimodule:
     right = [q @ (m @ lift_mat) for m in module.right_actions]
     return Bimodule.create(module.algebra, module.module_dim - sub.dim,
                            left, right)
-
-
-def _minimal_submodule(field, actions, dim: int, rng) -> Subspace:
-    """A submodule with no strictly smaller nonzero one reachable by spinning
-    any of its basis vectors or a batch of seeded random combinations."""
-    first = tuple(field.one() if i == 0 else field.zero() for i in range(dim))
-    current = _spin(field, actions, dim, [first])
-    while True:
-        candidates = [tuple(v) for v in current.basis]
-        for _ in range(2 * dim):
-            combo = [field.zero()] * dim
-            for v in current.basis:
-                c = field.from_int(rng.randrange(-2, 3))
-                for idx in range(dim):
-                    combo[idx] = field.add(combo[idx], field.mul(c, v[idx]))
-            if any(x != 0 for x in combo):
-                candidates.append(tuple(combo))
-        shrunk = False
-        for cand in candidates:
-            spun = _spin(field, actions, dim, [cand])
-            if 0 < spun.dim < current.dim:
-                current = spun
-                shrunk = True
-                break
-        if not shrunk:
-            return current
-
-
-def composition_chain(module: Bimodule) -> list:
-    """Maximal strictly increasing chain of submodules, zero to full.
-
-    Built greedily: at each stage a minimal submodule of the quotient is
-    found by spinning candidate vectors (quotient basis vectors first, then
-    seeded pseudo-random combinations) and pulled back. Consecutive factors
-    admit no proper nonzero submodule reachable by spinning their basis
-    vectors.
-    """
-    field = module.algebra.field
-    m = module.module_dim
-    rng = random.Random(_CHAIN_SEED)
-    chain = [Submodule(module, Subspace.zero(field, m))]
-    current = chain[0].carrier
-    while current.dim < m:
-        q, lifts = current.quotient_data()
-        lift_mat = Matrix.from_columns(field, lifts)
-        actions = [q @ (a @ lift_mat)
-                   for a in list(module.left_actions) + list(module.right_actions)]
-        minimal = _minimal_submodule(field, actions, m - current.dim, rng)
-        lifted = [lift_mat.apply(v) for v in minimal.basis]
-        current = current + Subspace.span(field, m, lifted)
-        chain.append(Submodule(module, current))
-    return chain

@@ -161,8 +161,8 @@ def _cmd_analyze(args):
         "nilpotent": verdict,
         "class": cls,
         "series_dims": [s.dim for s in series],
-        "regular_annihilator_dim": ann.carrier.dim,
-        "regular_annihilator_basis": ann.carrier.to_str_rows(),
+        "regular_annihilator_dim": ann.dim,
+        "regular_annihilator_basis": ann.to_str_rows(),
     }
     return Report(premises=[], conclusions=[], data=data), _input_desc(args)
 

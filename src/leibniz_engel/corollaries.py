@@ -30,7 +30,6 @@ class LinearSelfMap:
 
     algebra: LeibnizAlgebra
     matrix: Matrix
-    claimed_kind: str = "none"  # derivation | automorphism | none
 
     def __post_init__(self):
         n = self.algebra.dim

@@ -17,7 +17,8 @@ from .algebra import Element, LieSet, is_lie_set, subalgebra_generated
 from .bimodule import Bimodule, s_matrix, t_matrix
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
                      FlagStalled, NoAnnihilator, NotNilpotentError)
-from .linalg import Matrix, Subspace, is_nilpotent_matrix, kernel_basis
+from .linalg import (Matrix, Subspace, _image, is_nilpotent_matrix,
+                     kernel_basis)
 from .reports import Check, Report
 
 
@@ -38,8 +39,10 @@ class ImageFiltration(NamedTuple):
 def image_filtration(generators: Sequence[Matrix]) -> ImageFiltration:
     """Apply the generators to the module until the image vanishes or stalls.
 
-    V_j lies in V_{j-1}, so equal dimensions mean equal terms, and a term
-    the generators map onto itself never reaches zero.
+    Each step is one image of the last term under all generators, taken by
+    ``linalg._image`` from the transposes built once here. V_j lies in
+    V_{j-1}, so equal dimensions mean equal terms, and a term the
+    generators map onto itself never reaches zero.
     """
     gens = list(generators)
     if not gens:
@@ -52,16 +55,11 @@ def image_filtration(generators: Sequence[Matrix]) -> ImageFiltration:
         if g.rows != size or g.cols != size:
             raise DimensionMismatch("generators must be square and equal-sized")
 
-    # row v of (basis @ g^T) is g v; the product skips the zeros of the
-    # sparse echelon rows
     transposes = [g.transpose() for g in gens]
     current = Subspace.full(field, size)
     dims = [size]
     while True:
-        basis = current.basis_matrix()
-        current = Subspace.span(field, size,
-                                [row for gt in transposes
-                                 for row in (basis @ gt).entries if any(row)])
+        current = _image(current, transposes)
         dims.append(current.dim)
         if current.is_zero():
             return ImageFiltration(tuple(dims), len(dims) - 1)

@@ -304,7 +304,7 @@ def _corpus_bimodule(algebra: LeibnizAlgebra, rng: random.Random) -> Bimodule:
         return quotient_bimodule(regular, sub)
     v = [algebra.field.from_int(rng.randrange(-2, 3))
          for _ in range(algebra.dim)]
-    sub = submodule_generated(regular, v).carrier
+    sub = submodule_generated(regular, v)
     if sub.is_full():
         series = lower_central_series(algebra)
         sub = series[1] if len(series) > 1 else algebra.zero_space()

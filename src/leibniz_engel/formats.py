@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 from .algebra import MAX_DIM, Element, LeibnizAlgebra
-from .bimodule import Bimodule
+from .bimodule import Bimodule, validate_bimodule
 from .corollaries import LinearSelfMap
 from .errors import FormatError
 from .fields import GF, QQ, Field
@@ -129,6 +129,7 @@ def _parse_matrix(field: Field, rows, size: int, what: str) -> Matrix:
 
 
 def load_bimodule(path, algebra: LeibnizAlgebra) -> Bimodule:
+    """Bimodule file, checked against the three bimodule axioms."""
     data = _read_json(path)
     if not isinstance(data, dict):
         raise FormatError("bimodule file must hold a JSON object")
@@ -142,7 +143,13 @@ def load_bimodule(path, algebra: LeibnizAlgebra) -> Bimodule:
     field = algebra.field
     left = [_parse_matrix(field, mat, m, "left action") for mat in lefts]
     right = [_parse_matrix(field, mat, m, "right action") for mat in rights]
-    return Bimodule.create(algebra, m, left, right)
+    module = Bimodule.create(algebra, m, left, right)
+    axioms = validate_bimodule(module)
+    if not axioms.ok:
+        first = axioms.violations[0]
+        raise FormatError(f"bimodule violates {first.identity} at basis "
+                          f"pair {first.witness['pair']}")
+    return module
 
 
 def dump_bimodule(module: Bimodule) -> dict:
@@ -170,7 +177,8 @@ def load_elements(path, algebra: LeibnizAlgebra) -> list:
 
 
 def load_map(path, algebra: LeibnizAlgebra) -> LinearSelfMap:
-    """Map file: {"matrix": n x n entries, "kind": optional string}."""
+    """Map file: {"matrix": n x n entries, "kind": optional string}; a kind
+    other than derivation, automorphism or none is an error."""
     data = _read_json(path)
     if not isinstance(data, dict) or "matrix" not in data:
         raise FormatError("map file must hold an object with a \"matrix\" key")
@@ -178,7 +186,7 @@ def load_map(path, algebra: LeibnizAlgebra) -> LinearSelfMap:
     if kind not in ("derivation", "automorphism", "none"):
         raise FormatError(f"bad map kind {kind!r}")
     matrix = _parse_matrix(algebra.field, data["matrix"], algebra.dim, "map")
-    return LinearSelfMap(algebra, matrix, kind)
+    return LinearSelfMap(algebra, matrix)
 
 
 def load_ideals(path, algebra: LeibnizAlgebra) -> list:

@@ -8,7 +8,9 @@ desk-scale; elimination is the straightforward textbook algorithm.
 The kernels combine entries with raw ``+``, ``-`` and ``*`` and skip zero
 entries, then pass each row that received a term through the field's
 ``reduce_row`` once (see fields.py); a row that received none is a shared
-zero row.
+zero row. The image of a subspace under a set of operators, ``_image``, is
+one product of its echelon basis with each operator's transpose; the image
+filtration and the bimodule spin and invariance test all take it.
 """
 
 from __future__ import annotations
@@ -350,15 +352,6 @@ class Subspace:
         return Subspace.span(self.field, self.ambient_dim,
                              list(self.basis) + list(other.basis))
 
-    def image_under(self, m: Matrix) -> "Subspace":
-        """Span of m applied to each basis vector."""
-        if m.cols != self.ambient_dim:
-            raise DimensionMismatch("matrix columns differ from ambient dimension")
-        if m.field != self.field:
-            raise FieldMismatch("matrix over a different field")
-        return Subspace.span(self.field, m.rows,
-                             [m.apply(v) for v in self.basis])
-
     def quotient_data(self) -> tuple:
         """Projection onto F^n / S plus a lifted basis of the quotient.
 
@@ -386,28 +379,19 @@ class Subspace:
             rows.append(field.reduce_row(e))
         return Matrix(field, len(rows), n, tuple(rows)), lifts
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        if self.is_full():
-            return other
-        if other.is_full():
-            return self
-        q1, _ = self.quotient_data()
-        q2, _ = other.quotient_data()
-        return kernel_basis(q1.stack(q2))
-
-    def preimage_under(self, m: Matrix) -> "Subspace":
-        """{v : m v in S}, for m mapping into this subspace's ambient space."""
-        if m.rows != self.ambient_dim:
-            raise DimensionMismatch("matrix rows differ from ambient dimension")
-        if self.is_full():
-            return Subspace.full(self.field, m.cols)
-        q, _ = self.quotient_data()
-        return kernel_basis(q @ m)
-
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.dim, self.ambient_dim, self.basis)
 
     def to_str_rows(self) -> list:
         ts = self.field.to_str
         return [[ts(x) for x in row] for row in self.basis]
+
+
+def _image(space: Subspace, transposes: Sequence[Matrix]) -> Subspace:
+    """span{g v : g an operator, v in the basis of ``space``}, each operator
+    passed as its transpose g^T: row v of (basis @ g^T) is g v, and the
+    product skips the zeros of the sparse echelon rows."""
+    basis = space.basis_matrix()
+    return Subspace.span(space.field, space.ambient_dim,
+                         [row for gt in transposes
+                          for row in (basis @ gt).entries if any(row)])

@@ -17,7 +17,9 @@ operation. The Lie set check and closure multiply one pair of members at a
 time, as they did before the products of a member with the whole set came
 from one matrix product. The quotient projection is read off the inverse of the basis
 completed by unit vectors, as it was before it was read off the echelon
-basis directly.
+basis directly. The spun submodule and the invariance test take the image
+of a subspace one action and one basis vector at a time, as they did
+before the images came from one matrix product per action.
 """
 
 from __future__ import annotations
@@ -390,3 +392,29 @@ def quotient_data_by_inverse(space: Subspace) -> tuple:
              for f in range(n) if f not in pivots]
     b_inv = invert(Matrix.from_columns(field, list(space.basis) + lifts))
     return Matrix(field, len(lifts), n, b_inv.entries[space.dim:]), lifts
+
+
+def spin_per_vector(module, vector) -> Subspace:
+    """Smallest subspace containing the vector and invariant under every
+    left and right action, grown by one ``apply`` per action and basis
+    vector until it stops growing."""
+    field, m = module.algebra.field, module.module_dim
+    actions = list(module.left_actions) + list(module.right_actions)
+    current = Subspace.span(field, m, [vector])
+    while True:
+        images = [mat.apply(v) for mat in actions for v in current.basis]
+        grown = current + Subspace.span(field, m, images)
+        if grown == current:
+            return current
+        current = grown
+
+
+def invariant_per_action(module, carrier: Subspace) -> bool:
+    """Every action's image of the carrier, taken one action at a time,
+    lies in the carrier."""
+    for mat in list(module.left_actions) + list(module.right_actions):
+        image = Subspace.span(carrier.field, mat.rows,
+                              [mat.apply(v) for v in carrier.basis])
+        if not carrier.contains_subspace(image):
+            return False
+    return True

@@ -383,8 +383,14 @@ def test_is_ideal_matches_unit_vector_oracle(small_corpus):
 
 def test_lower_central_series_is_the_carrier_series_of_the_algebra(
         small_corpus):
+    # the cycling non-ideal carrier of the corollary tests: span{e1} steps
+    # span{e2} -> span{e3} -> span{e2}
+    cycling = LeibnizAlgebra.create(QQ, [[[0, 1, 0], [0, 0, 1], [0, 1, 0]],
+                                         [[0, 0, 0]] * 3, [[0, 0, 0]] * 3])
+    carriers = [(cycling, Subspace.span(QQ, 3, [(1, 0, 0)]))]
     for A, _ in small_corpus:
-        expected = carrier_series(A, A.full_space())
+        fresh = LeibnizAlgebra.create(A.field, A.structure)
+        expected = carrier_series(fresh, fresh.full_space())
         series = lower_central_series(A)
         assert series == expected
         series.append(A.zero_space())
@@ -392,3 +398,12 @@ def test_lower_central_series_is_the_carrier_series_of_the_algebra(
         again = lower_central_series(A)
         assert again == expected
         assert again is not series
+        carriers += [(A, term) for term in expected[1:]]
+    for A, carrier in carriers:
+        first = carrier_series(A, carrier)
+        first.append(A.zero_space())
+        first[0] = A.zero_space()
+        again = carrier_series(A, carrier)
+        fresh = LeibnizAlgebra.create(A.field, A.structure)
+        assert again == carrier_series(fresh, carrier)
+        assert again[0] == carrier and again is not first

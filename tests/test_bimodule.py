@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
-from leibniz_engel import (Bimodule, abelian, annihilator_ideal,
-                           composition_chain, cyclic, faithful_quotient,
-                           heisenberg3, quotient_bimodule, regular_bimodule,
-                           s_matrix, sol2, submodule_generated, t_matrix,
+from leibniz_engel import (Bimodule, abelian, annihilator_ideal, cyclic,
+                           heisenberg3, lower_central_series,
+                           quotient_bimodule, regular_bimodule, s_matrix,
+                           sol2, submodule_generated, t_matrix,
                            validate_bimodule)
 from leibniz_engel.bimodule import is_submodule
 from leibniz_engel.errors import AlgebraMismatch, ShapeMismatch
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
+
+from oracles import invariant_per_action, spin_per_vector
 
 
 def test_regular_cyclic2_actions():
@@ -80,47 +84,23 @@ def test_t_and_s_matrices():
 
 
 def test_annihilator_examples():
-    assert annihilator_ideal(regular_bimodule(cyclic(2))).carrier.basis == ((0, 1),)
-    assert annihilator_ideal(regular_bimodule(abelian(3))).carrier.is_full()
-    assert annihilator_ideal(regular_bimodule(heisenberg3())).carrier.basis == \
+    assert annihilator_ideal(regular_bimodule(cyclic(2))).basis == ((0, 1),)
+    assert annihilator_ideal(regular_bimodule(abelian(3))).is_full()
+    assert annihilator_ideal(regular_bimodule(heisenberg3())).basis == \
         ((0, 0, 1),)
-
-
-def test_faithful_quotient_cyclic2():
-    Aq, Mq = faithful_quotient(regular_bimodule(cyclic(2)))
-    assert Aq.dim == 1
-    assert all(x == 0 for x in Aq.structure[0][0])  # 1-dim abelian
-    assert annihilator_ideal(Mq).carrier.is_zero()
-    assert Mq.module_dim == 2
-
-
-def test_faithful_quotient_abelian_is_zero_algebra():
-    Aq, Mq = faithful_quotient(regular_bimodule(abelian(2)))
-    assert Aq.dim == 0
-    assert Mq.module_dim == 2
-    assert annihilator_ideal(Mq).carrier.is_zero()
-
-
-def test_faithful_quotient_heisenberg():
-    Aq, Mq = faithful_quotient(regular_bimodule(heisenberg3()))
-    assert Aq.dim == 2
-    assert all(x == 0 for row in Aq.structure for col in row for x in col)
-    assert annihilator_ideal(Mq).carrier.is_zero()
-    assert validate_bimodule(Mq).all_ok()
 
 
 def test_submodule_generated():
     M = regular_bimodule(cyclic(2))
-    assert submodule_generated(M, (0, 1)).carrier.basis == ((0, 1),)
-    assert submodule_generated(M, (1, 0)).carrier.is_full()
+    assert submodule_generated(M, (0, 1)).basis == ((0, 1),)
+    assert submodule_generated(M, (1, 0)).is_full()
     A = cyclic(2)
     z3 = Matrix.zero(QQ, 3, 3)
     Z = Bimodule.create(A, 3, [z3, z3], [z3, z3])
-    assert submodule_generated(Z, (1, 2, 3)).carrier.dim == 1
+    assert submodule_generated(Z, (1, 2, 3)).dim == 1
 
 
 def test_submodule_generated_is_invariant(small_corpus):
-    import random
     rng = random.Random(41)
     for algebra, module in small_corpus[:15]:
         if module.module_dim == 0:
@@ -128,57 +108,8 @@ def test_submodule_generated_is_invariant(small_corpus):
         v = [algebra.field.from_int(rng.randrange(-2, 3))
              for _ in range(module.module_dim)]
         sub = submodule_generated(module, v)
-        assert is_submodule(module, sub.carrier)
-        assert sub.carrier.is_zero() == all(x == 0 for x in v)
-
-
-def test_faithful_quotient_annihilator_always_zero(small_corpus):
-    for _, module in small_corpus[:15]:
-        _, induced = faithful_quotient(module)
-        assert annihilator_ideal(induced).carrier.is_zero()
-        assert validate_bimodule(induced).all_ok()
-
-
-def test_composition_chain_zero_actions():
-    A = cyclic(2)
-    z3 = Matrix.zero(QQ, 3, 3)
-    Z = Bimodule.create(A, 3, [z3, z3], [z3, z3])
-    chain = composition_chain(Z)
-    assert len(chain) - 1 == 3
-    assert [s.carrier.dim for s in chain] == [0, 1, 2, 3]
-
-
-def test_composition_chain_regular_cyclic2():
-    M = regular_bimodule(cyclic(2))
-    chain = composition_chain(M)
-    assert [s.carrier.dim for s in chain] == [0, 1, 2]
-    assert chain[1].carrier.basis == ((0, 1),)
-
-
-def _factor_actions(module, lower, upper):
-    """Induced actions on upper/lower together with the factor carrier."""
-    q, lifts = lower.quotient_data()
-    lift = Matrix.from_columns(module.algebra.field, lifts)
-    acts = [q @ (m @ lift)
-            for m in list(module.left_actions) + list(module.right_actions)]
-    factor = Subspace.span(module.algebra.field, q.rows,
-                           [q.apply(v) for v in upper.basis])
-    return acts, factor
-
-
-def test_composition_factors_are_irreducible():
-    from leibniz_engel.bimodule import _spin
-    for A in (cyclic(3), heisenberg3(), sol2(), cyclic(4, GF(5))):
-        M = regular_bimodule(A)
-        chain = composition_chain(M)
-        assert chain[-1].carrier.is_full()
-        for lower, upper in zip(chain, chain[1:]):
-            assert is_submodule(M, upper.carrier)
-            acts, factor = _factor_actions(M, lower.carrier, upper.carrier)
-            assert factor.dim == upper.carrier.dim - lower.carrier.dim
-            for v in factor.basis:
-                spun = _spin(A.field, acts, factor.ambient_dim, [v])
-                assert spun == factor
+        assert is_submodule(module, sub)
+        assert sub.is_zero() == all(x == 0 for x in v)
 
 
 def test_quotient_bimodule_validates():
@@ -190,3 +121,34 @@ def test_quotient_bimodule_validates():
     assert validate_bimodule(Q).all_ok()
     with pytest.raises(ShapeMismatch):
         quotient_bimodule(M, Subspace.span(QQ, 2, [(1, 0)]))  # not invariant
+
+
+def test_spin_and_invariance_match_per_action_oracles(small_corpus,
+                                                     corpus2024):
+    rng = random.Random(1101)
+    verdicts = []
+    for algebra, module in small_corpus + corpus2024:
+        f, m = algebra.field, module.module_dim
+        vectors = [(f.zero(),) * m] + \
+            [tuple(f.from_int(rng.randrange(-2, 3)) for _ in range(m))
+             for _ in range(2)]
+        carriers = []
+        for v in vectors:
+            spun = submodule_generated(module, v)
+            assert spun == spin_per_vector(module, v)
+            carriers.append(spun)
+        for _ in range(2):
+            carriers.append(Subspace.span(f, m, [
+                [f.from_int(rng.randrange(-2, 3)) for _ in range(m)]
+                for _ in range(rng.randint(1, m))]))
+        checks = [(module, c) for c in carriers]
+        regular = regular_bimodule(algebra)
+        for term in lower_central_series(algebra):
+            checks.append((regular, term))
+            if m == algebra.dim:
+                checks.append((module, term))
+        for mod, carrier in checks:
+            verdict = is_submodule(mod, carrier)
+            assert verdict == invariant_per_action(mod, carrier)
+            verdicts.append(verdict)
+    assert verdicts.count(False) > 50 and verdicts.count(True) > 1000

@@ -261,6 +261,36 @@ def test_engel_zero_module_exits_2(c2_file, tmp_path):
     assert "module_dim" in report["data"]["error"]
 
 
+@pytest.fixture
+def non_bimodule_file(tmp_path):
+    # over cyclic(2), S_{e1 e1} = S_{e2} = 0 but S^2 + T S = 1
+    return _write(tmp_path, "bad_module.json",
+                  {"module_dim": 1, "left_actions": [[[0]], [[0]]],
+                   "right_actions": [[[1]], [[0]]]})
+
+
+def _error_of(argv, report_path):
+    code = main([*argv, "--quiet", "--json", str(report_path)])
+    report = json.loads(report_path.read_text())
+    return code, report["verdict"], report["data"].get("error")
+
+
+def test_engel_non_bimodule_exits_2(c2_file, non_bimodule_file, tmp_path):
+    assert _error_of(["engel", c2_file, "--module", non_bimodule_file],
+                     tmp_path / "r.json") == \
+        (2, "error", "bimodule violates right_action_of_product at basis "
+                     "pair (1, 1)")
+
+
+def test_lemma_bound_non_bimodule_exits_2(c2_file, non_bimodule_file,
+                                          tmp_path):
+    assert _error_of(["lemma-bound", c2_file, "--element", "1,0",
+                      "--module", non_bimodule_file],
+                     tmp_path / "r.json") == \
+        (2, "error", "bimodule violates right_action_of_product at basis "
+                     "pair (1, 1)")
+
+
 @pytest.mark.parametrize("products", [5, {}, "[[1, 1, 2, 1]]", None])
 def test_non_list_products_exit_2(tmp_path, products):
     path = _write(tmp_path, "bad.json",

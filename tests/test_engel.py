@@ -188,7 +188,8 @@ def test_flag_levels_nested_and_invariant():
             assert upper.contains_subspace(lower)
             assert upper.dim > lower.dim
             for mat in list(M.left_actions) + list(M.right_actions):
-                image = upper.image_under(mat)
+                image = Subspace.span(A.field, mat.rows,
+                                      [mat.apply(v) for v in upper.basis])
                 assert lower.contains_subspace(image)
         assert flag.chain[-1].is_full()
 

@@ -120,9 +120,11 @@ def test_elements_and_map_and_ideals(tmp_path):
     mp.write_text(json.dumps({"matrix": [[1, 0], [0, 2]],
                               "kind": "derivation"}))
     self_map = load_map(mp, A)
-    assert self_map.claimed_kind == "derivation"
     assert self_map.matrix.entries[1][1] == QQ.parse(2)
     assert self_map.algebra == A
+    mp.write_text(json.dumps({"matrix": [[1, 0], [0, 2]], "kind": "other"}))
+    with pytest.raises(FormatError, match="kind"):
+        load_map(mp, A)
 
     ideals = tmp_path / "i.json"
     ideals.write_text(json.dumps({"ideals": [[[0, 1]], [[0, 1], [0, 2]]]}))

@@ -92,12 +92,6 @@ def test_subspace_sum_and_contains():
     assert not Subspace.span(QQ, 2, [(1, 1)]).contains((1, 2))
 
 
-def test_subspace_image_under():
-    m = Matrix.from_rows(QQ, [[0, 0], [1, 0]])
-    img = Subspace.full(QQ, 2).image_under(m)
-    assert img.basis == ((0, 1),)
-
-
 def test_subspace_equality_is_canonical():
     rng = random.Random(23)
     for field in (QQ, F5):
@@ -130,16 +124,6 @@ def test_quotient_data_projection():
                 image = q.apply(lift)
                 assert all(x == (field.one() if j == i else field.zero())
                            for j, x in enumerate(image))
-
-
-def test_intersect_and_preimage():
-    s1 = Subspace.span(QQ, 3, [(1, 0, 0), (0, 1, 0)])
-    s2 = Subspace.span(QQ, 3, [(0, 1, 0), (0, 0, 1)])
-    assert s1.intersect(s2).basis == ((0, 1, 0),)
-    shift = Matrix.from_rows(QQ, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    pre = Subspace.span(QQ, 3, [(0, 0, 1)]).preimage_under(shift)
-    # shift e1 = e2, shift e2 = e3: only e2 and e3 map into span{e3}
-    assert pre == Subspace.span(QQ, 3, [(0, 1, 0), (0, 0, 1)])
 
 
 def test_invert_round_trip():
