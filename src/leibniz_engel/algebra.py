@@ -1,19 +1,22 @@
 """Leibniz algebras given by structure constants.
 
 An algebra is a tensor ``c`` with ``e_i * e_j = sum_k c[i][j][k] e_k`` over an
-exact field, validated against the defining identity
+exact field. :meth:`LeibnizAlgebra.create` is the only way in: it validates
+the defining identity
 
     x(yz) = (xy)z + y(xz)
 
-on all basis triples (bilinearity makes that sufficient). On top of that sit
-multiplication operators and the operator identities they satisfy, element
-powers, generated subalgebras, Lie sets, the lower central series of a
-subspace (cached per carrier) and the ideal test.
+on all basis triples (bilinearity makes that sufficient) and raises
+:class:`InvalidAlgebra` when it fails. On top of that sit multiplication
+operators and the operator identities they satisfy, element powers,
+generated subalgebras, Lie sets, the lower central series of a subspace
+(cached per carrier) and the ideal test.
 
-The Lie set check and closure take the products of one member x with all
-members at once: with the members as the rows of Y, row y of Y @ L_x^T is
-x y and row y of Y @ R_x^T is y x. L_x^T and R_x^T are combinations of the
-per-basis transposes, built once per algebra.
+Products of coordinate vectors walk the tensor. The multiplication
+operators of the basis are read once per algebra off the tensor: row j of
+``c[i]`` is e_i e_j, so ``c[i]`` is L_{e_i}^T as it stands. Validation, the
+Lie sets (row y of Y @ L_x^T is x y, of Y @ R_x^T is y x), the ideal test,
+the regular bimodule and the identity suite all use these operators.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Sequence
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
                      InvalidExponent, ShapeMismatch)
 from .fields import Field
-from .linalg import Matrix, Subspace, vec_is_zero
+from .linalg import Matrix, Subspace, _image, vec_is_zero
 
 DEFAULT_CLOSURE_CAP = 1000
 
@@ -39,24 +42,19 @@ def _mult_coords(algebra: "LeibnizAlgebra", x: Sequence, y: Sequence) -> tuple:
     """Bilinear product of coordinate vectors through the structure tensor.
 
     Walks the nonzero coordinates of x and y and, for each pair (i, j), the
-    nonzero terms (k, c) of e_i e_j from a table built once per algebra.
+    nonzero constants of e_i e_j.
     """
-    table = algebra._cache.get("product_terms")
-    if table is None:
-        table = tuple(tuple(tuple((k, c) for k, c in enumerate(cij) if c)
-                            for cij in ci) for ci in algebra.structure)
-        algebra._cache["product_terms"] = table
     zero = algebra.field.zero()
     y_terms = list(compress(enumerate(y), y))
     out = None
-    for xi, row in compress(zip(x, table), x):
+    for xi, ci in compress(zip(x, algebra.structure), x):
         for j, yj in y_terms:
-            terms = row[j]
-            if terms:
+            cij = ci[j]
+            if any(cij):
                 if out is None:
                     out = [zero] * algebra.dim
                 coeff = xi * yj
-                for k, c in terms:
+                for k, c in compress(enumerate(cij), cij):
                     out[k] += coeff * c
     if out is None:
         return (zero,) * algebra.dim
@@ -73,13 +71,6 @@ class LeibnizValidation:
 
     ok: bool
     violations: list
-
-
-def _left_mult_matrices(field: Field, structure) -> tuple:
-    """L_{e_i} for every basis element: column j is e_i e_j."""
-    n = len(structure)
-    return tuple(Matrix.from_columns(field, [structure[i][j] for j in range(n)])
-                 for i in range(n))
 
 
 def _add_combination(base: Matrix, coords: Sequence, mats: Sequence[Matrix]) -> Matrix:
@@ -104,43 +95,42 @@ def _add_combination(base: Matrix, coords: Sequence, mats: Sequence[Matrix]) -> 
     return Matrix(base.field, base.rows, base.cols, tuple(rows))
 
 
-def validate_leibniz(structure, field: Field, n: int,
-                     lefts: Sequence[Matrix] | None = None) -> LeibnizValidation:
+def validate_leibniz(structure, field: Field, n: int) -> LeibnizValidation:
     """Check x(yz) = (xy)z + y(xz) on all basis triples of the tensor.
 
     On z = e_k this is the operator identity L_i L_j = L_{e_i e_j} + L_j L_i
-    for the pair (i, j), whose column k is the triple (i, j, k). Each pair is
-    compared whole, and only a failing pair is split into its columns.
-    ``lefts`` may pass the matrices L_i already built from the tensor.
+    for the pair (i, j), checked transposed,
+    L_j^T L_i^T = L_{e_i e_j}^T + L_i^T L_j^T, on the L_i^T that the tensor
+    already holds (row j of ``structure[i]`` is e_i e_j); row k of either
+    side is the triple (i, j, k). Each pair is compared whole, and only a
+    failing pair is split into its rows.
     """
     if len(structure) != n or any(
             len(ci) != n or any(len(cij) != n for cij in ci) for ci in structure):
         raise ShapeMismatch(f"structure tensor is not {n}x{n}x{n}")
-    if lefts is None:
-        lefts = _left_mult_matrices(field, structure)
+    lts = [Matrix(field, n, n, ci) for ci in structure]
     violations = []
 
     def check(i, j, lhs, swapped):
-        # lhs = L_i L_j and swapped = L_j L_i
-        rhs = _add_combination(swapped, structure[i][j], lefts)
+        # lhs = (L_i L_j)^T and swapped = (L_j L_i)^T
+        rhs = _add_combination(swapped, structure[i][j], lts)
         if lhs == rhs:
             return
-        for k in range(n):
-            lcol, rcol = lhs.column(k), rhs.column(k)
-            if lcol != rcol:
+        for k, (lrow, rrow) in enumerate(zip(lhs.entries, rhs.entries)):
+            if lrow != rrow:
                 violations.append((i + 1, j + 1, k + 1,
-                                   tuple(field.to_str(x) for x in lcol),
-                                   tuple(field.to_str(x) for x in rcol)))
+                                   tuple(map(field.to_str, lrow)),
+                                   tuple(map(field.to_str, rrow))))
 
     # both products of a pair serve both of its orders; walking unordered
     # pairs keeps two products alive instead of all n^2
     for i in range(n):
         for j in range(i, n):
-            p_ij = lefts[i] @ lefts[j]
+            p_ij = lts[j] @ lts[i]
             if j == i:
                 check(i, i, p_ij, p_ij)
                 continue
-            p_ji = lefts[j] @ lefts[i]
+            p_ji = lts[i] @ lts[j]
             check(i, j, p_ij, p_ji)
             check(j, i, p_ji, p_ij)
     violations.sort(key=lambda v: v[:3])
@@ -152,40 +142,29 @@ class LeibnizAlgebra:
     """Finite dimensional Leibniz algebra over an exact field.
 
     Instances are immutable. Construction goes through :meth:`create`, which
-    validates the defining identity unless ``unvalidated=True`` is passed
-    (needed to exercise the validator on negatives).
+    validates the defining identity and raises :class:`InvalidAlgebra` with
+    the report when it fails.
     """
 
     field: Field
     dim: int
     structure: tuple  # normalized n x n x n tensor of scalars
     basis_names: tuple | None = None
-    validated: bool = True
     _cache: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
-    def create(field: Field, structure, basis_names: Sequence[str] | None = None,
-               unvalidated: bool = False) -> "LeibnizAlgebra":
+    def create(field: Field, structure,
+               basis_names: Sequence[str] | None = None) -> "LeibnizAlgebra":
         n = len(structure)
         norm = tuple(tuple(tuple(map(field.normalize, cij)) for cij in ci)
                      for ci in structure)
-        if any(len(ci) != n or any(len(cij) != n for cij in ci) for ci in norm):
-            raise ShapeMismatch(f"structure tensor is not {n}x{n}x{n}")
         names = tuple(basis_names) if basis_names is not None else None
         if names is not None and len(names) != n:
             raise ShapeMismatch("basis_names length differs from dimension")
-        lefts = _left_mult_matrices(field, norm)
-        if not unvalidated:
-            report = validate_leibniz(norm, field, n, lefts)
-            if not report.ok:
-                raise InvalidAlgebra(report)
-        return LeibnizAlgebra(field, n, norm, names, validated=not unvalidated,
-                              _cache={"lefts": lefts})
-
-    def name(self, i: int) -> str:
-        if self.basis_names is not None:
-            return self.basis_names[i]
-        return f"e{i + 1}"
+        report = validate_leibniz(norm, field, n)
+        if not report.ok:
+            raise InvalidAlgebra(report)
+        return LeibnizAlgebra(field, n, norm, names)
 
     # -- elements ---------------------------------------------------------
 
@@ -208,19 +187,22 @@ class LeibnizAlgebra:
 
     # -- multiplication operators ------------------------------------------
 
-    def _basis_mult_matrices(self) -> tuple:
-        cached = self._cache.get("mult_matrices")
-        if cached is None:
-            n, f = self.dim, self.field
-            lefts = self._cache.get("lefts") or \
-                _left_mult_matrices(f, self.structure)
-            # column j of R_{e_i} is e_j e_i
-            rights = tuple(Matrix.from_columns(f, [self.structure[j][i]
-                                                   for j in range(n)])
-                           for i in range(n))
-            cached = (lefts, rights)
-            self._cache["mult_matrices"] = cached
-        return cached
+    def _operators(self) -> tuple:
+        """(L^T, R^T, L, R): the multiplication operators of the basis, each
+        a tuple of n matrices, read once per algebra off the tensor. Row j
+        of L_{e_i}^T is ``structure[i][j]`` = e_i e_j, row j of R_{e_i}^T is
+        e_j e_i, and L, R are their transposes (column j of L_{e_i} is
+        e_i e_j)."""
+        ops = self._cache.get("operators")
+        if ops is None:
+            n, f, c = self.dim, self.field, self.structure
+            lts = tuple(Matrix(f, n, n, ci) for ci in c)
+            rts = tuple(Matrix(f, n, n, tuple(cj[i] for cj in c))
+                        for i in range(n))
+            ops = self._cache["operators"] = (
+                lts, rts, tuple(m.transpose() for m in lts),
+                tuple(m.transpose() for m in rts))
+        return ops
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.field, self.dim)
@@ -271,15 +253,15 @@ class Element:
 def left_mult_matrix(a: Element) -> Matrix:
     """Matrix of x -> a x in the basis (columns are images of basis vectors)."""
     A = a.algebra
-    lefts, _ = A._basis_mult_matrices()
-    return _add_combination(Matrix.zero(A.field, A.dim, A.dim), a.coords, lefts)
+    return _add_combination(Matrix.zero(A.field, A.dim, A.dim), a.coords,
+                            A._operators()[2])
 
 
 def right_mult_matrix(a: Element) -> Matrix:
     """Matrix of x -> x a."""
     A = a.algebra
-    _, rights = A._basis_mult_matrices()
-    return _add_combination(Matrix.zero(A.field, A.dim, A.dim), a.coords, rights)
+    return _add_combination(Matrix.zero(A.field, A.dim, A.dim), a.coords,
+                            A._operators()[3])
 
 
 def power(a: Element, k: int) -> Element:
@@ -357,7 +339,7 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     """
     A = algebra
     n = A.dim
-    lefts, rights = A._basis_mult_matrices()
+    _, _, lefts, rights = A._operators()
     violations = _pair_identity_violations(
         A, lefts, rights, n,
         ("right_mult_of_product", "mixed_mult_commutation",
@@ -449,22 +431,11 @@ class LieSetCheck:
 
 def _products_with(x: Element, ys: Matrix, right: bool = False) -> tuple:
     """The products x y for every row y of ``ys`` (y x with ``right``), as
-    the rows of one matmul ys @ L_x^T (ys @ R_x^T).
-
-    L_x^T and R_x^T are combined from the per-basis transposes, built once
-    per algebra: row j of L_{e_i}^T is e_i e_j and row j of R_{e_i}^T is
-    e_j e_i.
-    """
+    the rows of one matmul ys @ L_x^T (ys @ R_x^T), with L_x^T (R_x^T)
+    combined from the cached transposes of the basis operators."""
     A = x.algebra
-    transposes = A._cache.get("mult_transposes")
-    if transposes is None:
-        n, f, c = A.dim, A.field, A.structure
-        transposes = (tuple(Matrix(f, n, n, ci) for ci in c),
-                      tuple(Matrix(f, n, n, tuple(cj[i] for cj in c))
-                            for i in range(n)))
-        A._cache["mult_transposes"] = transposes
     op = _add_combination(Matrix.zero(A.field, A.dim, A.dim), x.coords,
-                          transposes[right])
+                          A._operators()[right])
     return (ys @ op).entries
 
 
@@ -571,13 +542,12 @@ def is_nilpotent_algebra(algebra: LeibnizAlgebra) -> tuple:
 
 
 def is_ideal(algebra: LeibnizAlgebra, carrier: Subspace) -> bool:
-    """Both A * S and S * A must land back in S, that is, the first step of
-    the series from the whole algebra maps S into itself."""
+    """Both A * S and S * A must land back in S: S is invariant under every
+    left and right multiplication by a basis element."""
     if carrier.ambient_dim != algebra.dim or carrier.field != algebra.field:
         raise ShapeMismatch("carrier does not sit inside the algebra")
-    full = algebra.full_space()
-    return carrier.contains_subspace(product_span(algebra, full, carrier) +
-                                     product_span(algebra, carrier, full))
+    lts, rts, _, _ = algebra._operators()
+    return carrier.contains_subspace(_image(carrier, lts + rts))
 
 
 def mult_coords(algebra: LeibnizAlgebra, x: Sequence, y: Sequence) -> tuple:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (Element, LeibnizAlgebra, _add_combination,
-                      _pair_identity_violations, is_ideal, left_mult_matrix,
-                      right_mult_matrix)
+                      _pair_identity_violations, is_ideal)
 from .errors import AlgebraMismatch, ShapeMismatch
 from .linalg import Matrix, Subspace, _image, kernel_basis
 
@@ -49,10 +48,8 @@ class Bimodule:
 
 def regular_bimodule(algebra: LeibnizAlgebra) -> Bimodule:
     """The algebra acting on itself: T = left, S = right multiplication."""
-    basis = algebra.basis()
-    return Bimodule.create(algebra, algebra.dim,
-                           [left_mult_matrix(a) for a in basis],
-                           [right_mult_matrix(a) for a in basis])
+    _, _, lefts, rights = algebra._operators()
+    return Bimodule.create(algebra, algebra.dim, lefts, rights)
 
 
 def t_matrix(module: Bimodule, a: Element) -> Matrix:

@@ -16,14 +16,13 @@ from pathlib import Path
 
 from .algebra import (DEFAULT_CLOSURE_CAP, LeibnizAlgebra, LieSet,
                       lie_set_closure, lower_central_series,
-                      series_nilpotency, validate_leibniz,
-                      verify_operator_identities)
+                      series_nilpotency, verify_operator_identities)
 from .bimodule import annihilator_ideal, regular_bimodule
 from .corollaries import (corollary3_check, corollary4_check,
                           corollary5_check, nilradical_from_family,
                           sum_of_nilpotent_ideals)
 from .engel import lemma_word_bound_check, theorem2_verify
-from .errors import (CapExceeded, FormatError, LeibnizError,
+from .errors import (CapExceeded, FormatError, InvalidAlgebra, LeibnizError,
                      NotAnIdealError, NotNilpotentError,
                      NotNilpotentIdealError, TheoremViolation)
 from .families import build, fuzz_corpus, parse_family_spec
@@ -134,20 +133,22 @@ def _default_lie_set(algebra: LeibnizAlgebra,
 
 
 def _cmd_validate(args):
-    algebra = load_algebra(args.algebra, force_unvalidated=True)
-    leibniz = validate_leibniz(algebra.structure, algebra.field, algebra.dim)
-    premises = [Check("defining_identity", leibniz.ok,
-                      witness=None if leibniz.ok else leibniz.violations[:5],
-                      data={"violations": len(leibniz.violations)})]
-    conclusions = []
-    if leibniz.ok:
-        identities = verify_operator_identities(algebra)
-        conclusions.append(Check(
-            "multiplication_operator_identities", identities.ok,
-            witness=None if identities.ok else
-            [{"identity": v.identity, **v.witness}
-             for v in identities.violations[:5]]))
-    return Report(premises=premises, conclusions=conclusions), _input_desc(args)
+    try:
+        algebra = load_algebra(args.algebra)
+    except InvalidAlgebra as exc:
+        violations = exc.report.violations
+        premise = Check("defining_identity", False, witness=violations[:5],
+                        data={"violations": len(violations)})
+        return Report(premises=[premise], conclusions=[]), _input_desc(args)
+    identities = verify_operator_identities(algebra)
+    premise = Check("defining_identity", True, data={"violations": 0})
+    conclusion = Check(
+        "multiplication_operator_identities", identities.ok,
+        witness=None if identities.ok else
+        [{"identity": v.identity, **v.witness}
+         for v in identities.violations[:5]])
+    return Report(premises=[premise], conclusions=[conclusion]), \
+        _input_desc(args)
 
 
 def _cmd_analyze(args):

@@ -53,7 +53,9 @@ def _scalar_to_json(field: Field, x):
     return int(x)
 
 
-def load_algebra_dict(data: dict, force_unvalidated: bool = False) -> LeibnizAlgebra:
+def load_algebra_dict(data: dict) -> LeibnizAlgebra:
+    """Algebra file, validated against the defining identity: a tensor that
+    breaks it raises InvalidAlgebra. Unknown keys are ignored."""
     if not isinstance(data, dict):
         raise FormatError("algebra file must hold a JSON object")
     for key in ("field", "dim"):
@@ -88,13 +90,11 @@ def load_algebra_dict(data: dict, force_unvalidated: bool = False) -> LeibnizAlg
             raise FormatError(f"duplicate product entry ({i}, {j}, {k})")
         seen.add((i, j, k))
         structure[i - 1][j - 1][k - 1] = field.parse(coeff)
-    unvalidated = force_unvalidated or bool(data.get("unvalidated", False))
-    return LeibnizAlgebra.create(field, structure, names,
-                                 unvalidated=unvalidated)
+    return LeibnizAlgebra.create(field, structure, names)
 
 
-def load_algebra(path, force_unvalidated: bool = False) -> LeibnizAlgebra:
-    return load_algebra_dict(_read_json(path), force_unvalidated)
+def load_algebra(path) -> LeibnizAlgebra:
+    return load_algebra_dict(_read_json(path))
 
 
 def dump_algebra(algebra: LeibnizAlgebra) -> dict:

@@ -180,11 +180,6 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols + other.cols,
                       tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
-    def __str__(self) -> str:
-        ts = self.field.to_str
-        return "\n".join("[" + " ".join(ts(x) for x in row) + "]"
-                         for row in self.entries)
-
 
 class RrefResult(NamedTuple):
     matrix: Matrix

@@ -20,6 +20,9 @@ completed by unit vectors, as it was before it was read off the echelon
 basis directly. The spun submodule and the invariance test take the image
 of a subspace one action and one basis vector at a time, as they did
 before the images came from one matrix product per action.
+
+``unchecked_algebra`` builds the non-Leibniz tensors the validators are
+tested on, which ``LeibnizAlgebra.create`` refuses.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ from leibniz_engel.bimodule import s_matrix, t_matrix
 from leibniz_engel.engel import Flag
 from leibniz_engel.errors import CapExceeded, FlagStalled
 from leibniz_engel.linalg import Matrix, Subspace, invert, kernel_basis
+
+
+def unchecked_algebra(field, structure) -> LeibnizAlgebra:
+    """An algebra on any n x n x n tensor, the defining identity unchecked:
+    the tensor is normalized and handed to the dataclass constructor."""
+    norm = tuple(tuple(tuple(map(field.normalize, cij)) for cij in ci)
+                 for ci in structure)
+    return LeibnizAlgebra(field, len(norm), norm)
 
 
 def products_of_length(algebra: LeibnizAlgebra, length: int) -> set:

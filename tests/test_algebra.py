@@ -18,14 +18,16 @@ from leibniz_engel.linalg import Matrix, Subspace
 
 from oracles import (ideal_by_unit_vectors, leibniz_triple_violations,
                      lie_set_check_per_pair, lie_set_closure_per_pair,
-                     operator_pair_violations)
+                     operator_pair_violations, unchecked_algebra)
 
 
-def _square_algebra(unvalidated=True):
-    # e1 e1 = e1 violates the defining identity: e1(e1 e1) = e1 but
-    # (e1 e1)e1 + e1(e1 e1) = 2 e1
-    structure = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
-    return LeibnizAlgebra.create(QQ, structure, unvalidated=unvalidated)
+# e1 e1 = e1 violates the defining identity: e1(e1 e1) = e1 but
+# (e1 e1)e1 + e1(e1 e1) = 2 e1
+SQUARE = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+def _square_algebra():
+    return unchecked_algebra(QQ, SQUARE)
 
 
 def test_validate_cyclic2_passes():
@@ -50,8 +52,7 @@ def test_validate_reports_violating_triple_with_both_sides():
 
 def test_invalid_algebra_rejected_without_flag():
     with pytest.raises(InvalidAlgebra):
-        _square_algebra(unvalidated=False)
-    assert _square_algebra(unvalidated=True).validated is False
+        LeibnizAlgebra.create(QQ, SQUARE)
 
 
 def test_multiply_cyclic2():
@@ -283,7 +284,6 @@ def test_fractional_structure_constants():
                  [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
                  [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]
     A = LeibnizAlgebra.create(QQ, structure)
-    assert A.validated
     assert verify_operator_identities(A).ok
     assert is_nilpotent_algebra(A) == (True, 3)
     e1 = A.basis_element(0)
@@ -298,7 +298,7 @@ def test_identity_verifier_flags_invalid_algebra():
 
 
 def _corrupted_algebras():
-    """(valid algebra, unvalidated copy with one seeded constant changed)
+    """(valid algebra, unchecked copy with one seeded constant changed)
     for the tensors of dims 2-8 of a seeded corpus over Q, F5 and F7."""
     rng = random.Random(1101)
     for algebra, _ in fuzz_corpus(11, 36, 8):
@@ -308,7 +308,7 @@ def _corrupted_algebras():
         tensor = [[list(cij) for cij in ci] for ci in algebra.structure]
         i, j, k = (rng.randrange(n) for _ in range(3))
         tensor[i][j][k] = f.add(tensor[i][j][k], f.from_int(rng.randrange(1, 5)))
-        yield algebra, LeibnizAlgebra.create(f, tensor, unvalidated=True)
+        yield algebra, unchecked_algebra(f, tensor)
 
 
 def test_validate_matches_triple_loop_oracle_on_corrupted_tensors():

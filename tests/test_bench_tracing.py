@@ -2,8 +2,9 @@
 
 ``bench/tracing.py`` wraps package functions by name from outside the
 package, and ``layer_metrics`` stops with a KeyError when a function one of
-its metrics hooks has gone. This runs it on a few commands so that a change
-in ``src/`` that breaks the traced benchmark fails here.
+its metrics hooks has gone. This runs it on a few commands, one of them
+failing validation at load, so that a change in ``src/`` that breaks the
+traced benchmark fails here.
 """
 
 import importlib.util
@@ -29,16 +30,22 @@ def test_tracer_reads_every_per_layer_metric(tmp_path):
     tracing = _load_tracing()
     algebra = tmp_path / "c2.json"
     save_algebra(cyclic(2), algebra)
+    # e1 e1 = e1 breaks the defining identity: loading it sends an
+    # InvalidAlgebra out through the traced algebra.create span
+    corrupted = tmp_path / "square.json"
+    corrupted.write_text(json.dumps({"field": "Q", "dim": 2,
+                                     "products": [[1, 1, 1, 1]]}))
     tracer = tracing.Tracer()
     tracer.install()
     try:
         codes = [main(["analyze", str(algebra), "--quiet"]),
                  main(["engel", str(algebra), "--quiet"]),
                  main(["fuzz", "--seed", "1", "--count", "4",
-                       "--max-dim", "3", "--quiet"])]
+                       "--max-dim", "3", "--quiet"]),
+                 main(["validate", str(corrupted), "--quiet"])]
     finally:
         tracer.uninstall()
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 1]
     metrics = tracing.layer_metrics([tracer.aggregate()], 0.0)
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(
         encoding="utf-8"))["per_layer"]

@@ -326,3 +326,33 @@ def test_corollary4_order_past_the_limit_exits_2(tmp_path):
                  "--json", str(report_path)]) == 2
     report = json.loads(report_path.read_text())
     assert "order must be in [2, 1024]" in report["data"]["error"]
+
+
+SWAP = {"field": "Q", "dim": 2, "products": [[1, 1, 2, 1], [2, 2, 1, 1]]}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["engel"], 2), (["corollary", "3"], 2), (["analyze"], 2),
+    (["validate"], 1)], ids=["engel", "corollary3", "analyze", "validate"])
+def test_unvalidated_key_does_not_bypass_the_identity(tmp_path, argv, code):
+    # e1 e1 = e2 and e2 e2 = e1 break the defining identity; the key
+    # "unvalidated" is ignored like any unknown key, so every command sees
+    # the same failed check, with the key or without it
+    path = tmp_path / "swap.json"
+    report_path = tmp_path / "report.json"
+    reports = []
+    for payload in ({**SWAP, "unvalidated": True}, SWAP):
+        path.write_text(json.dumps(payload))
+        assert main([*argv, str(path), "--quiet",
+                     "--json", str(report_path)]) == code
+        reports.append(report_path.read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    if code == 2:
+        assert report["data"]["error"].startswith(
+            "InvalidAlgebra: structure constants violate the defining "
+            "identity")
+    else:
+        assert report["premises"][0]["name"] == "defining_identity"
+        assert report["premises"][0]["pass"] is False
+        assert report["premises"][0]["data"]["violations"] > 0

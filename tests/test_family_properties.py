@@ -1,0 +1,91 @@
+"""Property tests over seeded family algebras on Q, F_5 and F_7.
+
+Algebras are drawn from the families (cyclic, abelian, heisenberg3, sol2,
+direct sums and seeded basis changes), optionally with the basis rescaled
+by nonzero scalars, which puts true fractions into the constants over Q,
+and optionally with basis names. Files written by ``dump_algebra`` and
+``save_algebra`` load back to the same algebra, and a basis change keeps
+the nilpotency verdict and class and the operator identities. Skipped when
+hypothesis is not installed.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from leibniz_engel import (abelian, basis_change, cyclic, direct_sum,
+                           heisenberg3, is_nilpotent_algebra, sol2,
+                           verify_operator_identities)
+from leibniz_engel.algebra import LeibnizAlgebra
+from leibniz_engel.fields import GF, QQ
+from leibniz_engel.formats import (dump_algebra, load_algebra,
+                                   load_algebra_dict, save_algebra)
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def _rescaled(algebra, scales, names):
+    """The same algebra on the basis f_i = d_i e_i: f_i f_j has the
+    constants d_i d_j c_ijk / d_k."""
+    f, n, c = algebra.field, algebra.dim, algebra.structure
+    structure = [[[f.div(f.mul(f.mul(scales[i], scales[j]), c[i][j][k]),
+                         scales[k]) for k in range(n)]
+                  for j in range(n)] for i in range(n)]
+    return LeibnizAlgebra.create(f, structure, names)
+
+
+@st.composite
+def family_algebras(draw):
+    field = draw(st.sampled_from((QQ, GF(5), GF(7))))
+    parts = st.one_of(
+        st.integers(1, 4).map(lambda n: cyclic(n, field)),
+        st.integers(1, 3).map(lambda n: abelian(n, field)),
+        st.just(heisenberg3(field)), st.just(sol2(field)))
+    algebra = draw(parts)
+    if draw(st.booleans()):
+        algebra = direct_sum(algebra, draw(parts))
+    if draw(st.booleans()):
+        algebra = basis_change(algebra, draw(st.integers(0, 10**6)))
+    n = algebra.dim
+    if draw(st.booleans()):
+        # numerators and denominators in 1..4 are nonzero mod 5 and mod 7
+        nums = draw(st.lists(st.integers(-4, 4).filter(bool),
+                             min_size=n, max_size=n))
+        dens = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        names = draw(st.none() | st.lists(st.text(max_size=4),
+                                          min_size=n, max_size=n))
+        scales = [field.div(field.from_int(a), field.from_int(b))
+                  for a, b in zip(nums, dens)]
+        algebra = _rescaled(algebra, scales, names)
+    return algebra
+
+
+def _assert_same(loaded, algebra):
+    assert loaded.field == algebra.field
+    assert loaded.structure == algebra.structure
+    assert loaded.basis_names == algebra.basis_names
+
+
+@SETTINGS
+@given(family_algebras())
+def test_files_load_back_to_the_same_algebra(algebra):
+    _assert_same(load_algebra_dict(json.loads(json.dumps(
+        dump_algebra(algebra)))), algebra)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "algebra.json"
+        save_algebra(algebra, path)
+        _assert_same(load_algebra(path), algebra)
+
+
+@SETTINGS
+@given(family_algebras(), st.integers(0, 10**6))
+def test_basis_change_keeps_class_and_identities(algebra, seed):
+    changed = basis_change(algebra, seed)
+    assert is_nilpotent_algebra(changed) == is_nilpotent_algebra(algebra)
+    assert verify_operator_identities(changed).ok

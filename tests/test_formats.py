@@ -43,14 +43,13 @@ def test_algebra_round_trip(tmp_path):
 def test_algebra_rational_coefficients():
     data = {"field": "Q", "dim": 2,
             "products": [[1, 1, 2, "1/2"], [1, 2, 2, -3]]}
-    A = load_algebra_dict({**data, "unvalidated": True})
+    A = load_algebra_dict(data)
     assert A.structure[0][0][1] == QQ.parse("1/2")
     assert A.structure[0][1][1] == QQ.parse(-3)
 
 
 def test_algebra_fp_fraction_coefficient():
-    data = {"field": {"Fp": 5}, "dim": 2, "products": [[1, 1, 2, "1/2"]],
-            "unvalidated": True}
+    data = {"field": {"Fp": 5}, "dim": 2, "products": [[1, 1, 2, "1/2"]]}
     A = load_algebra_dict(data)
     assert A.structure[0][0][1] == 3  # 1/2 = 3 mod 5
 
