@@ -81,13 +81,11 @@ def _add_combination(base: Matrix, coords: Sequence, mats: Sequence[Matrix]) -> 
     for c, m in zip(coords, mats):
         if not c:
             continue
-        for i, row in enumerate(m.entries):
-            if not any(row):
-                continue
+        for i, ts in m._row_terms:
             acc = touched.get(i)
             if acc is None:
                 acc = touched[i] = list(rows[i])
-            for k, x in compress(enumerate(row), row):
+            for k, x in ts:
                 acc[k] += c * x
     reduce_row = base.field.reduce_row
     for i, acc in touched.items():
@@ -375,7 +373,7 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
 def product_span(algebra: LeibnizAlgebra, left: Subspace, right: Subspace) -> Subspace:
     """span{u v : u in basis(left), v in basis(right)}."""
     vecs = [_mult_coords(algebra, u, v) for u in left.basis for v in right.basis]
-    return Subspace.span(algebra.field, algebra.dim, vecs)
+    return Subspace._span(algebra.field, algebra.dim, vecs)
 
 
 def subalgebra_generated(elements: Sequence[Element]) -> Subspace:

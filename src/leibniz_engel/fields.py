@@ -212,6 +212,9 @@ class PrimeField:
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):
+            if value.denominator % self.p == 0:
+                raise FormatError(f"{str(value)!r} has no meaning mod {self.p} "
+                                  "(denominator divisible by p)")
             return self.div(self.from_int(value.numerator),
                             self.from_int(value.denominator))
         raise FormatError(f"not a residue: {value!r}")
@@ -219,7 +222,7 @@ class PrimeField:
     def reduce_row(self, row) -> tuple:
         """A row of raw-operator results as residues in [0, p)."""
         p = self.p
-        return tuple(x % p for x in row)
+        return tuple([x % p for x in row])
 
     def parse(self, text) -> int:
         """Parse an int or a ``"num"`` / ``"num/den"`` string into a residue."""
@@ -228,11 +231,7 @@ class PrimeField:
         if isinstance(text, int):
             return text % self.p
         if isinstance(text, str):
-            frac = _fraction_from_literal(text)
-            if frac.denominator % self.p == 0:
-                raise FormatError(
-                    f"{text!r} has no meaning mod {self.p} (denominator divisible by p)")
-            return self.normalize(frac)
+            return self.normalize(_fraction_from_literal(text))
         raise FormatError(f"bad scalar literal {text!r}")
 
     def to_str(self, a: int) -> str:

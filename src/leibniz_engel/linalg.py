@@ -8,14 +8,20 @@ desk-scale; elimination is the straightforward textbook algorithm.
 The kernels combine entries with raw ``+``, ``-`` and ``*`` and skip zero
 entries, then pass each row that received a term through the field's
 ``reduce_row`` once (see fields.py); a row that received none is a shared
-zero row. The image of a subspace under a set of operators, ``_image``, is
-one product of its echelon basis with each operator's transpose; the image
-filtration and the bimodule spin and invariance test all take it.
+zero row. A product walks only the nonzero rows of its right operand, read
+with their nonzero entries once per matrix (``Matrix._row_terms``), so an
+operator that is reused is scanned once. The image of a subspace under a
+set of operators, ``_image``, is one product of its echelon basis with each
+operator's transpose; the image filtration and the bimodule spin and
+invariance test all take it. ``Subspace.span`` normalises what it is
+handed; the kernels span their own canonical results through
+``Subspace._span``, which skips that pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
@@ -68,6 +74,13 @@ class Matrix:
         return Matrix(field, nrows, len(cols),
                       tuple(tuple(c[i] for c in cols) for i in range(nrows)))
 
+    @cached_property
+    def _row_terms(self) -> tuple:
+        """(k, ((j, x), ...)) for each nonzero row k, with its nonzero
+        entries; computed once per matrix."""
+        return tuple((k, tuple(compress(enumerate(row), row)))
+                     for k, row in enumerate(self.entries) if any(row))
+
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
 
@@ -78,8 +91,8 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      tuple(self.column(j) for j in range(self.cols)))
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix(self.field, self.cols, self.rows, entries)
 
     def _check_field(self, other: "Matrix") -> None:
         if self.field != other.field:
@@ -118,13 +131,13 @@ class Matrix:
         zero, reduce_row = self.field.zero(), self.field.reduce_row
         ncols = other.cols
         zero_row = (zero,) * ncols
-        terms = [list(compress(enumerate(orow), orow))
-                 for orow in other.entries]
+        terms = other._row_terms
         out = []
         for row in self.entries:
             acc = None
-            for a, ts in zip(row, terms):
-                if a and ts:
+            for k, ts in terms:
+                a = row[k]
+                if a:
                     if acc is None:
                         acc = [zero] * ncols
                     for j, b in ts:
@@ -234,7 +247,7 @@ def kernel_basis(m: Matrix) -> "Subspace":
         for r, c in enumerate(pivots):
             v[c] = -red.entries[r][f]
         basis.append(field.reduce_row(v))
-    return Subspace.span(field, m.cols, basis)
+    return Subspace._span(field, m.cols, basis)
 
 
 class Nilpotency(NamedTuple):
@@ -291,7 +304,13 @@ class Subspace:
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [tuple(map(field.normalize, v)) for v in vectors]
+        """The span of any vectors, each entry normalised into the field."""
+        return Subspace._span(field, ambient_dim,
+                              [tuple(map(field.normalize, v)) for v in vectors])
+
+    @staticmethod
+    def _span(field: Field, ambient_dim: int, vecs: list) -> "Subspace":
+        """The span of a list of vectors already in canonical form."""
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length differs from ambient dimension")
@@ -344,8 +363,8 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.span(self.field, self.ambient_dim,
-                             list(self.basis) + list(other.basis))
+        return Subspace._span(self.field, self.ambient_dim,
+                              list(self.basis) + list(other.basis))
 
     def quotient_data(self) -> tuple:
         """Projection onto F^n / S plus a lifted basis of the quotient.
@@ -387,6 +406,6 @@ def _image(space: Subspace, transposes: Sequence[Matrix]) -> Subspace:
     passed as its transpose g^T: row v of (basis @ g^T) is g v, and the
     product skips the zeros of the sparse echelon rows."""
     basis = space.basis_matrix()
-    return Subspace.span(space.field, space.ambient_dim,
-                         [row for gt in transposes
-                          for row in (basis @ gt).entries if any(row)])
+    return Subspace._span(space.field, space.ambient_dim,
+                          [row for gt in transposes
+                           for row in (basis @ gt).entries if any(row)])

@@ -9,11 +9,11 @@ a time, and the operator pair identities with every matrix product written
 out. They exist to cross-check the production algorithms, so they must stay
 dumb.
 
-The per-scalar kernels below (matrix product, matrix-vector product, row
-reduction, the product of coordinate vectors, the linear combination of
-matrices, and the flag built from every Lie set member) are the textbook
-loops the sparse library kernels replaced: one field method call per scalar
-operation. The Lie set check and closure multiply one pair of members at a
+The per-scalar kernels below (matrix product, transpose read column by
+column, matrix-vector product, row reduction, the product of coordinate
+vectors, the linear combination of matrices, and the flag built from every
+Lie set member) are the textbook loops the sparse library kernels replaced:
+one field method call per scalar operation. The Lie set check and closure multiply one pair of members at a
 time, as they did before the products of a member with the whole set came
 from one matrix product. The quotient projection is read off the inverse of the basis
 completed by unit vectors, as it was before it was read off the echelon
@@ -260,6 +260,12 @@ def matmul_per_scalar(a: Matrix, b: Matrix) -> Matrix:
                     acc[j] = add(acc[j], mul(x, y))
         out.append(tuple(acc))
     return Matrix(a.field, a.rows, b.cols, tuple(out))
+
+
+def transpose_per_column(m: Matrix) -> Matrix:
+    """The transpose, row j built from column j of ``m``."""
+    return Matrix(m.field, m.cols, m.rows,
+                  tuple(m.column(j) for j in range(m.cols)))
 
 
 def apply_per_scalar(m: Matrix, v) -> tuple:

@@ -4,6 +4,7 @@ import pytest
 
 from leibniz_engel.errors import FormatError
 from leibniz_engel.fields import GF, MR_EXACT_BOUND, QQ, is_prime
+from leibniz_engel.linalg import Subspace
 
 
 def test_rational_parse_and_reduce():
@@ -49,6 +50,16 @@ def test_prime_field_residues():
     assert f5.characteristic == 5
     with pytest.raises(FormatError):
         f5.parse("1/5")
+
+
+def test_prime_field_normalize_rejects_denominator_divisible_by_p():
+    with pytest.raises(FormatError, match="has no meaning mod 5"):
+        GF(5).normalize(Fraction(1, 5))
+    with pytest.raises(FormatError, match="has no meaning mod 5"):
+        Subspace.span(GF(5), 2, [(Fraction(2, 5), 1)])
+    with pytest.raises(FormatError, match="'1/5' has no meaning mod 5"):
+        GF(5).parse("1/5")
+    assert GF(5).normalize(Fraction(1, 2)) == 3
 
 
 def test_prime_field_rejects_composite():

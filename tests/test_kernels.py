@@ -3,9 +3,12 @@
 Random sparse and dense inputs over Q, F_5 and F_7, with negative and
 fractional entries, all-zero rows and zero-row shapes; the batched
 products of one element with many are checked against the product of
-coordinate vectors on the small fuzz corpus. Every result is in
-the canonical form of its field and never a float. Skipped when
-hypothesis is not installed; the sympy comparison also needs sympy.
+coordinate vectors on the small fuzz corpus. A right operand is read
+through the nonzero rows it caches, so reuse, equality and hashing are
+checked too, and a recording row shows that a product reads only those
+rows. Every result is in the canonical form of its field and never a
+float. Skipped when hypothesis is not installed; the sympy comparison also
+needs sympy.
 """
 
 from fractions import Fraction
@@ -13,14 +16,15 @@ from fractions import Fraction
 import pytest
 
 from leibniz_engel.algebra import (Element, _add_combination, _mult_coords,
-                                   _products_with, mult_coords)
+                                   _products_with, left_mult_matrix,
+                                   mult_coords)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace, kernel_basis, rref
 
 from oracles import (add_combination_per_scalar, apply_per_scalar,
                      matmul_per_scalar, mult_coords_per_scalar,
                      quotient_data_by_inverse, rref_per_scalar,
-                     unchecked_algebra)
+                     transpose_per_column, unchecked_algebra)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -95,6 +99,61 @@ def test_matmul_equals_oracle(pair):
     assert product == matmul_per_scalar(a, b)
     assert (product.rows, product.cols) == (a.rows, b.cols)
     assert_canonical(a.field, flat(product))
+
+
+@SETTINGS
+@given(st.data())
+def test_reused_right_operand_equals_oracle(data):
+    field = data.draw(FIELDS)
+    inner = data.draw(st.integers(0, 6))
+    square = data.draw(st.booleans())
+    b = data.draw(matrices(field, rows=inner, cols=inner if square else None))
+    fresh = Matrix(field, b.rows, b.cols, b.entries)
+    lefts = [data.draw(matrices(field, cols=inner)) for _ in range(2)]
+    if b.rows == b.cols:
+        lefts.append(b)
+    for a in lefts:
+        assert a @ b == matmul_per_scalar(a, b)
+    assert b == fresh and hash(b) == hash(fresh)
+
+
+@SETTINGS
+@given(st.data())
+def test_transpose_equals_oracle(data):
+    field = data.draw(FIELDS)
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    m = data.draw(matrices(field, rows, cols))
+    t = m.transpose()
+    assert t == transpose_per_column(m)
+    assert (t.rows, t.cols, len(t.entries)) == (m.cols, m.rows, m.cols)
+    assert t.transpose() == m
+
+
+class RecordingRow(tuple):
+    """A matrix row that records every index read from it."""
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return super().__getitem__(k)
+
+
+def test_product_reads_only_nonzero_rows_of_right_operand(dense_f7_closures):
+    zero_rows = 0
+    for algebra, closure in dense_f7_closures:
+        field, n = algebra.field, algebra.dim
+        plain = Matrix(field, len(closure), n,
+                       tuple(y.coords for y in closure.members))
+        for x in closure.members:
+            lt = left_mult_matrix(x).transpose()
+            nonzero = [k for k, row in enumerate(lt.entries) if any(row)]
+            zero_rows += n - len(nonzero)
+            rows = tuple(map(RecordingRow, plain.entries))
+            for row in rows:
+                row.reads = []
+            product = Matrix(field, plain.rows, n, rows) @ lt
+            assert product.entries == _products_with(x, plain)
+            assert all(row.reads == nonzero for row in rows)
+    assert zero_rows  # some L_x^T has zero rows, and they were never read
 
 
 @SETTINGS
@@ -216,6 +275,17 @@ def test_contains_agrees_with_rank(data):
     grown = Matrix(field, m.rows + 1, m.cols, m.entries + (v,))
     assert space.contains(v) == (rref_per_scalar(grown)[1] == space.dim)
     assert all(space.contains(row) for row in m.entries)
+
+
+@SETTINGS
+@given(st.data())
+def test_subspace_sum_equals_public_span(data):
+    field = data.draw(FIELDS)
+    a = data.draw(matrices(field))
+    b = data.draw(matrices(field, cols=a.cols))
+    A = Subspace.span(field, a.cols, a.entries)
+    B = Subspace.span(field, b.cols, b.entries)
+    assert A + B == Subspace.span(field, a.cols, A.basis + B.basis)
 
 
 @SETTINGS

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from leibniz_engel.errors import DimensionMismatch, NonSquareError
+from leibniz_engel.errors import DimensionMismatch, FormatError, NonSquareError
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import (Matrix, Subspace, invert,
                                   is_nilpotent_matrix, kernel_basis,
@@ -90,6 +91,20 @@ def test_subspace_sum_and_contains():
     assert (s1 + s2).is_full()
     assert Subspace.span(QQ, 2, [(1, 1)]).contains((2, 2))
     assert not Subspace.span(QQ, 2, [(1, 1)]).contains((1, 2))
+
+
+def test_public_span_normalises_its_input():
+    # (5, 10) is zero mod 5: it must not be taken as a pivot row
+    assert Subspace.span(F5, 2, [(-1, 6), (5, 10)]) == \
+        Subspace.span(F5, 2, [(4, 1)])
+    assert Subspace.span(F5, 2, [(-1, 6)]).basis == ((1, 4),)
+    # the pivot is already 1, so only normalising makes 4/2 an int
+    basis = Subspace.span(QQ, 2, [(1, Fraction(4, 2))]).basis
+    assert basis == ((1, 2),) and type(basis[0][1]) is int
+    with pytest.raises(FormatError):
+        Subspace.span(QQ, 2, [(True, 0)])
+    with pytest.raises(DimensionMismatch):
+        Subspace.span(QQ, 2, [(1, 0, 0)])
 
 
 def test_subspace_equality_is_canonical():
