@@ -10,7 +10,8 @@ on all basis triples (bilinearity makes that sufficient) and raises
 :class:`InvalidAlgebra` when it fails. On top of that sit multiplication
 operators and the operator identities they satisfy, element powers,
 generated subalgebras, Lie sets, the lower central series of a subspace
-(cached per carrier) and the ideal test.
+and the ideal test. An algebra's ``_cache`` holds its operators and, per
+carrier, the series and the ideal verdict, each computed once.
 
 Products of coordinate vectors walk the tensor. The multiplication
 operators of the basis are read once per algebra off the tensor: row j of
@@ -296,24 +297,28 @@ def _pair_identity_violations(algebra: LeibnizAlgebra, lefts: Sequence[Matrix],
     """
     n = algebra.dim
     zero = Matrix.zero(algebra.field, size, size)
-    violations = []
-    for b in range(n):
-        for c in range(n):
-            Tb, Tc, Sb, Sc = lefts[b], lefts[c], rights[b], rights[c]
-            s_bc = _add_combination(zero, algebra.structure[b][c], rights)
-            ss, ts, st = Sc @ Sb, Tb @ Sc, Sc @ Tb
-            sides = [
-                (s_bc, ss + ts),
-                (ts, st + s_bc),
-                (Tc @ Tb, _add_combination(Tb @ Tc, algebra.structure[c][b],
-                                           lefts)),
-                (ss, -st),
-            ]
-            for name, (lhs, rhs) in zip(names, sides):
-                if lhs != rhs:
-                    violations.append(IdentityViolation(
-                        name, {"pair": (b + 1, c + 1)}))
-    return violations
+    found = []
+    for i in range(n):
+        for j in range(i, n):
+            # the orders (i, j) and (j, i) share T_j T_i and T_i T_j
+            tt = {(j, i): lefts[j] @ lefts[i]}
+            tt[i, j] = lefts[i] @ lefts[j] if i != j else tt[j, i]
+            for b, c in {(i, j), (j, i)}:
+                Tb, Sb, Sc = lefts[b], rights[b], rights[c]
+                s_bc = _add_combination(zero, algebra.structure[b][c], rights)
+                ss, ts, st = Sc @ Sb, Tb @ Sc, Sc @ Tb
+                sides = [
+                    (s_bc, ss + ts),
+                    (ts, st + s_bc),
+                    (tt[c, b], _add_combination(tt[b, c],
+                                                algebra.structure[c][b], lefts)),
+                    (ss, -st),
+                ]
+                found += [(b, c, t) for t, (lhs, rhs) in enumerate(sides)
+                          if lhs != rhs]
+    found.sort()
+    return [IdentityViolation(names[t], {"pair": (b + 1, c + 1)})
+            for b, c, t in found]
 
 
 def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
@@ -353,17 +358,14 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
                 violations.append(IdentityViolation(
                     "left_mult_of_power_vanishes",
                     {"basis": i + 1, "exponent": exp}))
-        r_pow = Ra
-        l_pow = Matrix.identity(A.field, n)
+        # r_pow = R_a^k and rl = R_a L_a^(k-1), both carried forward
+        r_pow = rl = Ra
         sign = 1
         for k in range(2, n + 1):
             r_pow = r_pow @ Ra
-            l_pow = l_pow @ La
+            rl = rl @ La
             sign = -sign
-            expected = Ra @ l_pow
-            if sign < 0:
-                expected = -expected
-            if r_pow != expected:
+            if r_pow != (rl if sign > 0 else -rl):
                 violations.append(IdentityViolation(
                     "right_power_reduction", {"basis": i + 1, "exponent": k}))
 
@@ -541,11 +543,17 @@ def is_nilpotent_algebra(algebra: LeibnizAlgebra) -> tuple:
 
 def is_ideal(algebra: LeibnizAlgebra, carrier: Subspace) -> bool:
     """Both A * S and S * A must land back in S: S is invariant under every
-    left and right multiplication by a basis element."""
+    left and right multiplication by a basis element. The verdict of each
+    carrier is computed once per algebra."""
     if carrier.ambient_dim != algebra.dim or carrier.field != algebra.field:
         raise ShapeMismatch("carrier does not sit inside the algebra")
-    lts, rts, _, _ = algebra._operators()
-    return carrier.contains_subspace(_image(carrier, lts + rts))
+    memo = algebra._cache.setdefault("ideal", {})
+    verdict = memo.get(carrier)
+    if verdict is None:
+        lts, rts, _, _ = algebra._operators()
+        verdict = memo[carrier] = carrier.contains_subspace(
+            _image(carrier, lts + rts))
+    return verdict
 
 
 def mult_coords(algebra: LeibnizAlgebra, x: Sequence, y: Sequence) -> tuple:

@@ -10,6 +10,7 @@ reserved for THEOREM_VIOLATION.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,7 +54,10 @@ def main(argv=None) -> int:
     return report.exit_code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built at the first :func:`main` call and reused by later ones; each
+    ``parse_args`` returns a fresh namespace, so no state carries over."""
     parser = argparse.ArgumentParser(
         prog="leibniz-engel",
         description="Exact checks for Leibniz algebras: identities, "
@@ -173,7 +177,12 @@ def _cmd_engel(args):
     module = load_bimodule(args.module, algebra) if args.module \
         else regular_bimodule(algebra)
     if args.lieset:
-        lie_set = LieSet(algebra, tuple(load_elements(args.lieset, algebra)))
+        members = load_elements(args.lieset, algebra)
+        distinct = len({x.coords for x in members})  # the check is quadratic
+        if distinct > DEFAULT_CLOSURE_CAP:
+            raise FormatError(f"--lieset has {distinct} distinct members, "
+                              f"more than the cap of {DEFAULT_CLOSURE_CAP}")
+        lie_set = LieSet(algebra, tuple(members))
     else:
         lie_set = _default_lie_set(algebra)
     return theorem2_verify(module, lie_set), _input_desc(args)

@@ -225,3 +225,5 @@ def _read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path} nests JSON too deeply to parse") from exc

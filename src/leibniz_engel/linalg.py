@@ -348,8 +348,11 @@ class Subspace:
         """Membership by reduction against the echelon basis."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
+        return self._contains(tuple(map(self.field.normalize, v)))
+
+    def _contains(self, work: tuple) -> bool:
+        """Membership of a vector already in canonical form."""
         field = self.field
-        work = tuple(map(field.normalize, v))
         for row in self.basis:
             f = work[next(j for j, x in enumerate(row) if x)]
             if f:
@@ -359,7 +362,7 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(v) for v in other.basis)
+        return all(map(self._contains, other.basis))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

@@ -5,8 +5,9 @@ is decided by evaluating every parenthesized product of basis elements, flag
 length by multiplying out every operator word, the nilpotency index of an
 operator algebra by span-closing it in the m*m-dim matrix space, the
 defining identity triple by triple, the ideal property one basis product at
-a time, and the operator pair identities with every matrix product written
-out. They exist to cross-check the production algorithms, so they must stay
+a time, the operator pair identities with every matrix product written
+out, and the power identities with L_a^(k-1) multiplied up from the
+identity matrix. They exist to cross-check the production algorithms, so they must stay
 dumb.
 
 The per-scalar kernels below (matrix product, transpose read column by
@@ -243,6 +244,46 @@ def operator_pair_violations(structure, lefts: list, rights: list,
             for name, (lhs, rhs) in zip(names, checks):
                 if lhs != rhs:
                     violations.append((name, (b + 1, c + 1)))
+    return violations
+
+
+def power_identity_violations(algebra: LeibnizAlgebra) -> list:
+    """(name, basis, exponent) for each failing power identity of
+    ``verify_operator_identities``, in its order:
+
+    - left_mult_of_power_vanishes:  L_{a^i} = 0 for 2 <= i <= n + 1
+    - right_power_reduction:        R_a^k = (-1)^(k-1) R_a L_a^(k-1), 2 <= k <= n
+
+    for every basis element a, with L_x and R_x built column by column from
+    products of coordinate vectors and three matrix products per exponent
+    (R_a^k, L_a^(k-1) from the identity matrix, and R_a L_a^(k-1))."""
+    f, n = algebra.field, algebra.dim
+    units = [tuple(f.one() if t == i else f.zero() for t in range(n))
+             for i in range(n)]
+
+    def left(x):
+        return Matrix.from_columns(f, [mult_coords(algebra, x, e) for e in units])
+
+    def right(x):
+        return Matrix.from_columns(f, [mult_coords(algebra, e, x) for e in units])
+
+    violations = []
+    for i, a in enumerate(units):
+        p = a
+        for exp in range(2, n + 2):
+            p = mult_coords(algebra, a, p)
+            if not left(p).is_zero():
+                violations.append(("left_mult_of_power_vanishes", i + 1, exp))
+        La, Ra = left(a), right(a)
+        r_pow, l_pow = Ra, Matrix.identity(f, n)
+        for k in range(2, n + 1):
+            r_pow = r_pow @ Ra
+            l_pow = l_pow @ La
+            expected = Ra @ l_pow
+            if k % 2 == 0:
+                expected = -expected
+            if r_pow != expected:
+                violations.append(("right_power_reduction", i + 1, k))
     return violations
 
 

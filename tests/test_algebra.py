@@ -15,10 +15,12 @@ from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   InvalidAlgebra, InvalidExponent)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
+import leibniz_engel.algebra as algebra_module
 
 from oracles import (ideal_by_unit_vectors, leibniz_triple_violations,
                      lie_set_check_per_pair, lie_set_closure_per_pair,
-                     operator_pair_violations, unchecked_algebra)
+                     operator_pair_violations, power_identity_violations,
+                     unchecked_algebra)
 
 
 # e1 e1 = e1 violates the defining identity: e1(e1 e1) = e1 but
@@ -360,12 +362,29 @@ def test_pair_identities_match_loop_oracle_on_corrupted_tensors():
     assert broken > 20
 
 
-def test_is_ideal_matches_unit_vector_oracle(small_corpus):
-    # e1 e2 = e2: span(e1) is a left ideal (A e1 = 0) but e1 e2 = e2 leaves it
-    one_sided = LeibnizAlgebra.create(QQ, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])
-    assert not is_ideal(one_sided, Subspace.span(QQ, 2, [(1, 0)]))
+def test_power_identities_match_three_product_oracle():
+    fired = 0
+    for algebra, corrupted in _corrupted_algebras():
+        for A in (algebra, corrupted):
+            got = [(v.identity, v.witness["basis"], v.witness["exponent"])
+                   for v in verify_operator_identities(A).violations
+                   if v.identity in ("left_mult_of_power_vanishes",
+                                     "right_power_reduction")]
+            assert got == power_identity_violations(A)
+            fired += bool(got)
+    assert fired > 0
+
+
+# e1 e2 = e2: span(e1) is a left ideal (A e1 = 0) but e1 e2 = e2 leaves it
+ONE_SIDED = [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]
+
+
+def _ideal_test_carriers(small_corpus):
+    """(algebra, carrier) over every series term of ``small_corpus`` and
+    of the one-sided algebra, plus 4 seeded random subspaces per algebra."""
     rng = random.Random(2438)
-    ideals = non_ideals = 0
+    one_sided = LeibnizAlgebra.create(QQ, ONE_SIDED)
+    out = [(one_sided, Subspace.span(QQ, 2, [(1, 0)]))]
     for A in [A for A, _ in small_corpus] + [one_sided]:
         f, n = A.field, A.dim
         carriers = lower_central_series(A)
@@ -373,12 +392,42 @@ def test_is_ideal_matches_unit_vector_oracle(small_corpus):
             vecs = [[f.from_int(rng.randrange(-2, 3)) for _ in range(n)]
                     for _ in range(rng.randint(1, n))]
             carriers.append(Subspace.span(f, n, vecs))
-        for carrier in carriers:
-            verdict = is_ideal(A, carrier)
-            assert verdict == ideal_by_unit_vectors(A, carrier)
-            ideals += verdict
-            non_ideals += not verdict
+        out += [(A, carrier) for carrier in carriers]
+    return out
+
+
+def test_is_ideal_matches_unit_vector_oracle(small_corpus):
+    pairs = _ideal_test_carriers(small_corpus)
+    assert not is_ideal(*pairs[0])
+    ideals = non_ideals = 0
+    for A, carrier in pairs:
+        verdict = is_ideal(A, carrier)
+        assert verdict == ideal_by_unit_vectors(A, carrier)
+        ideals += verdict
+        non_ideals += not verdict
     assert ideals > 100 and non_ideals > 20
+
+
+def test_is_ideal_verdicts_are_kept_per_algebra(small_corpus, monkeypatch):
+    pairs = _ideal_test_carriers(small_corpus)
+    first = [is_ideal(A, carrier) for A, carrier in pairs]
+    fresh = {}
+    for A, carrier in pairs:
+        if id(A) not in fresh:
+            fresh[id(A)] = LeibnizAlgebra.create(A.field, A.structure)
+    assert first == [is_ideal(fresh[id(A)], carrier) for A, carrier in pairs]
+    assert first == [ideal_by_unit_vectors(A, carrier) for A, carrier in pairs]
+    assert True in first and False in first
+
+    # repeated calls answer from the algebra's cache: the invariance step
+    # is not taken again, and an equal carrier built anew hits the same entry
+    def no_image(*args):
+        raise AssertionError("is_ideal recomputed a cached verdict")
+
+    monkeypatch.setattr(algebra_module, "_image", no_image)
+    assert first == [is_ideal(A, carrier) for A, carrier in pairs]
+    assert first == [is_ideal(A, Subspace.span(A.field, A.dim, carrier.basis))
+                     for A, carrier in pairs]
 
 
 def test_lower_central_series_is_the_carrier_series_of_the_algebra(

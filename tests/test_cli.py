@@ -1,8 +1,9 @@
+import itertools
 import json
 
 import pytest
 
-from leibniz_engel.cli import main
+from leibniz_engel.cli import _build_parser, main
 from leibniz_engel.reports import EXIT_CODES
 
 
@@ -356,3 +357,75 @@ def test_unvalidated_key_does_not_bypass_the_identity(tmp_path, argv, code):
         assert report["premises"][0]["name"] == "defining_identity"
         assert report["premises"][0]["pass"] is False
         assert report["premises"][0]["data"]["violations"] > 0
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError, on this
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(deep), "--quiet",
+                 "--json", str(report_path)]) == 2
+    error = json.loads(report_path.read_text())["data"]["error"]
+    assert error == f"{deep} nests JSON too deeply to parse"
+
+
+def _f7_vectors(count, dim=4):
+    """The first ``count`` nonzero vectors of F_7^dim, all distinct."""
+    vectors = itertools.product(range(7), repeat=dim)
+    next(vectors)  # the zero vector
+    return [list(v) for v in itertools.islice(vectors, count)]
+
+
+def test_lieset_past_the_member_cap_exits_2(tmp_path):
+    # abelian over F_7: every product is zero, so any set of nonzero
+    # vectors is a Lie set, and only the cap can refuse one
+    algebra = _write(tmp_path, "ab4.json",
+                     {"field": {"Fp": 7}, "dim": 4, "products": []})
+    report_path = tmp_path / "report.json"
+    over = _write(tmp_path, "over.json", _f7_vectors(1001))
+    assert main(["engel", algebra, "--lieset", over, "--quiet",
+                 "--json", str(report_path)]) == 2
+    assert json.loads(report_path.read_text())["data"]["error"] == \
+        "--lieset has 1001 distinct members, more than the cap of 1000"
+    # the cap counts distinct members: 1001 entries, one repeated, pass
+    at_cap = _write(tmp_path, "at_cap.json",
+                    _f7_vectors(1000) + _f7_vectors(1))
+    assert main(["engel", algebra, "--lieset", at_cap, "--quiet"]) == 0
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
+    c2 = _write(tmp_path, "c2.json",
+                {"field": "Q", "dim": 2, "products": [[1, 1, 2, 1]]})
+    square = _write(tmp_path, "square.json",
+                    {"field": "Q", "dim": 2, "products": [[1, 1, 1, 1]]})
+    # {e1} is not closed (e1 e1 = e2), so a leaked --lieset changes the
+    # verdict of the plain engel call after it
+    open_set = _write(tmp_path, "open.json", [[1, 0]])
+    fixed = _write(tmp_path, "fixed.json", {"matrix": [[-1, 0], [0, 1]]})
+    report_path = tmp_path / "report.json"
+    calls = [["engel", c2, "--lieset", open_set],
+             ["engel", c2],
+             ["corollary", "4", c2, "--map", fixed, "--order", "2"],
+             ["corollary", "3", c2],
+             ["validate", square],
+             ["corollary", "7", c2]]  # not a corollary: argparse exits 2
+
+    def run(argv):
+        report_path.unlink(missing_ok=True)
+        try:
+            code = main(argv + ["--json", str(report_path)])
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        report = report_path.read_bytes() if report_path.exists() else None
+        return code, report, capsys.readouterr()
+
+    def fresh(argv):
+        _build_parser.cache_clear()
+        return run(argv)
+
+    _build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    assert reused == [fresh(argv) for argv in calls]
+    assert [code for code, _, _ in reused] == [1, 0, 1, 0, 1, "SystemExit(2)"]

@@ -3,15 +3,21 @@
 ``tests/golden/`` holds the full ``fuzz --seed 2024 --count 200 --max-dim 8``
 report and, for five generated families, the exit code and report of
 ``analyze``, ``engel`` and ``corollary 3`` without the ``input`` block (it
-names temporary paths). Rewrite the files only for an intended report
-change, with
+names temporary paths). It also holds, in request order, the exit code and
+report (again without ``input``) of every request of the benchmark's
+``cli-mix`` and ``engel-fp`` workloads at seed 2024, built by
+``bench/workloads.py``: 101 short calls of every file-reading subcommand,
+failing ones included, and five dense Engel checks over F_7. Rewrite the
+files only for an intended report change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,6 +26,10 @@ from leibniz_engel.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 FUZZ_GOLDEN = GOLDEN / "fuzz-2024-200-8.json"
 FAMILY_GOLDEN = GOLDEN / "families.json"
+BENCH_GOLDEN = GOLDEN / "bench-2024.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_WORKLOADS = ("cli-mix", "engel-fp")
+BENCH_SEED = 2024
 FUZZ_ARGS = ["fuzz", "--seed", "2024", "--count", "200", "--max-dim", "8"]
 FAMILIES = ("cyclic(4)", "heisenberg3", "sol2",
             "direct_sum(heisenberg3,cyclic(5))", "basis_change(heisenberg3,7)")
@@ -47,6 +57,35 @@ def family_reports(workdir: Path) -> bytes:
     return (json.dumps(reports, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _bench_workloads():
+    """``bench/workloads.py``, which imports its sibling modules by their
+    bare names, so ``bench/`` goes on the path while it loads."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def bench_reports(workdir: Path) -> bytes:
+    workloads = _bench_workloads()
+    out = workdir / "report.json"
+    reports = {}
+    for name in BENCH_WORKLOADS:
+        work = workdir / name
+        work.mkdir()
+        runs = reports[name] = []
+        for req in workloads.WORKLOADS[name](work, BENCH_SEED):
+            out.unlink(missing_ok=True)
+            code = main([*req.argv, "--quiet", "--json", str(out)])
+            envelope = json.loads(out.read_text(encoding="utf-8"))
+            del envelope["input"]
+            runs.append({"label": req.label, "exit_code": code,
+                         "report": envelope})
+    return (json.dumps(reports, separators=(",", ":"), sort_keys=True)
+            + "\n").encode()
+
+
 def test_fuzz_report_matches_golden(tmp_path):
     assert fuzz_report(tmp_path) == FUZZ_GOLDEN.read_bytes()
 
@@ -55,8 +94,13 @@ def test_family_reports_match_golden(tmp_path):
     assert family_reports(tmp_path) == FAMILY_GOLDEN.read_bytes()
 
 
+def test_bench_request_reports_match_golden(tmp_path):
+    assert bench_reports(tmp_path) == BENCH_GOLDEN.read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         FUZZ_GOLDEN.write_bytes(fuzz_report(Path(tmp)))
         FAMILY_GOLDEN.write_bytes(family_reports(Path(tmp)))
+        BENCH_GOLDEN.write_bytes(bench_reports(Path(tmp)))

@@ -107,6 +107,18 @@ def test_public_span_normalises_its_input():
         Subspace.span(QQ, 2, [(1, 0, 0)])
 
 
+def test_public_contains_normalises_its_input():
+    # 5 and 10 are zero mod 5; contains_subspace hands the private
+    # membership loop echelon rows, which are canonical already
+    assert Subspace.zero(F5, 2).contains((5, 10))
+    assert Subspace.span(F5, 2, [(1, 0)]).contains((0, 5))
+    assert not Subspace.span(F5, 2, [(1, 0)]).contains((0, 6))
+    assert Subspace.span(F5, 2, [(1, 0)]).contains_subspace(
+        Subspace.span(F5, 2, [(-1, 5)]))
+    with pytest.raises(DimensionMismatch):
+        Subspace.zero(F5, 2).contains((0, 0, 0))
+
+
 def test_subspace_equality_is_canonical():
     rng = random.Random(23)
     for field in (QQ, F5):
