@@ -387,11 +387,13 @@ def subalgebra_generated(elements: Sequence[Element]) -> Subspace:
         if x.algebra != A:
             raise AlgebraMismatch("generators from different algebras")
     current = Subspace.span(A.field, A.dim, [x.coords for x in elements])
-    while True:
+    # the whole algebra is closed under products
+    while not current.is_full():
         grown = current + product_span(A, current, current)
         if grown == current:
-            return current
+            break
         current = grown
+    return current
 
 
 @dataclass(frozen=True)
@@ -461,7 +463,9 @@ def lie_set_closure(elements: Sequence[Element],
 
     Each round multiplies every frontier member x with the members present
     at the start of the round, x y and y x from one matmul per side, and
-    adjoins new products in the order x, y, then x y before y x.
+    adjoins new products in the order x, y, then x y before y x. A frontier
+    member earlier than x already took both products with x as the outer
+    member, so x skips it.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -472,9 +476,10 @@ def lie_set_closure(elements: Sequence[Element],
     frontier = list(members)
     while frontier:
         fresh = []
-        ys = Matrix(A.field, len(members), A.dim,
-                    tuple(y.coords for y in members))
-        for x in frontier:
+        rows = tuple(y.coords for y in members)
+        old = len(rows) - len(frontier)
+        for t, x in enumerate(frontier):
+            ys = Matrix(A.field, len(rows) - t, A.dim, rows[:old] + rows[old + t:])
             for pair in zip(_products_with(x, ys),
                             _products_with(x, ys, right=True)):
                 for p in pair:

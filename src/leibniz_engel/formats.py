@@ -17,6 +17,8 @@ from .errors import FormatError
 from .fields import GF, QQ, Field
 from .linalg import Matrix, Subspace
 
+MAX_FILE_BYTES = 2 * MAX_DIM ** 3 * 64  # 32 MiB; see _read_json
+
 
 def field_from_json(obj) -> Field:
     if obj == "Q":
@@ -217,7 +219,15 @@ def _dimension(data: dict, key: str) -> int:
 
 
 def _read_json(path):
+    """Parse an input file, refusing one past MAX_FILE_BYTES unread. The
+    largest legal file, a bimodule, holds 2 * MAX_DIM**3 scalars, each
+    allowed 64 bytes: save_algebra writes [64, 64, 64, "-123/457"] in 60,
+    one value per indented line."""
     try:
+        size = Path(path).stat().st_size
+        if size > MAX_FILE_BYTES:
+            raise FormatError(f"{path} has {size} bytes, more than the limit "
+                              f"of {MAX_FILE_BYTES}")
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc

@@ -16,12 +16,18 @@ operator's transpose; the image filtration and the bimodule spin and
 invariance test all take it. ``Subspace.span`` normalises what it is
 handed; the kernels span their own canonical results through
 ``Subspace._span``, which skips that pass.
+
+``Matrix`` and ``Subspace`` are frozen dataclasses whose ``__init__`` fills
+the instance ``__dict__`` directly, so creating one costs about what its
+tuple does; equality, hashing, ``repr``, pickling and ``dataclasses.replace``
+stay the dataclass ones. A matrix keeps its row terms and its transpose in
+that ``__dict__`` once read, and a transpose links back to its matrix.
+``Matrix.zero`` shares one zero row among its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
@@ -35,7 +41,7 @@ def vec_is_zero(v: Sequence[Scalar]) -> bool:
     return not any(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
     """Immutable dense matrix over one exact field."""
 
@@ -43,6 +49,13 @@ class Matrix:
     rows: int
     cols: int
     entries: tuple  # tuple of row tuples
+
+    def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
+        d = self.__dict__
+        d["field"] = field
+        d["rows"] = rows
+        d["cols"] = cols
+        d["entries"] = entries
 
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Iterable]) -> "Matrix":
@@ -55,8 +68,7 @@ class Matrix:
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        return Matrix(field, rows, cols, ((field.zero(),) * cols,) * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
@@ -74,12 +86,16 @@ class Matrix:
         return Matrix(field, nrows, len(cols),
                       tuple(tuple(c[i] for c in cols) for i in range(nrows)))
 
-    @cached_property
+    @property
     def _row_terms(self) -> tuple:
         """(k, ((j, x), ...)) for each nonzero row k, with its nonzero
         entries; computed once per matrix."""
-        return tuple((k, tuple(compress(enumerate(row), row)))
-                     for k, row in enumerate(self.entries) if any(row))
+        terms = self.__dict__.get("_terms")
+        if terms is None:
+            terms = self.__dict__["_terms"] = tuple(
+                (k, tuple(compress(enumerate(row), row)))
+                for k, row in enumerate(self.entries) if any(row))
+        return terms
 
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
@@ -91,11 +107,17 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Matrix":
-        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return Matrix(self.field, self.cols, self.rows, entries)
+        """The transpose, built once; its transpose is this matrix again."""
+        t = self.__dict__.get("_transpose")
+        if t is None:
+            entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+            t = self.__dict__["_transpose"] = Matrix(self.field, self.cols,
+                                                     self.rows, entries)
+            t.__dict__["_transpose"] = self
+        return t
 
     def _check_field(self, other: "Matrix") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"fields differ: {self.field} vs {other.field}")
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -290,7 +312,7 @@ def matrix_rank(m: Matrix) -> int:
     return rref(m).rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subspace:
     """Subspace of F^n held as a canonical reduced-echelon row basis.
 
@@ -301,6 +323,12 @@ class Subspace:
     field: Field
     ambient_dim: int
     basis: tuple  # tuple of row vectors, RREF, no zero rows
+
+    def __init__(self, field: Field, ambient_dim: int, basis: tuple):
+        d = self.__dict__
+        d["field"] = field
+        d["ambient_dim"] = ambient_dim
+        d["basis"] = basis
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -339,7 +367,7 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def _check_compatible(self, other: "Subspace") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("subspaces over different fields")
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspaces of different ambient dimension")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -132,6 +133,20 @@ def test_subalgebra_generated_idempotent_and_monotone():
     assert regen == bigger
 
 
+def test_subalgebra_generated_stops_at_the_full_span(monkeypatch):
+    calls = []
+    real = algebra_module.product_span
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algebra_module, "product_span", counted)
+    for A in (cyclic(3), heisenberg3(), sol2()):
+        assert subalgebra_generated(A.basis()) == A.full_space()
+    assert calls == []
+
+
 def test_is_lie_set_cyclic2():
     A = cyclic(2)
     check = is_lie_set(A.basis())
@@ -220,6 +235,33 @@ def test_lie_sets_match_per_pair_oracles(small_corpus, corpus2024,
         _closure_outcome(lie_set_closure_per_pair, A.basis(), 50) == \
         ("cap", 50, 51)
     assert stopped > 200 and open_sets > 100
+
+
+def test_closure_multiplies_each_ordered_pair_once(monkeypatch, corpus2024,
+                                                  dense_f7_closures):
+    """Every product x y of two members is computed exactly once, except a
+    square x x, which the two sides of x's own products both hold."""
+    computed = []
+    real = algebra_module._products_with
+
+    def recorded(x, ys, right=False):
+        computed.extend((y, x.coords) if right else (x.coords, y)
+                        for y in ys.entries)
+        return real(x, ys, right)
+
+    monkeypatch.setattr(algebra_module, "_products_with", recorded)
+    algebras = [A for A, _ in corpus2024] + [A for A, _ in dense_f7_closures]
+    for A in algebras:
+        computed.clear()
+        try:
+            closure = lie_set_closure(A.basis(), cap=100_000)
+            members = [x.coords for x in closure.members]
+        except CapExceeded:
+            members = None
+        counts = Counter(computed)
+        assert all(n == (2 if a == b else 1) for (a, b), n in counts.items())
+        if members is not None:
+            assert set(counts) == {(a, b) for a in members for b in members}
 
 
 def test_lower_central_series_examples():

@@ -1,9 +1,11 @@
 import itertools
 import json
+import os
 
 import pytest
 
 from leibniz_engel.cli import _build_parser, main
+from leibniz_engel.formats import MAX_FILE_BYTES
 from leibniz_engel.reports import EXIT_CODES
 
 
@@ -368,6 +370,19 @@ def test_deeply_nested_json_exits_2(tmp_path):
                  "--json", str(report_path)]) == 2
     error = json.loads(report_path.read_text())["data"]["error"]
     assert error == f"{deep} nests JSON too deeply to parse"
+
+
+def test_oversized_file_exits_2_before_reading(tmp_path):
+    # a sparse file one byte past the limit: truncate writes no data
+    huge = tmp_path / "huge.json"
+    huge.touch()
+    os.truncate(huge, MAX_FILE_BYTES + 1)
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(huge), "--quiet",
+                 "--json", str(report_path)]) == 2
+    error = json.loads(report_path.read_text())["data"]["error"]
+    assert error == (f"{huge} has {MAX_FILE_BYTES + 1} bytes, more than the "
+                     f"limit of {MAX_FILE_BYTES}")
 
 
 def _f7_vectors(count, dim=4):

@@ -1,13 +1,19 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from leibniz_engel.errors import DimensionMismatch, FormatError, NonSquareError
+from leibniz_engel.algebra import _add_combination
+from leibniz_engel.errors import (DimensionMismatch, FieldMismatch,
+                                  FormatError, NonSquareError)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import (Matrix, Subspace, invert,
                                   is_nilpotent_matrix, kernel_basis,
                                   matrix_rank, rref)
+
+from oracles import transpose_per_column
 
 F5 = GF(5)
 
@@ -177,3 +183,84 @@ def test_matrix_pow_and_shape_errors():
         Matrix.zero(QQ, 2, 3) @ Matrix.zero(QQ, 2, 3)
     with pytest.raises(NonSquareError):
         Matrix.zero(QQ, 2, 3) ** 2
+
+
+def _sample_matrices():
+    rng = random.Random(12)
+    return [_random_matrix(field, rows, cols, rng)
+            for field in (QQ, F5) for rows, cols in ((2, 3), (3, 3), (1, 4))]
+
+
+def test_matrix_and_subspace_stay_frozen():
+    m = Matrix.identity(QQ, 2)
+    s = Subspace.full(QQ, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.rows = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.basis = ()
+    assert [f.name for f in dataclasses.fields(Matrix)] == \
+        ["field", "rows", "cols", "entries"]
+    assert [f.name for f in dataclasses.fields(Subspace)] == \
+        ["field", "ambient_dim", "basis"]
+
+
+def test_caches_leave_eq_hash_and_repr_alone():
+    for m in _sample_matrices():
+        fresh = Matrix(m.field, m.rows, m.cols, m.entries)
+        before = (hash(m), repr(m))
+        m._row_terms, m.transpose()._row_terms
+        assert (hash(m), repr(m)) == before
+        assert m == fresh and fresh == m
+        assert repr(m) == (f"Matrix(field={m.field!r}, rows={m.rows}, "
+                           f"cols={m.cols}, entries={m.entries!r})")
+
+
+def test_pickle_and_replace_round_trips():
+    for m in _sample_matrices():
+        m.transpose()
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and hash(copy) == hash(m)
+        assert copy.transpose() == m.transpose()
+        assert copy.transpose().transpose() is copy
+        assert dataclasses.replace(m) == m
+        assert dataclasses.replace(m, entries=m.transpose().entries,
+                                   rows=m.cols, cols=m.rows) == m.transpose()
+    s = Subspace.span(QQ, 3, [(1, 2, 3)])
+    assert pickle.loads(pickle.dumps(s)) == s
+    assert dataclasses.replace(s, basis=()) == Subspace.zero(QQ, 3)
+
+
+def test_transpose_is_built_once_and_links_back():
+    for m in _sample_matrices() + [Matrix.zero(QQ, 0, 3),
+                                   Matrix.zero(QQ, 3, 0)]:
+        t = m.transpose()
+        assert m.transpose() is t
+        assert t.transpose() is m
+        assert t == transpose_per_column(m)
+    assert Matrix.zero(QQ, 0, 3).transpose() == Matrix.zero(QQ, 3, 0)
+    assert Matrix.zero(QQ, 3, 0).transpose() == Matrix.zero(QQ, 0, 3)
+
+
+def test_add_combination_leaves_the_shared_zero_rows_zero():
+    zero = Matrix.zero(F5, 3, 3)
+    assert len({id(row) for row in zero.entries}) == 1
+    ops = [Matrix.identity(F5, 3), Matrix.from_rows(F5, [[0, 1, 2]] * 3)]
+    total = _add_combination(zero, (2, 3), ops)
+    assert total == Matrix.from_rows(F5, [[2, 3, 1], [0, 0, 1], [0, 3, 3]])
+    assert zero.is_zero() and zero == Matrix.zero(F5, 3, 3)
+
+
+def test_field_check_by_identity_then_equality():
+    a, b = Matrix.identity(GF(5), 2), Matrix.identity(GF(7), 2)
+    with pytest.raises(FieldMismatch):
+        a @ b
+    with pytest.raises(FieldMismatch):
+        a + b
+    with pytest.raises(FieldMismatch):
+        Subspace.full(GF(5), 2) + Subspace.full(GF(7), 2)
+    # GF builds a new object per call: equal fields still combine
+    f, g = GF(7), GF(7)
+    assert f is not g and f == g
+    m, n = Matrix.identity(f, 2), Matrix.identity(g, 2)
+    assert m @ n == m and m + n == Matrix.from_rows(f, [[2, 0], [0, 2]])
+    assert Subspace.full(f, 2).contains_subspace(Subspace.zero(g, 2))
