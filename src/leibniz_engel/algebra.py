@@ -17,7 +17,10 @@ Products of coordinate vectors walk the tensor. The multiplication
 operators of the basis are read once per algebra off the tensor: row j of
 ``c[i]`` is e_i e_j, so ``c[i]`` is L_{e_i}^T as it stands. Validation, the
 Lie sets (row y of Y @ L_x^T is x y, of Y @ R_x^T is y x), the ideal test,
-the regular bimodule and the identity suite all use these operators.
+the regular bimodule and the identity suite all use these operators, and
+``_combination`` builds the operator of any element from them. The series
+of a carrier, the generated subalgebra and the ideal test each step by the
+one image step ``linalg._image`` under such operators.
 """
 
 from __future__ import annotations
@@ -92,6 +95,16 @@ def _add_combination(base: Matrix, coords: Sequence, mats: Sequence[Matrix]) -> 
     for i, acc in touched.items():
         rows[i] = reduce_row(acc)
     return Matrix(base.field, base.rows, base.cols, tuple(rows))
+
+
+def _combination(field: Field, size: int, coords: Sequence,
+                 mats: Sequence[Matrix]) -> Matrix:
+    """sum_t coords[t] mats[t] over size x size matrices: the operator of
+    an element from the operators of the basis. A unit vector picks its
+    matrix itself, whose row terms and transpose are then read once."""
+    if coords.count(1) == 1 and coords.count(0) == len(coords) - 1:
+        return mats[coords.index(1)]
+    return _add_combination(Matrix.zero(field, size, size), coords, mats)
 
 
 def validate_leibniz(structure, field: Field, n: int) -> LeibnizValidation:
@@ -252,15 +265,13 @@ class Element:
 def left_mult_matrix(a: Element) -> Matrix:
     """Matrix of x -> a x in the basis (columns are images of basis vectors)."""
     A = a.algebra
-    return _add_combination(Matrix.zero(A.field, A.dim, A.dim), a.coords,
-                            A._operators()[2])
+    return _combination(A.field, A.dim, a.coords, A._operators()[2])
 
 
 def right_mult_matrix(a: Element) -> Matrix:
     """Matrix of x -> x a."""
     A = a.algebra
-    return _add_combination(Matrix.zero(A.field, A.dim, A.dim), a.coords,
-                            A._operators()[3])
+    return _combination(A.field, A.dim, a.coords, A._operators()[3])
 
 
 def power(a: Element, k: int) -> Element:
@@ -295,8 +306,7 @@ def _pair_identity_violations(algebra: LeibnizAlgebra, lefts: Sequence[Matrix],
     basis element, named by ``names`` in that order. Violations come pair
     by pair, in that order within a pair.
     """
-    n = algebra.dim
-    zero = Matrix.zero(algebra.field, size, size)
+    n, field = algebra.dim, algebra.field
     found = []
     for i in range(n):
         for j in range(i, n):
@@ -305,7 +315,8 @@ def _pair_identity_violations(algebra: LeibnizAlgebra, lefts: Sequence[Matrix],
             tt[i, j] = lefts[i] @ lefts[j] if i != j else tt[j, i]
             for b, c in {(i, j), (j, i)}:
                 Tb, Sb, Sc = lefts[b], rights[b], rights[c]
-                s_bc = _add_combination(zero, algebra.structure[b][c], rights)
+                s_bc = _combination(field, size, algebra.structure[b][c],
+                                    rights)
                 ss, ts, st = Sc @ Sb, Tb @ Sc, Sc @ Tb
                 sides = [
                     (s_bc, ss + ts),
@@ -372,14 +383,11 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     return IdentityReport(not violations, violations)
 
 
-def product_span(algebra: LeibnizAlgebra, left: Subspace, right: Subspace) -> Subspace:
-    """span{u v : u in basis(left), v in basis(right)}."""
-    vecs = [_mult_coords(algebra, u, v) for u in left.basis for v in right.basis]
-    return Subspace._span(algebra.field, algebra.dim, vecs)
-
-
 def subalgebra_generated(elements: Sequence[Element]) -> Subspace:
-    """Smallest subspace containing the elements and closed under products."""
+    """Smallest subspace containing the elements and closed under products.
+
+    Each step adds the image of the current span U under the left
+    multiplications L_u, u in the basis of U: span{u v : u, v in U}."""
     if not elements:
         raise AlgebraMismatch("need at least one generator")
     A = elements[0].algebra
@@ -387,9 +395,11 @@ def subalgebra_generated(elements: Sequence[Element]) -> Subspace:
         if x.algebra != A:
             raise AlgebraMismatch("generators from different algebras")
     current = Subspace.span(A.field, A.dim, [x.coords for x in elements])
+    lts = A._operators()[0]
     # the whole algebra is closed under products
     while not current.is_full():
-        grown = current + product_span(A, current, current)
+        grown = current + _image(current, [_combination(A.field, A.dim, u, lts)
+                                           for u in current.basis])
         if grown == current:
             break
         current = grown
@@ -436,9 +446,8 @@ def _products_with(x: Element, ys: Matrix, right: bool = False) -> tuple:
     the rows of one matmul ys @ L_x^T (ys @ R_x^T), with L_x^T (R_x^T)
     combined from the cached transposes of the basis operators."""
     A = x.algebra
-    op = _add_combination(Matrix.zero(A.field, A.dim, A.dim), x.coords,
-                          A._operators()[right])
-    return (ys @ op).entries
+    return (ys @ _combination(A.field, A.dim, x.coords,
+                              A._operators()[right])).entries
 
 
 def is_lie_set(elements: Sequence[Element]) -> LieSetCheck:
@@ -465,7 +474,8 @@ def lie_set_closure(elements: Sequence[Element],
     at the start of the round, x y and y x from one matmul per side, and
     adjoins new products in the order x, y, then x y before y x. A frontier
     member earlier than x already took both products with x as the outer
-    member, so x skips it.
+    member, so x skips it, and the square x x is taken on the left side
+    only.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -479,9 +489,14 @@ def lie_set_closure(elements: Sequence[Element],
         rows = tuple(y.coords for y in members)
         old = len(rows) - len(frontier)
         for t, x in enumerate(frontier):
-            ys = Matrix(A.field, len(rows) - t, A.dim, rows[:old] + rows[old + t:])
-            for pair in zip(_products_with(x, ys),
-                            _products_with(x, ys, right=True)):
+            # x is row ``old`` of the left side and left out of the right,
+            # where ``()`` holds its place: the square x x is taken once
+            ys = rows[:old] + rows[old + t:]
+            lefts = _products_with(x, Matrix(A.field, len(ys), A.dim, ys))
+            rights = _products_with(
+                x, Matrix(A.field, len(ys) - 1, A.dim, ys[:old] + ys[old + 1:]),
+                right=True)
+            for pair in zip(lefts, rights[:old] + ((),) + rights[old:]):
                 for p in pair:
                     if any(p) and p not in coords:
                         coords.add(p)
@@ -496,12 +511,15 @@ def lie_set_closure(elements: Sequence[Element],
 def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
     """Lower central series of a subspace with products taken in the algebra.
 
-    The next term after T is span(S * T + T * S) for the carrier S. For an
-    ideal the terms decrease monotonically and the series ends at its first
-    stable term. A carrier that is not even a subalgebra can make the step
-    map cycle through subspaces without stabilizing, so the series cuts off
-    at the first repeated term; either way it reaches zero exactly when the
-    induced structure is nilpotent.
+    The next term after T is span(S * T + T * S) for the carrier S: the
+    image of T under L_s and R_s for s in the echelon basis of S, taken in
+    one ``linalg._image`` step. For the whole algebra those operators are
+    the cached basis operators themselves. For an ideal the terms decrease
+    monotonically and the series ends at its first stable term. A carrier
+    that is not even a subalgebra can make the step map cycle through
+    subspaces without stabilizing, so the series cuts off at the first
+    repeated term; either way it reaches zero exactly when the induced
+    structure is nilpotent.
 
     The series of each carrier is computed once per algebra; each call
     returns a fresh list.
@@ -509,12 +527,17 @@ def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
     memo = algebra._cache.setdefault("series", {})
     series = memo.get(carrier)
     if series is None:
+        lts, rts, _, _ = algebra._operators()
+        if carrier.is_full():
+            ops = lts + rts
+        else:
+            ops = [_combination(algebra.field, algebra.dim, s, family)
+                   for s in carrier.basis for family in (lts, rts)]
         terms = [carrier]
         seen = {carrier.basis}
         while True:
             last = terms[-1]
-            nxt = product_span(algebra, carrier, last) + \
-                product_span(algebra, last, carrier)
+            nxt = _image(last, ops)
             if nxt == last or nxt.basis in seen:
                 break
             terms.append(nxt)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (Element, LeibnizAlgebra, _add_combination,
+from .algebra import (Element, LeibnizAlgebra, _combination,
                       _pair_identity_violations, is_ideal)
 from .errors import AlgebraMismatch, ShapeMismatch
 from .linalg import Matrix, Subspace, _image, kernel_basis
@@ -56,18 +56,16 @@ def t_matrix(module: Bimodule, a: Element) -> Matrix:
     """Left action of an arbitrary element, by linearity."""
     if a.algebra != module.algebra:
         raise AlgebraMismatch("element does not belong to the module's algebra")
-    m = module.module_dim
-    return _add_combination(Matrix.zero(module.algebra.field, m, m), a.coords,
-                            module.left_actions)
+    return _combination(module.algebra.field, module.module_dim, a.coords,
+                        module.left_actions)
 
 
 def s_matrix(module: Bimodule, a: Element) -> Matrix:
     """Right action of an arbitrary element."""
     if a.algebra != module.algebra:
         raise AlgebraMismatch("element does not belong to the module's algebra")
-    m = module.module_dim
-    return _add_combination(Matrix.zero(module.algebra.field, m, m), a.coords,
-                            module.right_actions)
+    return _combination(module.algebra.field, module.module_dim, a.coords,
+                        module.right_actions)
 
 
 @dataclass

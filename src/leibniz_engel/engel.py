@@ -6,6 +6,11 @@ of the associative (non-unital) algebra they generate, the 2n-1 word-length
 bound for the pair of actions of a single element, premise checking over
 Lie sets, the annihilator flag, and the joint annihilator vector, assembled
 into an end-to-end verifier.
+
+Both walks take the one image step ``linalg._image``: the image filtration
+walks the module under the actions, and the flag is the annihilator of the
+dual walk, the images of the whole dual space under the transposed actions
+(Jacobson's duality between the two).
 """
 
 from __future__ import annotations
@@ -167,6 +172,12 @@ def engel_flag(module: Bimodule, generators: Sequence) -> Flag:
     generators' span, which gives the same level as imposing it member by
     member. Raises FlagStalled when a level fails to grow before reaching
     the top.
+
+    The flag is the annihilator of a walk in the dual: with W_0 the whole
+    space of row vectors and W_{i+1} spanned by g^T w for the actions g and
+    w in W_i, level i is the kernel of W_i (w (g v) = (g^T w) v). Each step
+    is one ``linalg._image`` with the actions passed untransposed, since
+    row w of W @ g is g^T w; a level stalls exactly when W_{i+1} = W_i.
     """
     A = module.algebra
     field = A.field
@@ -175,36 +186,27 @@ def engel_flag(module: Bimodule, generators: Sequence) -> Flag:
         raise AlgebraMismatch("element does not belong to the module's algebra")
     span = Subspace.span(field, A.dim, [c.coords for c in generators])
     basis = [Element(A, v) for v in span.basis]
-    action_pairs = [(t_matrix(module, c), s_matrix(module, c)) for c in basis]
+    actions = [g for c in basis
+               for g in (t_matrix(module, c), s_matrix(module, c))]
     chain = [Subspace.zero(field, m)]
-    current = chain[0]
-    while not current.is_full():
-        q, _ = current.quotient_data()
-        stacked = None
-        for T, S in action_pairs:
-            for mat in (T, S):
-                block = q @ mat
-                stacked = block if stacked is None else stacked.stack(block)
-        nxt = kernel_basis(stacked) if stacked is not None \
-            else Subspace.full(field, m)
-        if nxt == current:
-            raise FlagStalled(len(chain), current.dim, m)
-        chain.append(nxt)
-        current = nxt
+    dual = Subspace.full(field, m)
+    while not dual.is_zero():
+        nxt = _image(dual, actions)
+        if nxt == dual:
+            raise FlagStalled(len(chain), chain[-1].dim, m)
+        dual = nxt
+        chain.append(kernel_basis(dual.basis_matrix()))
     return Flag(tuple(chain))
 
 
 def joint_annihilator(module: Bimodule) -> tuple:
     """First canonical basis vector of the joint kernel of all actions."""
-    field = module.algebra.field
     m = module.module_dim
     if m < 1:
         raise NoAnnihilator("module is zero dimensional")
-    stacked = None
-    for mat in list(module.left_actions) + list(module.right_actions):
-        stacked = mat if stacked is None else stacked.stack(mat)
-    level = kernel_basis(stacked) if stacked is not None \
-        else Subspace.full(field, m)
+    rows = tuple(row for mat in module.left_actions + module.right_actions
+                 for row in mat.entries)
+    level = kernel_basis(Matrix(module.algebra.field, len(rows), m, rows))
     if level.is_zero():
         raise NoAnnihilator("no nonzero vector is killed by all actions")
     return level.basis[0]

@@ -12,17 +12,23 @@ zero row. A product walks only the nonzero rows of its right operand, read
 with their nonzero entries once per matrix (``Matrix._row_terms``), so an
 operator that is reused is scanned once. The image of a subspace under a
 set of operators, ``_image``, is one product of its echelon basis with each
-operator's transpose; the image filtration and the bimodule spin and
-invariance test all take it. ``Subspace.span`` normalises what it is
-handed; the kernels span their own canonical results through
-``Subspace._span``, which skips that pass.
+operator's transpose, and it is the one step of every invariant walk: the
+image filtration, the lower central series of a carrier, the generated
+subalgebra, the bimodule spin and invariance test, the ideal test, and
+the annihilator flag, which walks the dual (the flag's level i is the
+kernel of the i-th image of the whole dual space under the transposed
+actions). ``Subspace.span`` normalises what it is handed; the kernels span
+their own canonical results through ``Subspace._span``, which skips that
+pass.
 
 ``Matrix`` and ``Subspace`` are frozen dataclasses whose ``__init__`` fills
 the instance ``__dict__`` directly, so creating one costs about what its
-tuple does; equality, hashing, ``repr``, pickling and ``dataclasses.replace``
-stay the dataclass ones. A matrix keeps its row terms and its transpose in
-that ``__dict__`` once read, and a transpose links back to its matrix.
-``Matrix.zero`` shares one zero row among its rows.
+tuple does; equality, hashing, ``repr`` and ``dataclasses.replace`` stay the
+dataclass ones. A matrix keeps its row terms and its transpose in that
+``__dict__`` once read, and a transpose links back to its matrix through a
+weak reference, so the pair is no reference cycle and reference counting
+frees it. A pickled matrix carries its fields only. ``Matrix.zero`` shares
+one zero row among its rows.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
+from weakref import ref
 
 from .errors import DimensionMismatch, FieldMismatch, NonSquareError
 from .fields import Field, Scalar
@@ -106,14 +113,22 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
+    def __reduce__(self):
+        # the cached row terms and transpose stay behind (a weak link
+        # cannot be pickled); the copy rebuilds them when read
+        return Matrix, (self.field, self.rows, self.cols, self.entries)
+
     def transpose(self) -> "Matrix":
-        """The transpose, built once; its transpose is this matrix again."""
+        """The transpose, built once; its transpose is this matrix again,
+        held by a weak link back while this matrix lives."""
         t = self.__dict__.get("_transpose")
+        if type(t) is ref:
+            t = t()
         if t is None:
             entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
             t = self.__dict__["_transpose"] = Matrix(self.field, self.cols,
                                                      self.rows, entries)
-            t.__dict__["_transpose"] = self
+            t.__dict__["_transpose"] = ref(self)
         return t
 
     def _check_field(self, other: "Matrix") -> None:
@@ -198,14 +213,6 @@ class Matrix:
                     s += a * x
             out.append(s)
         return self.field.reduce_row(out)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        """Vertical concatenation."""
-        self._check_field(other)
-        if self.cols != other.cols:
-            raise DimensionMismatch("stack needs equal column counts")
-        return Matrix(self.field, self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
 
     def augment(self, other: "Matrix") -> "Matrix":
         """Horizontal concatenation."""
@@ -435,8 +442,17 @@ class Subspace:
 def _image(space: Subspace, transposes: Sequence[Matrix]) -> Subspace:
     """span{g v : g an operator, v in the basis of ``space``}, each operator
     passed as its transpose g^T: row v of (basis @ g^T) is g v, and the
-    product skips the zeros of the sparse echelon rows."""
-    basis = space.basis_matrix()
-    return Subspace._span(space.field, space.ambient_dim,
-                          [row for gt in transposes
-                           for row in (basis @ gt).entries if any(row)])
+    product skips the zeros of the sparse echelon rows.
+
+    The zero space is its own image. The full space has the identity as its
+    echelon basis, so its image is spanned by the operators' own rows. A row
+    that recurs is reduced once."""
+    if not space.basis:
+        return space
+    if len(space.basis) == space.ambient_dim:
+        blocks = [gt.entries for gt in transposes]
+    else:
+        basis = space.basis_matrix()
+        blocks = [(basis @ gt).entries for gt in transposes]
+    rows = dict.fromkeys(row for block in blocks for row in block if any(row))
+    return Subspace._span(space.field, space.ambient_dim, list(rows))

@@ -20,7 +20,12 @@ from one matrix product. The quotient projection is read off the inverse of the 
 completed by unit vectors, as it was before it was read off the echelon
 basis directly. The spun submodule and the invariance test take the image
 of a subspace one action and one basis vector at a time, as they did
-before the images came from one matrix product per action.
+before the images came from one matrix product per action. The lower
+central series of a carrier takes span(S T + T S) one product of basis
+vectors per pair, as it did before each step became one image under the
+multiplication operators of the carrier's basis, and the flag stacks the
+projected actions level by level, as it did before it became the
+annihilator of the dual image walk.
 
 ``unchecked_algebra`` builds the non-Leibniz tensors the validators are
 tested on, which ``LeibnizAlgebra.create`` refuses.
@@ -421,22 +426,44 @@ def lie_set_closure_per_pair(elements, cap: int) -> tuple:
 def engel_flag_all_members(module, generators) -> Flag:
     """The joint-preimage flag with the conditions of every generator
     stacked, one action pair per member rather than per basis vector of
-    their span; raises FlagStalled like ``engel_flag``."""
+    their span: level i+1 is the kernel of the blocks q T and q S stacked
+    for the projection q onto the module modulo level i. Raises FlagStalled
+    like ``engel_flag``."""
     field, m = module.algebra.field, module.module_dim
     pairs = [(t_matrix(module, c), s_matrix(module, c)) for c in generators]
     chain = [Subspace.zero(field, m)]
     while not chain[-1].is_full():
         q, _ = chain[-1].quotient_data()
-        blocks = [q @ mat for pair in pairs for mat in pair]
-        stacked = blocks[0] if blocks else None
-        for block in blocks[1:]:
-            stacked = stacked.stack(block)
-        nxt = kernel_basis(stacked) if stacked is not None \
-            else Subspace.full(field, m)
+        rows = tuple(row for pair in pairs for mat in pair
+                     for row in (q @ mat).entries)
+        nxt = kernel_basis(Matrix(field, len(rows), m, rows))
         if nxt == chain[-1]:
             raise FlagStalled(len(chain), nxt.dim, m)
         chain.append(nxt)
     return Flag(tuple(chain))
+
+
+def product_span_per_pair(algebra: LeibnizAlgebra, left: Subspace,
+                          right: Subspace) -> Subspace:
+    """span{u v : u in basis(left), v in basis(right)}, one product of
+    coordinate vectors per pair."""
+    return Subspace.span(algebra.field, algebra.dim,
+                         [mult_coords(algebra, u, v)
+                          for u in left.basis for v in right.basis])
+
+
+def carrier_series_per_pair(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
+    """The lower central series of a carrier S, each term after T being
+    span(S T) + span(T S) from products of basis pairs, cut off at the
+    first stable or repeated term as ``carrier_series`` does."""
+    terms = [carrier]
+    while True:
+        last = terms[-1]
+        nxt = product_span_per_pair(algebra, carrier, last) + \
+            product_span_per_pair(algebra, last, carrier)
+        if nxt in terms:
+            return terms
+        terms.append(nxt)
 
 
 def quotient_data_by_inverse(space: Subspace) -> tuple:

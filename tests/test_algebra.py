@@ -10,17 +10,17 @@ from leibniz_engel import (cyclic, heisenberg3, sol2, abelian, fuzz_corpus,
                            right_mult_matrix, subalgebra_generated,
                            validate_bimodule, validate_leibniz,
                            verify_operator_identities)
-from leibniz_engel.algebra import (LeibnizAlgebra, carrier_series,
-                                   product_span)
+from leibniz_engel.algebra import LeibnizAlgebra, carrier_series
 from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   InvalidAlgebra, InvalidExponent)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 import leibniz_engel.algebra as algebra_module
 
-from oracles import (ideal_by_unit_vectors, leibniz_triple_violations,
-                     lie_set_check_per_pair, lie_set_closure_per_pair,
-                     operator_pair_violations, power_identity_violations,
+from oracles import (carrier_series_per_pair, ideal_by_unit_vectors,
+                     leibniz_triple_violations, lie_set_check_per_pair,
+                     lie_set_closure_per_pair, operator_pair_violations,
+                     power_identity_violations, product_span_per_pair,
                      unchecked_algebra)
 
 
@@ -135,16 +135,19 @@ def test_subalgebra_generated_idempotent_and_monotone():
 
 def test_subalgebra_generated_stops_at_the_full_span(monkeypatch):
     calls = []
-    real = algebra_module.product_span
+    real = algebra_module._image
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(algebra_module, "product_span", counted)
+    monkeypatch.setattr(algebra_module, "_image", counted)
     for A in (cyclic(3), heisenberg3(), sol2()):
         assert subalgebra_generated(A.basis()) == A.full_space()
     assert calls == []
+    # a generator short of the full span does take the image step
+    assert subalgebra_generated([cyclic(3).basis_element(0)]).is_full()
+    assert calls
 
 
 def test_is_lie_set_cyclic2():
@@ -239,8 +242,8 @@ def test_lie_sets_match_per_pair_oracles(small_corpus, corpus2024,
 
 def test_closure_multiplies_each_ordered_pair_once(monkeypatch, corpus2024,
                                                   dense_f7_closures):
-    """Every product x y of two members is computed exactly once, except a
-    square x x, which the two sides of x's own products both hold."""
+    """Every product x y of two members is computed exactly once, a square
+    x x included."""
     computed = []
     real = algebra_module._products_with
 
@@ -259,7 +262,7 @@ def test_closure_multiplies_each_ordered_pair_once(monkeypatch, corpus2024,
         except CapExceeded:
             members = None
         counts = Counter(computed)
-        assert all(n == (2 if a == b else 1) for (a, b), n in counts.items())
+        assert all(n == 1 for n in counts.values())
         if members is not None:
             assert set(counts) == {(a, b) for a in members for b in members}
 
@@ -316,8 +319,9 @@ def test_right_power_vanishes_when_left_power_does():
 def test_product_span_matches_series_step():
     A = heisenberg3()
     full = A.full_space()
-    sq = product_span(A, full, full)
+    sq = product_span_per_pair(A, full, full)
     assert sq.basis == ((0, 0, 1),)
+    assert lower_central_series(A)[1] == sq
 
 
 def test_fractional_structure_constants():
@@ -498,3 +502,31 @@ def test_lower_central_series_is_the_carrier_series_of_the_algebra(
         fresh = LeibnizAlgebra.create(A.field, A.structure)
         assert again == carrier_series(fresh, carrier)
         assert again[0] == carrier and again is not first
+
+
+def test_carrier_series_matches_per_pair_oracle(corpus2024):
+    """Each series step is one image under the carrier's multiplication
+    operators; the oracle multiplies basis pairs. Carriers: the series
+    terms of every seed-2024 corpus algebra, the sums of consecutive terms
+    that the corollary 6 check takes, 3 seeded random subspaces per algebra
+    and their sums with the second term."""
+    rng = random.Random(1101_2438)
+    ideals = non_ideals = 0
+    for A, _ in corpus2024:
+        f, n = A.field, A.dim
+        series = lower_central_series(A)
+        assert series == carrier_series_per_pair(A, A.full_space())
+        carriers = series + [a + b for a, b in zip(series, series[1:])]
+        for _ in range(3):
+            vecs = [[f.from_int(rng.randrange(-2, 3)) for _ in range(n)]
+                    for _ in range(rng.randint(1, n))]
+            seeded = Subspace.span(f, n, vecs)
+            carriers += [seeded, seeded + series[min(1, len(series) - 1)]]
+        for carrier in carriers:
+            assert carrier_series(A, carrier) == \
+                carrier_series_per_pair(A, carrier)
+            if is_ideal(A, carrier):
+                ideals += 1
+            else:
+                non_ideals += 1
+    assert ideals > 1000 and non_ideals > 200

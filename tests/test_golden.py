@@ -1,9 +1,11 @@
 """Golden reports: CLI output on fixed inputs, compared byte for byte.
 
-``tests/golden/`` holds the full ``fuzz --seed 2024 --count 200 --max-dim 8``
-report and, for five generated families, the exit code and report of
-``analyze``, ``engel`` and ``corollary 3`` without the ``input`` block (it
-names temporary paths). It also holds, in request order, the exit code and
+``tests/golden/`` holds the full ``fuzz --count 200 --max-dim 8`` report at
+fuzz seed 2024 and at fuzz seeds 323 and 331, the corpora that the
+benchmark's ``fuzz-corpus`` workload runs at its seeds 2024 and 31337. For
+five generated families it holds the exit code and report of ``analyze``,
+``engel`` and ``corollary 3`` without the ``input`` block (it names
+temporary paths). It also holds, in request order, the exit code and
 report (again without ``input``) of every request of the benchmark's
 ``cli-mix`` and ``engel-fp`` workloads at seed 2024, built by
 ``bench/workloads.py``: 101 short calls of every file-reading subcommand,
@@ -21,24 +23,31 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from leibniz_engel.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 FUZZ_GOLDEN = GOLDEN / "fuzz-2024-200-8.json"
+BENCH_FUZZ_SEEDS = (323, 331)
 FAMILY_GOLDEN = GOLDEN / "families.json"
 BENCH_GOLDEN = GOLDEN / "bench-2024.json"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_WORKLOADS = ("cli-mix", "engel-fp")
 BENCH_SEED = 2024
-FUZZ_ARGS = ["fuzz", "--seed", "2024", "--count", "200", "--max-dim", "8"]
 FAMILIES = ("cyclic(4)", "heisenberg3", "sol2",
             "direct_sum(heisenberg3,cyclic(5))", "basis_change(heisenberg3,7)")
 COMMANDS = (["analyze"], ["engel"], ["corollary", "3"])
 
 
-def fuzz_report(workdir: Path) -> bytes:
-    out = workdir / "fuzz.json"
-    main(FUZZ_ARGS + ["--quiet", "--json", str(out)])
+def fuzz_golden(seed: int) -> Path:
+    return GOLDEN / f"fuzz-{seed}-200-8.json"
+
+
+def fuzz_report(workdir: Path, seed: int = 2024) -> bytes:
+    out = workdir / f"fuzz-{seed}.json"
+    main(["fuzz", "--seed", str(seed), "--count", "200", "--max-dim", "8",
+          "--quiet", "--json", str(out)])
     return out.read_bytes()
 
 
@@ -90,6 +99,11 @@ def test_fuzz_report_matches_golden(tmp_path):
     assert fuzz_report(tmp_path) == FUZZ_GOLDEN.read_bytes()
 
 
+@pytest.mark.parametrize("seed", BENCH_FUZZ_SEEDS)
+def test_bench_fuzz_reports_match_golden(tmp_path, seed):
+    assert fuzz_report(tmp_path, seed) == fuzz_golden(seed).read_bytes()
+
+
 def test_family_reports_match_golden(tmp_path):
     assert family_reports(tmp_path) == FAMILY_GOLDEN.read_bytes()
 
@@ -102,5 +116,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         FUZZ_GOLDEN.write_bytes(fuzz_report(Path(tmp)))
+        for seed in BENCH_FUZZ_SEEDS:
+            fuzz_golden(seed).write_bytes(fuzz_report(Path(tmp), seed))
         FAMILY_GOLDEN.write_bytes(family_reports(Path(tmp)))
         BENCH_GOLDEN.write_bytes(bench_reports(Path(tmp)))

@@ -19,7 +19,7 @@ from leibniz_engel.algebra import (Element, _add_combination, _mult_coords,
                                    _products_with, left_mult_matrix,
                                    mult_coords)
 from leibniz_engel.fields import GF, QQ
-from leibniz_engel.linalg import Matrix, Subspace, kernel_basis, rref
+from leibniz_engel.linalg import Matrix, Subspace, _image, kernel_basis, rref
 
 from oracles import (add_combination_per_scalar, apply_per_scalar,
                      matmul_per_scalar, mult_coords_per_scalar,
@@ -286,6 +286,50 @@ def test_subspace_sum_equals_public_span(data):
     A = Subspace.span(field, a.cols, a.entries)
     B = Subspace.span(field, b.cols, b.entries)
     assert A + B == Subspace.span(field, a.cols, A.basis + B.basis)
+
+
+@st.composite
+def operators_with_repeats(draw, field, size):
+    """Square operators, some rows copied onto others and some operators
+    listed twice."""
+    ops = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows = list(draw(matrices(field, rows=size, cols=size)).entries)
+        for i, j in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.integers(0, size - 1)),
+                                  max_size=3)):
+            rows[i] = rows[j]
+        ops.append(Matrix(field, size, size, tuple(rows)))
+    repeats = draw(st.lists(st.sampled_from(ops), max_size=2)) if ops else []
+    return ops + repeats
+
+
+@SETTINGS
+@given(st.data())
+def test_image_equals_span_of_per_scalar_products(data):
+    field = data.draw(FIELDS)
+    size = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from(("zero", "full", "span")))
+    if kind == "zero":
+        space = Subspace.zero(field, size)
+    elif kind == "full":
+        space = Subspace.full(field, size)
+    else:
+        space = Subspace.span(field, size,
+                              data.draw(matrices(field, cols=size)).entries)
+    ops = data.draw(operators_with_repeats(field, size))
+    columns = Matrix(field, size, space.dim,
+                     tuple(zip(*space.basis)) if space.dim else ((),) * size)
+    images = []
+    for g in ops:
+        products = transpose_per_column(matmul_per_scalar(g, columns))
+        # one operator alone keeps the image of a proper subspace proper
+        assert _image(space, [transpose_per_column(g)]) == \
+            Subspace.span(field, size, products.entries)
+        images += products.entries
+    image = _image(space, [transpose_per_column(g) for g in ops])
+    assert image == Subspace.span(field, size, images)
+    assert_canonical(field, [x for row in image.basis for x in row])
 
 
 @SETTINGS

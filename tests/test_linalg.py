@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import pickle
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from leibniz_engel.algebra import _add_combination
+from leibniz_engel.cli import main
 from leibniz_engel.errors import (DimensionMismatch, FieldMismatch,
                                   FormatError, NonSquareError)
 from leibniz_engel.fields import GF, QQ
@@ -239,6 +241,28 @@ def test_transpose_is_built_once_and_links_back():
         assert t == transpose_per_column(m)
     assert Matrix.zero(QQ, 0, 3).transpose() == Matrix.zero(QQ, 3, 0)
     assert Matrix.zero(QQ, 3, 0).transpose() == Matrix.zero(QQ, 0, 3)
+
+
+def test_transpose_that_outlives_its_matrix_rebuilds_it():
+    t = _sample_matrices()[0].transpose()
+    again = t.transpose()
+    assert again == transpose_per_column(t)
+    assert t.transpose() is again
+
+
+def test_fuzz_leaves_no_reference_cycles():
+    # a matrix and its cached transpose link each other, one way weakly, so
+    # reference counting alone frees every temporary of a run
+    args = ["fuzz", "--seed", "2024", "--count", "20", "--max-dim", "8",
+            "--quiet"]
+    assert main(args) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(args) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_add_combination_leaves_the_shared_zero_rows_zero():
