@@ -15,19 +15,27 @@ carrier, the series and the ideal verdict, each computed once.
 
 Products of coordinate vectors walk the tensor. The multiplication
 operators of the basis are read once per algebra off the tensor: row j of
-``c[i]`` is e_i e_j, so ``c[i]`` is L_{e_i}^T as it stands. Validation, the
-Lie sets (row y of Y @ L_x^T is x y, of Y @ R_x^T is y x), the ideal test,
-the regular bimodule and the identity suite all use these operators, and
+``c[i]`` is e_i e_j, so ``c[i]`` is L_{e_i}^T as it stands. The Lie sets
+(row y of Y @ L_x^T is x y, of Y @ R_x^T is y x), the ideal test, the
+regular bimodule and the identity suite all use these operators, and
 ``_combination`` builds the operator of any element from them. The series
 of a carrier, the generated subalgebra and the ideal test each step by the
 one image step ``linalg._image`` under such operators.
+
+The defining identity and the pair identities of the operator suite are
+checked as sparse contractions, not as matrix products: for one basis
+element at a time, the residual (lhs - rhs) of every identity is summed
+row by row in raw arithmetic from the nonzero products alone, through
+indexes of the nonzero constants or action rows built once per call, and
+a row fails when it is nonzero after ``reduce_row``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Sequence
 
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
@@ -110,42 +118,68 @@ def _combination(field: Field, size: int, coords: Sequence,
 def validate_leibniz(structure, field: Field, n: int) -> LeibnizValidation:
     """Check x(yz) = (xy)z + y(xz) on all basis triples of the tensor.
 
-    On z = e_k this is the operator identity L_i L_j = L_{e_i e_j} + L_j L_i
-    for the pair (i, j), checked transposed,
-    L_j^T L_i^T = L_{e_i e_j}^T + L_i^T L_j^T, on the L_i^T that the tensor
-    already holds (row j of ``structure[i]`` is e_i e_j); row k of either
-    side is the triple (i, j, k). Each pair is compared whole, and only a
-    failing pair is split into its rows.
+    With c_jk^m the e_m-coefficient of e_j e_k, the residual of the triple
+    (i, j, k) is
+
+        sum_m c_jk^m e_i e_m - sum_m c_ij^m e_m e_k - sum_m c_ik^m e_j e_m,
+
+    and each of its terms has a factor from the products of e_i: e_i e_m,
+    c_ij or c_ik. So, for one i at a time, the residuals of all (j, k) are
+    summed in raw arithmetic over the nonzero products e_i e_m alone: the
+    first sum through the constants indexed by their output index m, the
+    other two through the nonzero products e_m e_k and e_j e_m. Only
+    nonzero products touch a row, at most n^2 rows of length n are alive,
+    and a triple is a violation when its row is nonzero after
+    ``reduce_row``. Only a violating triple has its two sides built, for
+    the report.
     """
     if len(structure) != n or any(
             len(ci) != n or any(len(cij) != n for cij in ci) for ci in structure):
         raise ShapeMismatch(f"structure tensor is not {n}x{n}x{n}")
-    lts = [Matrix(field, n, n, ci) for ci in structure]
-    violations = []
+    zero, reduce_row, to_str = field.zero(), field.reduce_row, field.to_str
+    # rows[a]: (b, nonzero terms of e_a e_b) for the nonzero products e_a e_b
+    rows = [Matrix(field, n, n, ca)._row_terms for ca in structure]
+    by_output = [[] for _ in range(n)]  # m -> ((j, k), c_{jk}^m)
+    by_right = [[] for _ in range(n)]   # m -> (j, terms of e_j e_m)
+    for j, row in enumerate(rows):
+        for k, terms in row:
+            by_right[k].append((j, terms))
+            for m, x in terms:
+                by_output[m].append(((j, k), x))
 
-    def check(i, j, lhs, swapped):
-        # lhs = (L_i L_j)^T and swapped = (L_j L_i)^T
-        rhs = _add_combination(swapped, structure[i][j], lts)
-        if lhs == rhs:
-            return
-        for k, (lrow, rrow) in enumerate(zip(lhs.entries, rhs.entries)):
-            if lrow != rrow:
-                violations.append((i + 1, j + 1, k + 1,
-                                   tuple(map(field.to_str, lrow)),
-                                   tuple(map(field.to_str, rrow))))
+    def side(pairs):
+        acc = [zero] * n
+        for x, row in pairs:
+            if x:
+                acc = [a + x * y for a, y in zip(acc, row)]
+        return tuple(map(to_str, reduce_row(acc)))
 
-    # both products of a pair serve both of its orders; walking unordered
-    # pairs keeps two products alive instead of all n^2
-    for i in range(n):
-        for j in range(i, n):
-            p_ij = lts[j] @ lts[i]
-            if j == i:
-                check(i, i, p_ij, p_ij)
-                continue
-            p_ji = lts[i] @ lts[j]
-            check(i, j, p_ij, p_ji)
-            check(j, i, p_ji, p_ij)
-    violations.sort(key=lambda v: v[:3])
+    c, violations = structure, []
+    for i, row_i in enumerate(rows):
+        block = defaultdict(lambda: [zero] * n)
+        for m, terms in row_i:
+            for jk, x in by_output[m]:
+                acc = block[jk]
+                for t, y in terms:
+                    acc[t] += x * y
+        for j, ij in row_i:
+            for m, x in ij:
+                for k, terms in rows[m]:
+                    acc = block[j, k]
+                    for t, y in terms:
+                        acc[t] -= x * y
+        for k, ik in row_i:
+            for m, x in ik:
+                for j, terms in by_right[m]:
+                    acc = block[j, k]
+                    for t, y in terms:
+                        acc[t] -= x * y
+        for j, k in sorted(block):
+            if any(reduce_row(block[j, k])):
+                violations.append((
+                    i + 1, j + 1, k + 1, side(zip(c[j][k], c[i])),
+                    side(chain(zip(c[i][j], (cm[k] for cm in c)),
+                               zip(c[i][k], c[j])))))
     return LeibnizValidation(not violations, violations)
 
 
@@ -305,29 +339,75 @@ def _pair_identity_violations(algebra: LeibnizAlgebra, lefts: Sequence[Matrix],
     L, R replaced by an action family T, S of size x size matrices, one per
     basis element, named by ``names`` in that order. Violations come pair
     by pair, in that order within a pair.
+
+    For one b at a time, the residuals (lhs - rhs) of the identities at
+    every pair (b, c),
+
+        S_{bc} - S_c S_b - T_b S_c,    T_b S_c - S_c T_b - S_{bc},
+        T_c T_b - T_{cb} - T_b T_c,    S_c S_b + S_c T_b,
+
+    are summed row by row in raw arithmetic, row r of X Y being
+    sum_q X[r][q] Y_q. A product with b on the right walks the nonzero rows
+    q of S_b and T_b and the entries of S_c, T_c in column q; one with b on
+    the left walks the entries of T_b and the rows q of S_c, T_c; S_{bc}
+    and T_{cb} walk the nonzero constants of e_b e_c and e_c e_b and the
+    rows of S_t, T_t. The entries and rows of the family are indexed by
+    that shared q once per call, so only nonzero products touch a row, and
+    at most 4 n size rows of length size are alive. An identity fails at
+    (b, c) when one of its rows is nonzero after ``reduce_row``.
     """
-    n, field = algebra.dim, algebra.field
+    zero, reduce_row = algebra.field.zero(), algebra.field.reduce_row
+    lts, rts, _, _ = algebra._operators()
+    T = [m._row_terms for m in lefts]
+    S = [m._row_terms for m in rights]
+
+    def index(family):
+        # q -> (c, row q of the c-th matrix), and q -> (c, r, entry [r][q])
+        by_row, by_col = [[] for _ in range(size)], [[] for _ in range(size)]
+        for c, rows in enumerate(family):
+            for r, terms in rows:
+                by_row[r].append((c, terms))
+                for q, x in terms:
+                    by_col[q].append((c, r, x))
+        return by_row, by_col
+
+    (T_row, T_col), (S_row, S_col) = index(T), index(S)
+
+    def add(x, terms, plus, minus=None):
+        for t, y in terms:
+            v = x * y
+            plus[t] += v
+            if minus is not None:
+                minus[t] -= v
+
     found = []
-    for i in range(n):
-        for j in range(i, n):
-            # the orders (i, j) and (j, i) share T_j T_i and T_i T_j
-            tt = {(j, i): lefts[j] @ lefts[i]}
-            tt[i, j] = lefts[i] @ lefts[j] if i != j else tt[j, i]
-            for b, c in {(i, j), (j, i)}:
-                Tb, Sb, Sc = lefts[b], rights[b], rights[c]
-                s_bc = _combination(field, size, algebra.structure[b][c],
-                                    rights)
-                ss, ts, st = Sc @ Sb, Tb @ Sc, Sc @ Tb
-                sides = [
-                    (s_bc, ss + ts),
-                    (ts, st + s_bc),
-                    (tt[c, b], _add_combination(tt[b, c],
-                                                algebra.structure[c][b], lefts)),
-                    (ss, -st),
-                ]
-                found += [(b, c, t) for t, (lhs, rhs) in enumerate(sides)
-                          if lhs != rhs]
-    found.sort()
+    for b in range(algebra.dim):
+        # (c, identity, r) -> row r of that identity's residual at (b, c)
+        res = defaultdict(lambda: [zero] * size)
+        for q, terms in S[b]:
+            for c, r, x in S_col[q]:  # S_c S_b
+                add(x, terms, res[c, 3, r], res[c, 0, r])
+        for q, terms in T[b]:
+            for c, r, x in S_col[q]:  # S_c T_b
+                add(x, terms, res[c, 3, r], res[c, 1, r])
+            for c, r, x in T_col[q]:  # T_c T_b
+                add(x, terms, res[c, 2, r])
+        for r, row in T[b]:
+            for q, x in row:
+                for c, terms in S_row[q]:  # T_b S_c
+                    add(x, terms, res[c, 1, r], res[c, 0, r])
+                for c, terms in T_row[q]:  # T_b T_c
+                    add(-x, terms, res[c, 2, r])
+        for c, coords in lts[b]._row_terms:  # S_{bc}
+            for t, x in coords:
+                for r, terms in S[t]:
+                    add(x, terms, res[c, 0, r], res[c, 1, r])
+        for c, coords in rts[b]._row_terms:  # T_{cb}
+            for t, x in coords:
+                for r, terms in T[t]:
+                    add(-x, terms, res[c, 2, r])
+        failed = {key[:2] for key, row in res.items() if any(reduce_row(row))}
+        found += [(b, c, t) for c, t in sorted(failed)]
     return [IdentityViolation(names[t], {"pair": (b + 1, c + 1)})
             for b, c, t in found]
 
@@ -511,15 +591,25 @@ def lie_set_closure(elements: Sequence[Element],
 def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
     """Lower central series of a subspace with products taken in the algebra.
 
-    The next term after T is span(S * T + T * S) for the carrier S: the
-    image of T under L_s and R_s for s in the echelon basis of S, taken in
-    one ``linalg._image`` step. For the whole algebra those operators are
-    the cached basis operators themselves. For an ideal the terms decrease
-    monotonically and the series ends at its first stable term. A carrier
-    that is not even a subalgebra can make the step map cycle through
-    subspaces without stabilizing, so the series cuts off at the first
-    repeated term; either way it reaches zero exactly when the induced
-    structure is nilpotent.
+    The next term after T is span(S * T + T * S) for the carrier S, and
+    that is span(S * T): the image of T under L_s for s in the echelon basis
+    of S, taken in one ``linalg._image`` step. For the whole algebra those
+    operators are the cached basis operators themselves. For an ideal the
+    terms decrease monotonically and the series ends at its first stable
+    term. A carrier that is not even a subalgebra can make the step map
+    cycle through subspaces without stabilizing, so the series cuts off at
+    the first repeated term; either way it reaches zero exactly when the
+    induced structure is nilpotent.
+
+    Why one side is enough, for any subspace S, ideal or not: let U_1 = S
+    and U_{k+1} = span(S * U_k). Then U_i * U_j lies in U_{i+j}, by
+    induction on i. For i = 1 it is the definition. For i > 1 take x in S,
+    y in U_{i-1} and z in U_j; then (xy)z = x(yz) - y(xz), where yz lies in
+    U_{i+j-1} and so x(yz) in U_{i+j}, and xz lies in U_{j+1} and so y(xz)
+    in U_{i-1} * U_{j+1}, inside U_{i+j}. Hence if T = U_k, then T * S lies
+    in U_{k+1} = span(S * T), and the two-sided step gives U_{k+1} too. The
+    terms, and with them the point where the series stops, are those of
+    the two-sided series.
 
     The series of each carrier is computed once per algebra; each call
     returns a fresh list.
@@ -527,12 +617,12 @@ def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
     memo = algebra._cache.setdefault("series", {})
     series = memo.get(carrier)
     if series is None:
-        lts, rts, _, _ = algebra._operators()
+        lts = algebra._operators()[0]
         if carrier.is_full():
-            ops = lts + rts
+            ops = lts
         else:
-            ops = [_combination(algebra.field, algebra.dim, s, family)
-                   for s in carrier.basis for family in (lts, rts)]
+            ops = [_combination(algebra.field, algebra.dim, s, lts)
+                   for s in carrier.basis]
         terms = [carrier]
         seen = {carrier.basis}
         while True:
@@ -555,7 +645,8 @@ def series_nilpotency(series: Sequence[Subspace]) -> tuple:
 
 
 def lower_central_series(algebra: LeibnizAlgebra) -> list:
-    """Two-sided series: next term is span(A * T + T * A); stops once stable.
+    """Two-sided series: next term is span(A * T + T * A), which is
+    span(A * T) (see :func:`carrier_series`); stops once stable.
 
     The returned list starts at the whole algebra and ends with the first
     stable term (0 exactly when the algebra is nilpotent). It is the

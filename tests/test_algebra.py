@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -419,6 +421,104 @@ def test_power_identities_match_three_product_oracle():
             assert got == power_identity_violations(A)
             fired += bool(got)
     assert fired > 0
+
+
+def _raw_triple_terms(c, i, j, k, t) -> list:
+    """The terms of coordinate t of e_i(e_j e_k) - (e_i e_j)e_k -
+    e_j(e_i e_k), in raw arithmetic, unreduced."""
+    n = len(c)
+    return ([c[j][k][m] * c[i][m][t] for m in range(n)]
+            + [-c[i][j][m] * c[m][k][t] for m in range(n)]
+            + [-c[i][k][m] * c[j][m][t] for m in range(n)])
+
+
+def _raw_pair_terms(c):
+    """The terms of every entry of the four pair residuals of the regular
+    bimodule (T_i = L_i, S_i = R_i) at every pair (b, c), unreduced:
+    S_{bc} - S_c S_b - T_b S_c, T_b S_c - S_c T_b - S_{bc},
+    T_c T_b - T_{cb} - T_b T_c and S_c S_b + S_c T_b."""
+    n = len(c)
+
+    def L(i, r, s):
+        return c[i][s][r]
+
+    def R(i, r, s):
+        return c[s][i][r]
+
+    def neg(terms):
+        return [-x for x in terms]
+
+    for b, d, r, s in product(range(n), repeat=4):
+        def prod(X, x, Y, y):
+            return [X(x, r, q) * Y(y, q, s) for q in range(n)]
+
+        ss, ts, st = prod(R, d, R, b), prod(L, b, R, d), prod(R, d, L, b)
+        tt, tt_swapped = prod(L, d, L, b), prod(L, b, L, d)
+        s_bd = [x * R(t, r, s) for t, x in enumerate(c[b][d])]
+        t_db = [x * L(t, r, s) for t, x in enumerate(c[d][b])]
+        yield s_bd + neg(ss) + neg(ts)
+        yield ts + neg(st) + neg(s_bd)
+        yield tt + neg(t_db) + neg(tt_swapped)
+        yield ss + st
+
+
+def _assert_all_checks_pass(field, tensor):
+    A = LeibnizAlgebra.create(field, tensor)
+    assert validate_leibniz(A.structure, field, A.dim).ok
+    assert verify_operator_identities(A).ok
+    assert validate_bimodule(regular_bimodule(A)).all_ok()
+
+
+def test_residual_that_is_a_nonzero_multiple_of_p_is_reduced_first():
+    # sol2 in another basis over F_5: e1 e2 = 4 e1, e2 e1 = e1
+    tensor = [[[0, 0], [4, 0]], [[1, 0], [0, 0]]]
+    # e1(e2 e2) - (e1 e2)e2 - e2(e1 e2) = 0 - 16 e1 - 4 e1
+    assert sum(_raw_triple_terms(tensor, 0, 1, 1, 0)) == -20
+    raw_pairs = [sum(terms) for terms in _raw_pair_terms(tensor)]
+    assert any(x and x % 5 == 0 for x in raw_pairs)
+    _assert_all_checks_pass(GF(5), tensor)
+
+
+def test_residual_of_cancelling_fractions_is_zero():
+    # sol2 in a basis with fractional constants over Q
+    tensor = [[[0, 0], [Fraction(-1, 2), 1]], [[Fraction(1, 2), -1], [0, 0]]]
+
+    def cancels(terms):
+        return any(type(x) is Fraction for x in terms) and sum(terms) == 0
+
+    assert any(cancels(_raw_triple_terms(tensor, *ijkt))
+               for ijkt in product(range(2), repeat=4))
+    assert any(cancels(terms) for terms in _raw_pair_terms(tensor))
+    _assert_all_checks_pass(QQ, tensor)
+
+
+def test_validation_and_axioms_take_no_matrix_product(corpus2024,
+                                                      monkeypatch):
+    algebras = [A for A, _ in corpus2024]
+    corrupted = [B for _, B in _corrupted_algebras()]
+    reports = [validate_leibniz(B.structure, B.field, B.dim)
+               for B in corrupted]
+    axioms = [validate_bimodule(regular_bimodule(A)) for A in algebras]
+    assert not all(report.ok for report in reports)
+
+    def no_product(*args):
+        raise AssertionError("a matrix product was taken")
+
+    monkeypatch.setattr(Matrix, "__matmul__", no_product)
+    for A, expected in zip(algebras, axioms):
+        fresh = LeibnizAlgebra.create(A.field, A.structure, A.basis_names)
+        assert fresh == A
+        assert validate_bimodule(regular_bimodule(fresh)) == expected
+    for B, report in zip(corrupted, reports):
+        if report.ok:
+            assert LeibnizAlgebra.create(B.field, B.structure) == B
+            continue
+        with pytest.raises(InvalidAlgebra) as refused:
+            LeibnizAlgebra.create(B.field, B.structure)
+        assert refused.value.report == report
+    # positive control: the power identities still multiply matrices
+    with pytest.raises(AssertionError, match="matrix product"):
+        verify_operator_identities(heisenberg3())
 
 
 # e1 e2 = e2: span(e1) is a left ideal (A e1 = 0) but e1 e2 = e2 leaves it

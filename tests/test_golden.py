@@ -7,9 +7,11 @@ five generated families it holds the exit code and report of ``analyze``,
 ``engel`` and ``corollary 3`` without the ``input`` block (it names
 temporary paths). It also holds, in request order, the exit code and
 report (again without ``input``) of every request of the benchmark's
-``cli-mix`` and ``engel-fp`` workloads at seed 2024, built by
-``bench/workloads.py``: 101 short calls of every file-reading subcommand,
-failing ones included, and five dense Engel checks over F_7. Rewrite the
+``cli-mix``, ``engel-fp`` and ``engel-q`` workloads at seed 2024, and of
+``cli-mix`` at the holdout seed 31337, built by ``bench/workloads.py``:
+101 short calls of every file-reading subcommand per seed, failing ones
+included (a corrupted ``validate`` report lists its violating triples),
+five dense Engel checks over F_7 and three sparse ones over Q. Rewrite the
 files only for an intended report change, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,10 +33,10 @@ GOLDEN = Path(__file__).parent / "golden"
 FUZZ_GOLDEN = GOLDEN / "fuzz-2024-200-8.json"
 BENCH_FUZZ_SEEDS = (323, 331)
 FAMILY_GOLDEN = GOLDEN / "families.json"
-BENCH_GOLDEN = GOLDEN / "bench-2024.json"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-BENCH_WORKLOADS = ("cli-mix", "engel-fp")
-BENCH_SEED = 2024
+BENCH_SEED, HOLDOUT_SEED = 2024, 31337
+BENCH_WORKLOADS = {BENCH_SEED: ("cli-mix", "engel-fp", "engel-q"),
+                   HOLDOUT_SEED: ("cli-mix",)}
 FAMILIES = ("cyclic(4)", "heisenberg3", "sol2",
             "direct_sum(heisenberg3,cyclic(5))", "basis_change(heisenberg3,7)")
 COMMANDS = (["analyze"], ["engel"], ["corollary", "3"])
@@ -42,6 +44,10 @@ COMMANDS = (["analyze"], ["engel"], ["corollary", "3"])
 
 def fuzz_golden(seed: int) -> Path:
     return GOLDEN / f"fuzz-{seed}-200-8.json"
+
+
+def bench_golden(seed: int) -> Path:
+    return GOLDEN / f"bench-{seed}.json"
 
 
 def fuzz_report(workdir: Path, seed: int = 2024) -> bytes:
@@ -76,15 +82,15 @@ def _bench_workloads():
         sys.path.remove(str(BENCH))
 
 
-def bench_reports(workdir: Path) -> bytes:
+def bench_reports(workdir: Path, seed: int = BENCH_SEED) -> bytes:
     workloads = _bench_workloads()
     out = workdir / "report.json"
     reports = {}
-    for name in BENCH_WORKLOADS:
-        work = workdir / name
+    for name in BENCH_WORKLOADS[seed]:
+        work = workdir / f"{name}-{seed}"
         work.mkdir()
         runs = reports[name] = []
-        for req in workloads.WORKLOADS[name](work, BENCH_SEED):
+        for req in workloads.WORKLOADS[name](work, seed):
             out.unlink(missing_ok=True)
             code = main([*req.argv, "--quiet", "--json", str(out)])
             envelope = json.loads(out.read_text(encoding="utf-8"))
@@ -109,7 +115,12 @@ def test_family_reports_match_golden(tmp_path):
 
 
 def test_bench_request_reports_match_golden(tmp_path):
-    assert bench_reports(tmp_path) == BENCH_GOLDEN.read_bytes()
+    assert bench_reports(tmp_path) == bench_golden(BENCH_SEED).read_bytes()
+
+
+def test_bench_holdout_request_reports_match_golden(tmp_path):
+    assert bench_reports(tmp_path, HOLDOUT_SEED) == \
+        bench_golden(HOLDOUT_SEED).read_bytes()
 
 
 if __name__ == "__main__":
@@ -119,4 +130,5 @@ if __name__ == "__main__":
         for seed in BENCH_FUZZ_SEEDS:
             fuzz_golden(seed).write_bytes(fuzz_report(Path(tmp), seed))
         FAMILY_GOLDEN.write_bytes(family_reports(Path(tmp)))
-        BENCH_GOLDEN.write_bytes(bench_reports(Path(tmp)))
+        for seed in BENCH_WORKLOADS:
+            bench_golden(seed).write_bytes(bench_reports(Path(tmp), seed))

@@ -3,7 +3,11 @@
 Random sparse and dense inputs over Q, F_5 and F_7, with negative and
 fractional entries, all-zero rows and zero-row shapes; the batched
 products of one element with many are checked against the product of
-coordinate vectors on the small fuzz corpus. A right operand is read
+coordinate vectors on the small fuzz corpus. The sparse contractions that
+check the defining identity and the operator pair identities are checked
+against the triple-by-triple and matrix-product oracles on random tensors,
+mostly not Leibniz, and on random action families that are mostly not
+bimodules. A right operand is read
 through the nonzero rows it caches, so reuse, equality and hashing are
 checked too, and a recording row shows that a product reads only those
 rows. Every result is in the canonical form of its field and never a
@@ -17,12 +21,15 @@ import pytest
 
 from leibniz_engel.algebra import (Element, _add_combination, _mult_coords,
                                    _products_with, left_mult_matrix,
-                                   mult_coords)
+                                   mult_coords, validate_leibniz,
+                                   verify_operator_identities)
+from leibniz_engel.bimodule import Bimodule, validate_bimodule
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace, _image, kernel_basis, rref
 
 from oracles import (add_combination_per_scalar, apply_per_scalar,
-                     matmul_per_scalar, mult_coords_per_scalar,
+                     leibniz_triple_violations, matmul_per_scalar,
+                     mult_coords_per_scalar, operator_pair_violations,
                      quotient_data_by_inverse, rref_per_scalar,
                      transpose_per_column, unchecked_algebra)
 
@@ -223,6 +230,68 @@ def test_batched_products_equal_mult_coords(small_corpus, data):
         assert left == _mult_coords(algebra, x, y)
         assert right == _mult_coords(algebra, y, x)
         assert_canonical(field, left + right)
+
+
+MULT_IDENTITIES = ("right_mult_of_product", "mixed_mult_commutation",
+                   "left_mult_of_product", "right_right_reduction")
+ACTION_IDENTITIES = ("right_action_of_product", "mixed_action_commutation",
+                     "left_action_of_product", "right_right_action_reduction")
+
+
+@st.composite
+def tensors(draw, field):
+    """A random n x n x n tensor, n in 0..5, of sparse or dense rows: almost
+    never a Leibniz algebra."""
+    n = draw(st.integers(0, 5))
+    return [[draw(vectors(field, n)) for _ in range(n)] for _ in range(n)]
+
+
+@SETTINGS
+@given(st.data())
+def test_validate_leibniz_equals_triple_oracle(data):
+    field = data.draw(FIELDS)
+    algebra = unchecked_algebra(field, data.draw(tensors(field)))
+    c, n = algebra.structure, algebra.dim
+    report = validate_leibniz(c, field, n)
+    assert report.violations == leibniz_triple_violations(c, field, n)
+    assert report.ok == (not report.violations)
+
+
+@SETTINGS
+@given(st.data())
+def test_operator_pair_identities_equal_product_oracle(data):
+    field = data.draw(FIELDS)
+    algebra = unchecked_algebra(field, data.draw(tensors(field)))
+    c, n = algebra.structure, algebra.dim
+    lefts = [Matrix.from_columns(field, [c[i][j] for j in range(n)])
+             for i in range(n)]
+    rights = [Matrix.from_columns(field, [c[j][i] for j in range(n)])
+              for i in range(n)]
+    expected = operator_pair_violations(c, lefts, rights, MULT_IDENTITIES) \
+        if n else []
+    got = [(v.identity, v.witness["pair"])
+           for v in verify_operator_identities(algebra).violations
+           if v.identity in MULT_IDENTITIES]
+    assert got == expected
+
+
+@SETTINGS
+@given(st.data())
+def test_bimodule_axioms_equal_product_oracle(small_corpus, data):
+    algebra, _ = data.draw(st.sampled_from(small_corpus))
+    field, n = algebra.field, algebra.dim
+    size = data.draw(st.integers(0, 4))
+    lefts, rights = ([data.draw(matrices(field, size, size)) for _ in range(n)]
+                     for _ in range(2))
+    check = validate_bimodule(Bimodule.create(algebra, size, lefts, rights))
+    expected = operator_pair_violations(algebra.structure, lefts, rights,
+                                        ACTION_IDENTITIES)
+    derived = ACTION_IDENTITIES[-1]
+    assert [(v.identity, v.witness["pair"]) for v in check.violations] == \
+        [v for v in expected if v[0] != derived]
+    assert [(v.identity, v.witness["pair"])
+            for v in check.derived_violations] == \
+        [v for v in expected if v[0] == derived]
 
 
 @SETTINGS
