@@ -428,6 +428,10 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     - left_mult_of_power_vanishes:  L_{a^i} = 0 for 2 <= i <= n + 1
     - right_power_reduction:        R_a^k = (-1)^(k-1) R_a L_a^(k-1), 2 <= k <= n
 
+    The power walks of one basis element stop early: at the first a^i = 0,
+    since every later power is 0 too, and once R_a^k = 0 with the identity
+    holding at k, since both sides are 0 from then on.
+
     Violations indicate an implementation bug on a validated algebra; they
     are collected, not raised.
     """
@@ -445,6 +449,8 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
         p = a
         for exp in range(2, n + 2):
             p = a * p
+            if p.is_zero():
+                break
             if not left_mult_matrix(p).is_zero():
                 violations.append(IdentityViolation(
                     "left_mult_of_power_vanishes",
@@ -459,6 +465,8 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
             if r_pow != (rl if sign > 0 else -rl):
                 violations.append(IdentityViolation(
                     "right_power_reduction", {"basis": i + 1, "exponent": k}))
+            elif r_pow.is_zero():
+                break
 
     return IdentityReport(not violations, violations)
 

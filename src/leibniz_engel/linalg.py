@@ -3,23 +3,25 @@
 Everything is immutable (tuples all the way down) and exact. Subspaces are
 stored as reduced-row-echelon bases, so two equal subspaces have literally
 identical representations and equality is a plain comparison. Dimensions are
-desk-scale; elimination is the straightforward textbook algorithm.
+desk-scale.
 
 The kernels combine entries with raw ``+``, ``-`` and ``*`` and skip zero
 entries, then pass each row that received a term through the field's
 ``reduce_row`` once (see fields.py); a row that received none is a shared
 zero row. A product walks only the nonzero rows of its right operand, read
 with their nonzero entries once per matrix (``Matrix._row_terms``), so an
-operator that is reused is scanned once. The image of a subspace under a
-set of operators, ``_image``, is one product of its echelon basis with each
-operator's transpose, and it is the one step of every invariant walk: the
-image filtration, the lower central series of a carrier, the generated
-subalgebra, the bimodule spin and invariance test, the ideal test, and
-the annihilator flag, which walks the dual (the flag's level i is the
-kernel of the i-th image of the whole dual space under the transposed
-actions). ``Subspace.span`` normalises what it is handed; the kernels span
-their own canonical results through ``Subspace._span``, which skips that
-pass.
+operator that is reused is scanned once.
+
+One echelon reducer, ``_echelon``, serves ``rref``, every span and every
+image. The image of a subspace under a set of operators, ``_image``,
+streams each g v into it without building a product matrix, and it is the
+one step of every invariant walk: the image filtration, the lower central
+series of a carrier, the generated subalgebra, the bimodule spin and
+invariance test, the ideal test, and the annihilator flag, which walks the
+dual (the flag's level i is the kernel of the i-th image of the whole dual
+space under the transposed actions). ``Subspace.span`` normalises what it
+is handed; the kernels span their own canonical results through
+``Subspace._span``, which skips that pass.
 
 ``Matrix`` and ``Subspace`` are frozen dataclasses whose ``__init__`` fills
 the instance ``__dict__`` directly, so creating one costs about what its
@@ -28,13 +30,15 @@ dataclass ones. A matrix keeps its row terms and its transpose in that
 ``__dict__`` once read, and a transpose links back to its matrix through a
 weak reference, so the pair is no reference cycle and reference counting
 frees it. A pickled matrix carries its fields only. ``Matrix.zero`` shares
-one zero row among its rows.
+one zero row among its rows, and ``Matrix.identity`` is one shared object
+per (field, n) from a bounded cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import lru_cache
+from itertools import compress, count
 from typing import Iterable, NamedTuple, Sequence
 from weakref import ref
 
@@ -78,7 +82,9 @@ class Matrix:
         return Matrix(field, rows, cols, ((field.zero(),) * cols,) * rows)
 
     @staticmethod
+    @lru_cache(maxsize=32)
     def identity(field: Field, n: int) -> "Matrix":
+        """The n x n identity, one shared object per (field, n)."""
         z, o = field.zero(), field.one()
         return Matrix(field, n, n,
                       tuple(tuple(o if i == j else z for j in range(n))
@@ -229,38 +235,54 @@ class RrefResult(NamedTuple):
     pivots: tuple
 
 
+def _echelon(field: Field, ncols: int, rows: Iterable[tuple]) -> tuple:
+    """The canonical (fully reduced) echelon basis of the span of canonical
+    rows of length ``ncols``.
+
+    Rows are read one at a time. A row is reduced against the pivot rows
+    in raw arithmetic and passed through ``reduce_row`` once, not once per
+    elimination step: each pivot row is zero in every other pivot column,
+    so each pivot entry of the incoming row is still its canonical input
+    value, whatever the order. A row that is nonzero after that is scaled
+    to a leading 1, cleared from the pivot rows that have an entry in its
+    column, and kept. No row is read after the one that gives every column
+    a pivot."""
+    reduce_row, one = field.reduce_row, field.one()
+    pivots = {}
+    for v in rows:
+        if not any(v):
+            continue
+        acc = v
+        for c, p in pivots.items():
+            f = v[c]
+            if f:
+                acc = [x - f * y if y else x for x, y in zip(acc, p)]
+        if acc is not v:
+            v = reduce_row(acc)
+            if not any(v):
+                continue
+        c, f = next(compress(enumerate(v), v))
+        if f != one:
+            inv = field.inv(f)
+            v = reduce_row([x and inv * x for x in v])
+        for k, p in pivots.items():
+            f = p[c]
+            if f:
+                pivots[k] = reduce_row([x - f * y if y else x for x, y in zip(p, v)])
+        pivots[c] = v
+        if len(pivots) == ncols:
+            break
+    return tuple([pivots[c] for c in sorted(pivots)])
+
+
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns."""
-    field = m.field
-    reduce_row, one = field.reduce_row, field.one()
-    rows = list(m.entries)
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        if prow[c] != one:
-            inv = field.inv(prow[c])
-            prow = rows[r] = reduce_row([x and inv * x for x in prow])
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = reduce_row([x - f * y if y else x
-                                      for x, y in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    reduced = Matrix(field, nrows, ncols, tuple(map(tuple, rows)))
-    return RrefResult(reduced, len(pivots), tuple(pivots))
+    basis = _echelon(m.field, m.cols, m.entries)
+    rank = len(basis)
+    if rank < m.rows:
+        basis += ((m.field.zero(),) * m.cols,) * (m.rows - rank)
+    return RrefResult(Matrix(m.field, m.rows, m.cols, basis), rank,
+                      tuple(next(compress(count(), row)) for row in basis[:rank]))
 
 
 def kernel_basis(m: Matrix) -> "Subspace":
@@ -349,10 +371,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length differs from ambient dimension")
-        if not vecs:
-            return Subspace(field, ambient_dim, ())
-        red, rank, _ = rref(Matrix(field, len(vecs), ambient_dim, tuple(vecs)))
-        return Subspace(field, ambient_dim, red.entries[:rank])
+        return Subspace(field, ambient_dim, _echelon(field, ambient_dim, vecs))
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -441,18 +460,45 @@ class Subspace:
 
 def _image(space: Subspace, transposes: Sequence[Matrix]) -> Subspace:
     """span{g v : g an operator, v in the basis of ``space``}, each operator
-    passed as its transpose g^T: row v of (basis @ g^T) is g v, and the
-    product skips the zeros of the sparse echelon rows.
-
-    The zero space is its own image. The full space has the identity as its
-    echelon basis, so its image is spanned by the operators' own rows. A row
-    that recurs is reduced once."""
+    passed as its transpose g^T, so that g v is v @ g^T; the zero space is
+    its own image."""
     if not space.basis:
         return space
-    if len(space.basis) == space.ambient_dim:
-        blocks = [gt.entries for gt in transposes]
-    else:
-        basis = space.basis_matrix()
-        blocks = [(basis @ gt).entries for gt in transposes]
-    rows = dict.fromkeys(row for block in blocks for row in block if any(row))
-    return Subspace._span(space.field, space.ambient_dim, list(rows))
+    field, n = space.field, space.ambient_dim
+    return Subspace(field, n, _echelon(field, n, _image_rows(space, transposes)))
+
+
+def _image_rows(space: Subspace, transposes: Sequence[Matrix]):
+    """Each nonzero g v once, computed only when the reducer reads it: the
+    sum of v[k] times row k of g^T over the nonzero rows k, as in a
+    product. The full space has the identity as its echelon basis, so its
+    images are the operators' own rows."""
+    field, n = space.field, space.ambient_dim
+    zero = field.zero()
+    seen = {(zero,) * n}
+    if len(space.basis) == n:
+        for gt in transposes:
+            entries = gt.entries
+            for k, _ in gt._row_terms:
+                row = entries[k]
+                if row not in seen:
+                    seen.add(row)
+                    yield row
+        return
+    reduce_row = field.reduce_row
+    for gt in transposes:
+        terms = gt._row_terms
+        for v in space.basis:
+            acc = None
+            for k, ts in terms:
+                a = v[k]
+                if a:
+                    if acc is None:
+                        acc = [zero] * n
+                    for j, b in ts:
+                        acc[j] += a * b
+            if acc is not None:
+                row = reduce_row(acc)
+                if row not in seen:
+                    seen.add(row)
+                    yield row

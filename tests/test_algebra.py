@@ -423,6 +423,39 @@ def test_power_identities_match_three_product_oracle():
     assert fired > 0
 
 
+def test_power_identities_match_three_product_oracle_on_small_corpus(
+        small_corpus):
+    names = ("left_mult_of_power_vanishes", "right_power_reduction")
+    for A, _ in small_corpus:
+        got = [(v.identity, v.witness["basis"], v.witness["exponent"])
+               for v in verify_operator_identities(A).violations
+               if v.identity in names]
+        assert got == power_identity_violations(A) == []
+
+
+def test_power_walks_stop_at_zero(monkeypatch):
+    # heisenberg3 (e1 e2 = e3 = -e2 e1): a^2 = 0 and R_a^2 = 0 = -R_a L_a
+    # for every basis element a, so each power walk ends at its first step
+    # and the chain of R_a takes the two products of k = 2 alone
+    A = heisenberg3()
+    assert all(power(a, 2).is_zero() for a in A.basis())
+    counts = Counter()
+    matmul, left = Matrix.__matmul__, algebra_module.left_mult_matrix
+
+    def counted_matmul(self, other):
+        counts["matmul"] += 1
+        return matmul(self, other)
+
+    def counted_left(a):
+        counts["left"] += 1
+        return left(a)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(algebra_module, "left_mult_matrix", counted_left)
+    assert verify_operator_identities(A).ok
+    assert counts == {"matmul": 2 * A.dim}
+
+
 def _raw_triple_terms(c, i, j, k, t) -> list:
     """The terms of coordinate t of e_i(e_j e_k) - (e_i e_j)e_k -
     e_j(e_i e_k), in raw arithmetic, unreduced."""

@@ -7,8 +7,8 @@ five generated families it holds the exit code and report of ``analyze``,
 ``engel`` and ``corollary 3`` without the ``input`` block (it names
 temporary paths). It also holds, in request order, the exit code and
 report (again without ``input``) of every request of the benchmark's
-``cli-mix``, ``engel-fp`` and ``engel-q`` workloads at seed 2024, and of
-``cli-mix`` at the holdout seed 31337, built by ``bench/workloads.py``:
+``cli-mix``, ``engel-fp`` and ``engel-q`` workloads at seed 2024 and at the
+holdout seed 31337, built by ``bench/workloads.py``:
 101 short calls of every file-reading subcommand per seed, failing ones
 included (a corrupted ``validate`` report lists its violating triples),
 five dense Engel checks over F_7 and three sparse ones over Q. Rewrite the
@@ -36,7 +36,7 @@ FAMILY_GOLDEN = GOLDEN / "families.json"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_SEED, HOLDOUT_SEED = 2024, 31337
 BENCH_WORKLOADS = {BENCH_SEED: ("cli-mix", "engel-fp", "engel-q"),
-                   HOLDOUT_SEED: ("cli-mix",)}
+                   HOLDOUT_SEED: ("cli-mix", "engel-fp", "engel-q")}
 FAMILIES = ("cyclic(4)", "heisenberg3", "sol2",
             "direct_sum(heisenberg3,cyclic(5))", "basis_change(heisenberg3,7)")
 COMMANDS = (["analyze"], ["engel"], ["corollary", "3"])

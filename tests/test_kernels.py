@@ -10,12 +10,16 @@ mostly not Leibniz, and on random action families that are mostly not
 bimodules. A right operand is read
 through the nonzero rows it caches, so reuse, equality and hashing are
 checked too, and a recording row shows that a product reads only those
-rows. Every result is in the canonical form of its field and never a
-float. Skipped when hypothesis is not installed; the sympy comparison also
-needs sympy.
+rows. The echelon reducer is checked against column-wise Gauss-Jordan
+on tall matrices with zero and copied rows, a recording row stream shows
+that it reads no row after the one that completes full rank, and the
+image step is checked against spans read off that oracle. Every result
+is in the canonical form of its field and never a float. Skipped when
+hypothesis is not installed; the sympy comparison also needs sympy.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -24,8 +28,9 @@ from leibniz_engel.algebra import (Element, _add_combination, _mult_coords,
                                    mult_coords, validate_leibniz,
                                    verify_operator_identities)
 from leibniz_engel.bimodule import Bimodule, validate_bimodule
-from leibniz_engel.fields import GF, QQ
-from leibniz_engel.linalg import Matrix, Subspace, _image, kernel_basis, rref
+from leibniz_engel.fields import GF, QQ, RationalField
+from leibniz_engel.linalg import (Matrix, Subspace, _echelon, _image,
+                                  kernel_basis, rref)
 
 from oracles import (add_combination_per_scalar, apply_per_scalar,
                      leibniz_triple_violations, matmul_per_scalar,
@@ -323,6 +328,76 @@ def test_rref_is_canonical_and_idempotent(m):
         assert rref(Matrix(m.field, m.rows, m.cols, tuple(rows))).matrix == red
 
 
+@st.composite
+def tall_matrices(draw):
+    """Up to three times as many rows as columns, some rows zero and some
+    copied from others."""
+    field = draw(FIELDS)
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(ncols, 3 * ncols))
+    rows = list(draw(matrices(field, rows=nrows, cols=ncols)).entries)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                        st.integers(0, nrows - 1)),
+                              max_size=nrows)):
+        rows[i] = rows[j]
+    return Matrix(field, nrows, ncols, tuple(rows))
+
+
+@SETTINGS
+@given(tall_matrices())
+def test_rref_of_tall_matrices_equals_oracle(m):
+    assert rref(m) == rref_per_scalar(m)
+
+
+def full_rank_stream(field, size, data):
+    """Some rows, then the rows of a unit upper triangular (so nonsingular)
+    matrix, then more rows; and the number of rows up to and including
+    the one that completes full rank."""
+    rows = list(data.draw(matrices(field, cols=size)).entries)
+    square = data.draw(matrices(field, rows=size, cols=size))
+    rows += [tuple(field.one() if j == i else x if j > i else field.zero()
+                   for j, x in enumerate(row))
+             for i, row in enumerate(square.entries)]
+    rows += data.draw(matrices(field, cols=size)).entries
+    done = next(k for k in range(1, len(rows) + 1)
+                if rref_per_scalar(Matrix(field, k, size,
+                                          tuple(rows[:k])))[1] == size)
+    return rows, done
+
+
+@SETTINGS
+@given(st.data())
+def test_reducer_reads_no_row_after_full_rank(data):
+    field = data.draw(FIELDS)
+    size = data.draw(st.integers(1, 5))
+    rows, done = full_rank_stream(field, size, data)
+    read = []
+
+    def stream():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    assert _echelon(field, size, stream()) == \
+        Matrix.identity(field, size).entries
+    assert read == rows[:done]
+
+
+@pytest.mark.parametrize("make", (RationalField, partial(GF, 5), partial(GF, 7)))
+def test_identity_is_shared_and_spans_the_full_space(make):
+    field = make()
+    for n in range(7):
+        per_entry = tuple(tuple(field.one() if i == j else field.zero()
+                                for j in range(n)) for i in range(n))
+        identity = Matrix.identity(field, n)
+        # an equal field object built apart shares it too
+        assert Matrix.identity(make(), n) is identity
+        assert identity == Matrix(field, n, n, per_entry)
+        assert Subspace.full(field, n) == Subspace(field, n, per_entry)
+        assert Subspace.full(field, n).basis is identity.entries
+    assert Matrix.identity(GF(5), 3) is not Matrix.identity(GF(7), 3)
+
+
 @SETTINGS
 @given(field_matrices())
 def test_kernel_basis_vectors_are_killed(m):
@@ -373,6 +448,12 @@ def operators_with_repeats(draw, field, size):
     return ops + repeats
 
 
+def span_per_scalar(field, size, rows) -> Subspace:
+    """The span of rows, its basis read off ``rref_per_scalar``."""
+    red, rank, _ = rref_per_scalar(Matrix(field, len(rows), size, tuple(rows)))
+    return Subspace(field, size, red.entries[:rank])
+
+
 @SETTINGS
 @given(st.data())
 def test_image_equals_span_of_per_scalar_products(data):
@@ -384,8 +465,8 @@ def test_image_equals_span_of_per_scalar_products(data):
     elif kind == "full":
         space = Subspace.full(field, size)
     else:
-        space = Subspace.span(field, size,
-                              data.draw(matrices(field, cols=size)).entries)
+        space = span_per_scalar(field, size,
+                                data.draw(matrices(field, cols=size)).entries)
     ops = data.draw(operators_with_repeats(field, size))
     columns = Matrix(field, size, space.dim,
                      tuple(zip(*space.basis)) if space.dim else ((),) * size)
@@ -394,10 +475,10 @@ def test_image_equals_span_of_per_scalar_products(data):
         products = transpose_per_column(matmul_per_scalar(g, columns))
         # one operator alone keeps the image of a proper subspace proper
         assert _image(space, [transpose_per_column(g)]) == \
-            Subspace.span(field, size, products.entries)
+            span_per_scalar(field, size, products.entries)
         images += products.entries
     image = _image(space, [transpose_per_column(g) for g in ops])
-    assert image == Subspace.span(field, size, images)
+    assert image == span_per_scalar(field, size, images)
     assert_canonical(field, [x for row in image.basis for x in row])
 
 
