@@ -19,8 +19,9 @@ operators of the basis are read once per algebra off the tensor: row j of
 (row y of Y @ L_x^T is x y, of Y @ R_x^T is y x), the ideal test, the
 regular bimodule and the identity suite all use these operators, and
 ``_combination`` builds the operator of any element from them. The series
-of a carrier, the generated subalgebra and the ideal test each step by the
-one image step ``linalg._image`` under such operators.
+of a carrier is the image walk ``linalg._walk`` under such operators, and
+the generated subalgebra and the ideal test take its one image step
+``linalg._image``.
 
 The defining identity and the pair identities of the operator suite are
 checked as sparse contractions, not as matrix products: for one basis
@@ -41,7 +42,7 @@ from typing import Sequence
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
                      InvalidExponent, ShapeMismatch)
 from .fields import Field
-from .linalg import Matrix, Subspace, _image, vec_is_zero
+from .linalg import Matrix, Subspace, _image, _walk
 
 DEFAULT_CLOSURE_CAP = 1000
 
@@ -271,7 +272,7 @@ class Element:
             raise AlgebraMismatch("elements of different algebras")
 
     def is_zero(self) -> bool:
-        return vec_is_zero(self.coords)
+        return not any(self.coords)
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
@@ -429,8 +430,11 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     - right_power_reduction:        R_a^k = (-1)^(k-1) R_a L_a^(k-1), 2 <= k <= n
 
     The power walks of one basis element stop early: at the first a^i = 0,
-    since every later power is 0 too, and once R_a^k = 0 with the identity
-    holding at k, since both sides are 0 from then on.
+    since every later power is 0 too, and once the right power identity
+    holds at k = 2 (R_a^2 = -R_a L_a), since by induction and associativity
+    alone R_a^(k+1) = R_a R_a^k = (-1)^(k-1) R_a^2 L_a^(k-1) = (-1)^k R_a L_a^k.
+    After a failure at k = 2 the walk goes on, for the later witnesses,
+    until R_a^k = 0 with the identity holding at k (both sides 0 from then).
 
     Violations indicate an implementation bug on a validated algebra; they
     are collected, not raised.
@@ -465,7 +469,7 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
             if r_pow != (rl if sign > 0 else -rl):
                 violations.append(IdentityViolation(
                     "right_power_reduction", {"basis": i + 1, "exponent": k}))
-            elif r_pow.is_zero():
+            elif k == 2 or r_pow.is_zero():
                 break
 
     return IdentityReport(not violations, violations)
@@ -601,13 +605,13 @@ def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
 
     The next term after T is span(S * T + T * S) for the carrier S, and
     that is span(S * T): the image of T under L_s for s in the echelon basis
-    of S, taken in one ``linalg._image`` step. For the whole algebra those
-    operators are the cached basis operators themselves. For an ideal the
-    terms decrease monotonically and the series ends at its first stable
-    term. A carrier that is not even a subalgebra can make the step map
-    cycle through subspaces without stabilizing, so the series cuts off at
-    the first repeated term; either way it reaches zero exactly when the
-    induced structure is nilpotent.
+    of S, so the series is the walk ``linalg._walk`` of S under those
+    operators. For the whole algebra they are the cached basis operators
+    themselves. For an ideal the terms decrease monotonically and the
+    series ends at its first stable term. A carrier that is not even a
+    subalgebra can make the step map cycle through subspaces without
+    stabilizing, so the series cuts off at the first repeated term; either
+    way it reaches zero exactly when the induced structure is nilpotent.
 
     Why one side is enough, for any subspace S, ideal or not: let U_1 = S
     and U_{k+1} = span(S * U_k). Then U_i * U_j lies in U_{i+j}, by
@@ -631,16 +635,7 @@ def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
         else:
             ops = [_combination(algebra.field, algebra.dim, s, lts)
                    for s in carrier.basis]
-        terms = [carrier]
-        seen = {carrier.basis}
-        while True:
-            last = terms[-1]
-            nxt = _image(last, ops)
-            if nxt == last or nxt.basis in seen:
-                break
-            terms.append(nxt)
-            seen.add(nxt.basis)
-        series = memo[carrier] = tuple(terms)
+        series = memo[carrier] = tuple(_walk(carrier, ops))
     return list(series)
 
 

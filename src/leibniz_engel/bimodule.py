@@ -107,12 +107,12 @@ def annihilator_ideal(module: Bimodule) -> Subspace:
     """{a : T_a = 0 and S_a = 0}, the joint kernel of a -> (T_a, S_a), an
     ideal of the algebra."""
     A = module.algebra
-    columns = []
-    for i in range(A.dim):
-        flat = [x for row in module.left_actions[i].entries for x in row]
-        flat += [x for row in module.right_actions[i].entries for x in row]
-        columns.append(tuple(flat))
-    carrier = kernel_basis(Matrix.from_columns(A.field, columns))
+    m = module.module_dim
+    # row i is the canonical entries of T_i then S_i, so the map is the
+    # transpose
+    rows = tuple(tuple(x for mat in pair for row in mat.entries for x in row)
+                 for pair in zip(module.left_actions, module.right_actions))
+    carrier = kernel_basis(Matrix(A.field, A.dim, 2 * m * m, rows).transpose())
     assert is_ideal(A, carrier), "annihilator failed the ideal check"
     return carrier
 

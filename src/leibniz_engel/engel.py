@@ -7,10 +7,11 @@ bound for the pair of actions of a single element, premise checking over
 Lie sets, the annihilator flag, and the joint annihilator vector, assembled
 into an end-to-end verifier.
 
-Both walks take the one image step ``linalg._image``: the image filtration
-walks the module under the actions, and the flag is the annihilator of the
-dual walk, the images of the whole dual space under the transposed actions
-(Jacobson's duality between the two).
+Both are one image walk, ``linalg._walk``: the image filtration walks the
+module under the actions, and the flag is the annihilator of the dual
+walk, the images of the whole dual space under the transposed actions
+(Jacobson's duality between the two), each level read off an echelon basis
+by ``linalg._annihilator``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .algebra import Element, LieSet, is_lie_set, subalgebra_generated
 from .bimodule import Bimodule, s_matrix, t_matrix
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
                      FlagStalled, NoAnnihilator, NotNilpotentError)
-from .linalg import (Matrix, Subspace, _image, is_nilpotent_matrix,
-                     kernel_basis)
+from .linalg import (Matrix, Subspace, _annihilator, _walk,
+                     is_nilpotent_matrix, kernel_basis)
 from .reports import Check, Report
 
 
@@ -44,10 +45,12 @@ class ImageFiltration(NamedTuple):
 def image_filtration(generators: Sequence[Matrix]) -> ImageFiltration:
     """Apply the generators to the module until the image vanishes or stalls.
 
-    Each step is one image of the last term under all generators, taken by
-    ``linalg._image`` from the transposes built once here. V_j lies in
-    V_{j-1}, so equal dimensions mean equal terms, and a term the
-    generators map onto itself never reaches zero.
+    The terms are the walk ``linalg._walk`` of the whole module under the
+    generators, passed as the transposes built once here. V_j lies in
+    V_{j-1}, so the walk ends at the first term the generators map onto
+    itself: a zero term, or a nonzero one that never reaches zero, whose
+    dimension ``dims`` repeats. V_1 is always taken, so the zero module
+    gives dims (0, 0) and index 1.
     """
     gens = list(generators)
     if not gens:
@@ -60,16 +63,12 @@ def image_filtration(generators: Sequence[Matrix]) -> ImageFiltration:
         if g.rows != size or g.cols != size:
             raise DimensionMismatch("generators must be square and equal-sized")
 
-    transposes = [g.transpose() for g in gens]
-    current = Subspace.full(field, size)
-    dims = [size]
-    while True:
-        current = _image(current, transposes)
-        dims.append(current.dim)
-        if current.is_zero():
-            return ImageFiltration(tuple(dims), len(dims) - 1)
-        if current.dim == dims[-2]:
-            return ImageFiltration(tuple(dims), None)
+    walk = _walk(Subspace.full(field, size), [g.transpose() for g in gens])
+    dims = [t.dim for t in walk]
+    stalled = bool(walk[-1].basis)
+    if stalled or len(dims) == 1:
+        dims.append(dims[-1])
+    return ImageFiltration(tuple(dims), None if stalled else len(dims) - 1)
 
 
 def generated_operator_algebra(generators: Sequence[Matrix]):
@@ -175,9 +174,11 @@ def engel_flag(module: Bimodule, generators: Sequence) -> Flag:
 
     The flag is the annihilator of a walk in the dual: with W_0 the whole
     space of row vectors and W_{i+1} spanned by g^T w for the actions g and
-    w in W_i, level i is the kernel of W_i (w (g v) = (g^T w) v). Each step
-    is one ``linalg._image`` with the actions passed untransposed, since
-    row w of W @ g is g^T w; a level stalls exactly when W_{i+1} = W_i.
+    w in W_i, level i is the annihilator of W_i (w (g v) = (g^T w) v),
+    read off its echelon basis. The walk is ``linalg._walk`` with the
+    actions passed untransposed, since row w of W @ g is g^T w; the terms
+    shrink, so it ends at a zero term, where the flag is full, or at the
+    first W_{i+1} = W_i, where level i + 1 stalls.
     """
     A = module.algebra
     field = A.field
@@ -188,15 +189,11 @@ def engel_flag(module: Bimodule, generators: Sequence) -> Flag:
     basis = [Element(A, v) for v in span.basis]
     actions = [g for c in basis
                for g in (t_matrix(module, c), s_matrix(module, c))]
-    chain = [Subspace.zero(field, m)]
-    dual = Subspace.full(field, m)
-    while not dual.is_zero():
-        nxt = _image(dual, actions)
-        if nxt == dual:
-            raise FlagStalled(len(chain), chain[-1].dim, m)
-        dual = nxt
-        chain.append(kernel_basis(dual.basis_matrix()))
-    return Flag(tuple(chain))
+    walk = _walk(Subspace.full(field, m), actions)
+    if walk[-1].basis:
+        raise FlagStalled(len(walk), m - walk[-1].dim, m)
+    return Flag(tuple(Subspace._span(field, m, _annihilator(field, m, w.basis))
+                      for w in walk))
 
 
 def joint_annihilator(module: Bimodule) -> tuple:

@@ -12,16 +12,15 @@ zero row. A product walks only the nonzero rows of its right operand, read
 with their nonzero entries once per matrix (``Matrix._row_terms``), so an
 operator that is reused is scanned once.
 
-One echelon reducer, ``_echelon``, serves ``rref``, every span and every
-image. The image of a subspace under a set of operators, ``_image``,
-streams each g v into it without building a product matrix, and it is the
-one step of every invariant walk: the image filtration, the lower central
-series of a carrier, the generated subalgebra, the bimodule spin and
-invariance test, the ideal test, and the annihilator flag, which walks the
-dual (the flag's level i is the kernel of the i-th image of the whole dual
-space under the transposed actions). ``Subspace.span`` normalises what it
-is handed; the kernels span their own canonical results through
-``Subspace._span``, which skips that pass.
+One reducer, ``_echelon``, serves ``rref``, the rank, every span and image.
+One image step, ``_image``, streams each g v into it without building a
+product matrix: the spin, the ideal and invariance tests, the generated
+subalgebra and the one walk of repeated images, ``_walk``, which is the
+image filtration, a carrier's lower central series and the dual walk of
+the flag. One read-off, ``_annihilator``, gives the annihilator of an
+echelon basis: the kernel, the quotient projection and each flag level.
+``Subspace.span`` normalises what it is handed; the kernels span their own
+canonical results through ``Subspace._span``, which skips that pass.
 
 ``Matrix`` and ``Subspace`` are frozen dataclasses whose ``__init__`` fills
 the instance ``__dict__`` directly, so creating one costs about what its
@@ -46,10 +45,6 @@ from .errors import DimensionMismatch, FieldMismatch, NonSquareError
 from .fields import Field, Scalar
 
 Vector = tuple  # tuple of scalars over one field
-
-
-def vec_is_zero(v: Sequence[Scalar]) -> bool:
-    return not any(v)
 
 
 @dataclass(frozen=True, init=False)
@@ -285,20 +280,31 @@ def rref(m: Matrix) -> RrefResult:
                       tuple(next(compress(count(), row)) for row in basis[:rank]))
 
 
+def _annihilator(field: Field, n: int, basis: Sequence[tuple]) -> list:
+    """Rows spanning {v : b v = 0 for b in ``basis``}, a canonical echelon
+    basis in F^n: for each free column f, 1 at f and -b_i[f] at the pivot
+    P_i of each b_i (b_i is 1 at P_i, 0 at the other pivots). One row per
+    free column, so n - rank independent rows; canonical, not echelon."""
+    zero, one = field.zero(), field.one()
+    pivots = [next(compress(count(), row)) for row in basis]
+    taken = set(pivots)
+    rows = []
+    for f in range(n):
+        if f in taken:
+            continue
+        e = [zero] * n
+        e[f] = one
+        for c, row in zip(pivots, basis):
+            e[c] = -row[f]
+        rows.append(field.reduce_row(e))
+    return rows
+
+
 def kernel_basis(m: Matrix) -> "Subspace":
     """The right kernel {v : m v = 0} as a canonical subspace."""
-    field = m.field
-    red, rank, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [field.zero()] * m.cols
-        v[f] = field.one()
-        for r, c in enumerate(pivots):
-            v[c] = -red.entries[r][f]
-        basis.append(field.reduce_row(v))
-    return Subspace._span(field, m.cols, basis)
+    field, n = m.field, m.cols
+    return Subspace._span(field, n,
+                          _annihilator(field, n, _echelon(field, n, m.entries)))
 
 
 class Nilpotency(NamedTuple):
@@ -338,7 +344,7 @@ def invert(m: Matrix) -> Matrix | None:
 
 
 def matrix_rank(m: Matrix) -> int:
-    return rref(m).rank
+    return len(_echelon(m.field, m.cols, m.entries))
 
 
 @dataclass(frozen=True, init=False)
@@ -431,27 +437,13 @@ class Subspace:
         with ``q.apply(lifts[i])`` the i-th standard quotient coordinate.
         """
         field, n = self.field, self.ambient_dim
-        zero, one = field.zero(), field.one()
-        pivots = [next(j for j, x in enumerate(row) if x)
-                  for row in self.basis]
-        pivot_set = set(pivots)
-        rows, lifts = [], []
-        for f in range(n):
-            if f in pivot_set:
-                continue
-            e = [zero] * n
-            e[f] = one
-            lifts.append(tuple(e))
-            # 1 at f and -b_i[f] at the pivot P_i of b_i: this row kills
-            # every b_i (b_i[P_k] is 1 for k = i, else 0), is 1 on e_f and
-            # 0 on the other lifts
-            for c, row in zip(pivots, self.basis):
-                e[c] = -row[f]
-            rows.append(field.reduce_row(e))
-        return Matrix(field, len(rows), n, tuple(rows)), lifts
-
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.dim, self.ambient_dim, self.basis)
+        # the annihilator row of free column f is 1 on e_f and 0 on the
+        # other free unit vectors, which are therefore the lifts
+        rows = _annihilator(field, n, self.basis)
+        pivots = {next(compress(count(), row)) for row in self.basis}
+        units = Matrix.identity(field, n).entries
+        return (Matrix(field, len(rows), n, tuple(rows)),
+                [units[f] for f in range(n) if f not in pivots])
 
     def to_str_rows(self) -> list:
         ts = self.field.to_str
@@ -466,6 +458,20 @@ def _image(space: Subspace, transposes: Sequence[Matrix]) -> Subspace:
         return space
     field, n = space.field, space.ambient_dim
     return Subspace(field, n, _echelon(field, n, _image_rows(space, transposes)))
+
+
+def _walk(space: Subspace, transposes: Sequence[Matrix]) -> list:
+    """[space, its image, the image of that, ...] under the operators of
+    ``_image``, ending before the first term already taken (compared by
+    canonical basis, not hashed). A shrinking walk ends at a repeat of its
+    last term, a zero term included; one under operators that do not keep
+    ``space`` invariant can also cycle back to an earlier term."""
+    terms = [space]
+    while True:
+        nxt = _image(terms[-1], transposes)
+        if any(nxt.basis == t.basis for t in terms):
+            return terms
+        terms.append(nxt)
 
 
 def _image_rows(space: Subspace, transposes: Sequence[Matrix]):

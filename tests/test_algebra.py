@@ -11,7 +11,7 @@ from leibniz_engel import (cyclic, heisenberg3, sol2, abelian, fuzz_corpus,
                            lower_central_series, power, regular_bimodule,
                            right_mult_matrix, subalgebra_generated,
                            validate_bimodule, validate_leibniz,
-                           verify_operator_identities)
+                           direct_sum, verify_operator_identities)
 from leibniz_engel.algebra import LeibnizAlgebra, carrier_series
 from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   InvalidAlgebra, InvalidExponent)
@@ -454,6 +454,41 @@ def test_power_walks_stop_at_zero(monkeypatch):
     monkeypatch.setattr(algebra_module, "left_mult_matrix", counted_left)
     assert verify_operator_identities(A).ok
     assert counts == {"matmul": 2 * A.dim}
+
+
+def test_right_power_chain_stops_once_k2_holds(monkeypatch):
+    # in sol2 + abelian(3), e2 e1 = -e2, so no power of R_{e1} is 0; the
+    # identity holds at k = 2 for every basis element, so each chain of R_a
+    # takes the two products of k = 2 alone (walking on until R_a^k = 0
+    # would take 2 more per exponent up to k = 5 for e1)
+    A = direct_sum(sol2(), abelian(3))
+    assert not (right_mult_matrix(A.basis_element(0)) ** A.dim).is_zero()
+    counts = Counter()
+    matmul = Matrix.__matmul__
+
+    def counted_matmul(self, other):
+        counts["matmul"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    assert verify_operator_identities(A).ok
+    assert counts == {"matmul": 2 * A.dim}
+
+
+def test_right_power_chain_goes_on_after_a_failure_at_k2():
+    # e1 e1 = e1 in dimension 4 (not Leibniz): R_a = L_a = P, a nonzero
+    # idempotent, so R_a^k = P against (-1)^(k-1) P: the identity fails at
+    # k = 2, holds at k = 3 with R_a^3 nonzero, and fails again at k = 4
+    tensor = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    tensor[0][0][0] = 1
+    A = unchecked_algebra(QQ, tensor)
+    got = [(v.identity, v.witness["basis"], v.witness["exponent"])
+           for v in verify_operator_identities(A).violations
+           if v.identity in ("left_mult_of_power_vanishes",
+                             "right_power_reduction")]
+    assert got == power_identity_violations(A)
+    assert [g[1:] for g in got if g[0] == "right_power_reduction"] == \
+        [(1, 2), (1, 4)]
 
 
 def _raw_triple_terms(c, i, j, k, t) -> list:

@@ -14,6 +14,8 @@ from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   NotNilpotentError)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
+import leibniz_engel.engel as engel_module
+import leibniz_engel.linalg as linalg_module
 
 from oracles import (engel_flag_all_members, min_vanishing_word_length,
                      operator_algebra_closure)
@@ -89,6 +91,12 @@ def test_operator_algebra_input_checks():
         image_filtration([Matrix.zero(QQ, 2, 3)])
     with pytest.raises(FieldMismatch):
         image_filtration([Matrix.zero(QQ, 2, 2), Matrix.zero(GF(5), 2, 2)])
+
+
+def test_image_filtration_of_the_zero_module():
+    # V_1 is always taken, so the zero module repeats its dimension and has
+    # index 1
+    assert image_filtration([Matrix.zero(QQ, 0, 0)]) == ((0, 0), 1)
 
 
 def test_lemma_bound_regular_cyclic2():
@@ -178,6 +186,25 @@ def test_engel_flag_stalls_on_sol2():
         engel_flag(regular_bimodule(A), A.basis())
     assert info.value.level == 1
     assert info.value.stalled_dim == 0
+
+
+def test_engel_flag_reads_levels_off_without_row_reduction(monkeypatch):
+    # each level is read off the dual walk's echelon basis, so neither rref
+    # nor kernel_basis runs; the dims and the stall are as before
+    def refuse(*args):
+        raise AssertionError("the flag row-reduced a matrix")
+
+    monkeypatch.setattr(linalg_module, "rref", refuse)
+    monkeypatch.setattr(linalg_module, "kernel_basis", refuse)
+    monkeypatch.setattr(engel_module, "kernel_basis", refuse)
+    for A, dims in ((cyclic(2), [0, 1, 2]), (heisenberg3(), [0, 1, 3]),
+                    (cyclic(4, GF(5)), [0, 1, 2, 3, 4])):
+        assert engel_flag(regular_bimodule(A), A.basis()).dims() == dims
+    A = cyclic(2)
+    assert engel_flag(_zero_module(A, 3), A.basis()).dims() == [0, 3]
+    with pytest.raises(FlagStalled) as info:
+        engel_flag(regular_bimodule(sol2()), sol2().basis())
+    assert (info.value.level, info.value.stalled_dim) == (1, 0)
 
 
 def test_flag_levels_nested_and_invariant():

@@ -13,7 +13,8 @@ checked too, and a recording row shows that a product reads only those
 rows. The echelon reducer is checked against column-wise Gauss-Jordan
 on tall matrices with zero and copied rows, a recording row stream shows
 that it reads no row after the one that completes full rank, and the
-image step is checked against spans read off that oracle. Every result
+image step and the annihilator read-off are checked against spans and
+kernels read off that oracle. Every result
 is in the canonical form of its field and never a float. Skipped when
 hypothesis is not installed; the sympy comparison also needs sympy.
 """
@@ -29,8 +30,8 @@ from leibniz_engel.algebra import (Element, _add_combination, _mult_coords,
                                    verify_operator_identities)
 from leibniz_engel.bimodule import Bimodule, validate_bimodule
 from leibniz_engel.fields import GF, QQ, RationalField
-from leibniz_engel.linalg import (Matrix, Subspace, _echelon, _image,
-                                  kernel_basis, rref)
+from leibniz_engel.linalg import (Matrix, Subspace, _annihilator, _echelon,
+                                  _image, kernel_basis, rref)
 
 from oracles import (add_combination_per_scalar, apply_per_scalar,
                      leibniz_triple_violations, matmul_per_scalar,
@@ -480,6 +481,42 @@ def test_image_equals_span_of_per_scalar_products(data):
     image = _image(space, [transpose_per_column(g) for g in ops])
     assert image == span_per_scalar(field, size, images)
     assert_canonical(field, [x for row in image.basis for x in row])
+
+
+def kernel_per_scalar(field, size, rows) -> Subspace:
+    """{v : b v = 0 for the rows b}, from ``rref_per_scalar`` of [B^T | I]:
+    a row of the result that is zero on its B^T block is E on the other,
+    with E B^T = 0 for an invertible E, so its I block is a kernel vector,
+    and there are size - rank such rows."""
+    r = len(rows)
+    units = Matrix.identity(field, size).entries
+    aug = Matrix(field, size, r + size,
+                 tuple(tuple(b[j] for b in rows) + units[j]
+                       for j in range(size)))
+    red = rref_per_scalar(aug)[0]
+    return span_per_scalar(field, size, [row[r:] for row in red.entries
+                                         if not any(row[:r])])
+
+
+@SETTINGS
+@given(st.data())
+def test_annihilator_equals_per_scalar_kernel(data):
+    field = data.draw(FIELDS)
+    size = data.draw(st.integers(1, 6))
+    kind = data.draw(st.sampled_from(("zero", "full", "span")))
+    if kind == "zero":
+        rows = ()
+    elif kind == "full":
+        rows = data.draw(matrices(field, rows=size, cols=size)).entries
+        rows += Matrix.identity(field, size).entries
+    else:
+        rows = data.draw(matrices(field, cols=size)).entries
+    basis = span_per_scalar(field, size, rows).basis
+    annihilator = _annihilator(field, size, basis)
+    assert len(annihilator) == size - len(basis)
+    assert_canonical(field, [x for row in annihilator for x in row])
+    assert Subspace._span(field, size, annihilator) == \
+        kernel_per_scalar(field, size, rows)
 
 
 @SETTINGS

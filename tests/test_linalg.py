@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from leibniz_engel.cli import main
 from leibniz_engel.errors import (DimensionMismatch, FieldMismatch,
                                   FormatError, NonSquareError)
 from leibniz_engel.fields import GF, QQ
-from leibniz_engel.linalg import (Matrix, Subspace, invert,
+from leibniz_engel.linalg import (Matrix, Subspace, _walk, invert,
                                   is_nilpotent_matrix, kernel_basis,
                                   matrix_rank, rref)
+import leibniz_engel.linalg as linalg_module
 
 from oracles import transpose_per_column
 
@@ -159,6 +161,30 @@ def test_quotient_data_projection():
                 image = q.apply(lift)
                 assert all(x == (field.one() if j == i else field.zero())
                            for j, x in enumerate(image))
+
+
+def test_walk_ends_before_the_first_term_already_taken(monkeypatch):
+    # the shift e1 -> e2 -> e3 -> e1 carries span{e1} round a cycle of three
+    # terms, and the fourth image is the first term again; a walk that
+    # looked only at its last term would never end
+    shift = Matrix.from_rows(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    calls = Counter()
+    image = linalg_module._image
+
+    def bounded_image(space, transposes):
+        calls["image"] += 1
+        assert calls["image"] <= 10, "the walk did not end"
+        return image(space, transposes)
+
+    monkeypatch.setattr(linalg_module, "_image", bounded_image)
+    walk = _walk(Subspace.span(QQ, 3, [(1, 0, 0)]), [shift.transpose()])
+    assert [t.basis for t in walk] == [((1, 0, 0),), ((0, 1, 0),),
+                                       ((0, 0, 1),)]
+    assert calls["image"] == 3
+    # a shrinking walk ends at its first zero term, its own image
+    nil = Matrix.from_rows(QQ, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert [t.dim for t in _walk(Subspace.full(QQ, 3), [nil.transpose()])] \
+        == [3, 2, 1, 0]
 
 
 def test_invert_round_trip():
