@@ -13,12 +13,12 @@ generated subalgebras, Lie sets, the lower central series of a subspace
 and the ideal test. An algebra's ``_cache`` holds its operators and, per
 carrier, the series and the ideal verdict, each computed once.
 
-Products of coordinate vectors walk the tensor. The multiplication
-operators of the basis are read once per algebra off the tensor: row j of
-``c[i]`` is e_i e_j, so ``c[i]`` is L_{e_i}^T as it stands. The Lie sets
-(row y of Y @ L_x^T is x y, of Y @ R_x^T is y x), the ideal test, the
-regular bimodule and the identity suite all use these operators, and
-``_combination`` builds the operator of any element from them. The series
+The multiplication operators of the basis are read once per algebra off
+the tensor: row j of ``c[i]`` is e_i e_j, so ``c[i]`` is L_{e_i}^T as it
+stands. Every product is taken from them, with ``_combination`` building
+the operator of any element: x y is L_x applied to y, the Lie sets take
+row y of Y @ L_x^T as x y and of Y @ R_x^T as y x, and the ideal test, the
+regular bimodule and the identity suite use them as they are. The series
 of a carrier is the image walk ``linalg._walk`` under such operators, and
 the generated subalgebra and the ideal test take its one image step
 ``linalg._image``.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import Sequence
 
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
@@ -49,29 +49,6 @@ DEFAULT_CLOSURE_CAP = 1000
 # Largest dimension taken from input files or family specs, checked before
 # anything of that size (a structure tensor holds dim**3 scalars) is built.
 MAX_DIM = 64
-
-
-def _mult_coords(algebra: "LeibnizAlgebra", x: Sequence, y: Sequence) -> tuple:
-    """Bilinear product of coordinate vectors through the structure tensor.
-
-    Walks the nonzero coordinates of x and y and, for each pair (i, j), the
-    nonzero constants of e_i e_j.
-    """
-    zero = algebra.field.zero()
-    y_terms = list(compress(enumerate(y), y))
-    out = None
-    for xi, ci in compress(zip(x, algebra.structure), x):
-        for j, yj in y_terms:
-            cij = ci[j]
-            if any(cij):
-                if out is None:
-                    out = [zero] * algebra.dim
-                coeff = xi * yj
-                for k, c in compress(enumerate(cij), cij):
-                    out[k] += coeff * c
-    if out is None:
-        return (zero,) * algebra.dim
-    return algebra.field.reduce_row(out)
 
 
 @dataclass
@@ -290,7 +267,7 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
         return Element(self.algebra,
-                       _mult_coords(self.algebra, self.coords, other.coords))
+                       mult_coords(self.algebra, self.coords, other.coords))
 
     def to_str(self) -> str:
         ts = self.algebra.field.to_str
@@ -606,9 +583,9 @@ def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
     The next term after T is span(S * T + T * S) for the carrier S, and
     that is span(S * T): the image of T under L_s for s in the echelon basis
     of S, so the series is the walk ``linalg._walk`` of S under those
-    operators. For the whole algebra they are the cached basis operators
-    themselves. For an ideal the terms decrease monotonically and the
-    series ends at its first stable term. A carrier that is not even a
+    operators (for the whole algebra, whose echelon basis is the unit rows,
+    the cached basis operators themselves). For an ideal the terms decrease
+    monotonically and the series ends at its first stable term. A carrier that is not even a
     subalgebra can make the step map cycle through subspaces without
     stabilizing, so the series cuts off at the first repeated term; either
     way it reaches zero exactly when the induced structure is nilpotent.
@@ -630,11 +607,8 @@ def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:
     series = memo.get(carrier)
     if series is None:
         lts = algebra._operators()[0]
-        if carrier.is_full():
-            ops = lts
-        else:
-            ops = [_combination(algebra.field, algebra.dim, s, lts)
-                   for s in carrier.basis]
+        ops = [_combination(algebra.field, algebra.dim, s, lts)
+               for s in carrier.basis]
         series = memo[carrier] = tuple(_walk(carrier, ops))
     return list(series)
 
@@ -679,5 +653,7 @@ def is_ideal(algebra: LeibnizAlgebra, carrier: Subspace) -> bool:
 
 
 def mult_coords(algebra: LeibnizAlgebra, x: Sequence, y: Sequence) -> tuple:
-    """Product of two coordinate vectors in the algebra."""
-    return _mult_coords(algebra, x, y)
+    """Product of two coordinate vectors in the algebra: L_x, combined from
+    the cached basis operators, applied to y."""
+    return _combination(algebra.field, algebra.dim, x,
+                        algebra._operators()[2]).apply(y)

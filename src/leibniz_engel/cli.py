@@ -38,13 +38,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report, input_desc = args.handler(args)
+        report = args.handler(args)
     except FormatError as exc:
-        report, input_desc = error_report(str(exc)), _input_desc(args)
+        report = error_report(str(exc))
     except (ValueError, LeibnizError) as exc:
-        report, input_desc = error_report(
-            f"{type(exc).__name__}: {exc}"), _input_desc(args)
-    envelope = report.to_json_dict(args.command, input_desc)
+        report = error_report(f"{type(exc).__name__}: {exc}")
+    envelope = report.to_json_dict(args.command, _input_desc(args))
     if args.json_path:
         Path(args.json_path).write_text(
             json.dumps(envelope, indent=2, sort_keys=True) + "\n",
@@ -143,7 +142,7 @@ def _cmd_validate(args):
         violations = exc.report.violations
         premise = Check("defining_identity", False, witness=violations[:5],
                         data={"violations": len(violations)})
-        return Report(premises=[premise], conclusions=[]), _input_desc(args)
+        return Report(premises=[premise], conclusions=[])
     identities = verify_operator_identities(algebra)
     premise = Check("defining_identity", True, data={"violations": 0})
     conclusion = Check(
@@ -151,8 +150,7 @@ def _cmd_validate(args):
         witness=None if identities.ok else
         [{"identity": v.identity, **v.witness}
          for v in identities.violations[:5]])
-    return Report(premises=[premise], conclusions=[conclusion]), \
-        _input_desc(args)
+    return Report(premises=[premise], conclusions=[conclusion])
 
 
 def _cmd_analyze(args):
@@ -169,7 +167,7 @@ def _cmd_analyze(args):
         "regular_annihilator_dim": ann.dim,
         "regular_annihilator_basis": ann.to_str_rows(),
     }
-    return Report(premises=[], conclusions=[], data=data), _input_desc(args)
+    return Report(premises=[], conclusions=[], data=data)
 
 
 def _cmd_engel(args):
@@ -185,7 +183,7 @@ def _cmd_engel(args):
         lie_set = LieSet(algebra, tuple(members))
     else:
         lie_set = _default_lie_set(algebra)
-    return theorem2_verify(module, lie_set), _input_desc(args)
+    return theorem2_verify(module, lie_set)
 
 
 def _cmd_lemma_bound(args):
@@ -203,25 +201,23 @@ def _cmd_lemma_bound(args):
             premises=[Check("left_action_nilpotent", False,
                             witness=exc.witness)],
             conclusions=[])
-    return report, _input_desc(args)
+    return report
 
 
 def _cmd_corollary(args):
     algebra = load_algebra(args.algebra)
     if args.which == 3:
-        return corollary3_check(algebra, _default_lie_set(algebra)), \
-            _input_desc(args)
+        return corollary3_check(algebra, _default_lie_set(algebra))
     if args.which == 4:
         if not args.map_path or args.order is None:
             raise FormatError("corollary 4 needs --map and --order")
         self_map = load_map(args.map_path, algebra)
-        return corollary4_check(algebra, self_map.matrix, args.order), \
-            _input_desc(args)
+        return corollary4_check(algebra, self_map.matrix, args.order)
     if args.which == 5:
         if not args.map_path:
             raise FormatError("corollary 5 needs --map")
         self_map = load_map(args.map_path, algebra)
-        return corollary5_check(algebra, self_map.matrix), _input_desc(args)
+        return corollary5_check(algebra, self_map.matrix)
     if not args.ideals:
         raise FormatError("corollary 6 needs --ideals")
     ideals = load_ideals(args.ideals, algebra)
@@ -242,7 +238,7 @@ def _cmd_corollary(args):
         report = Report(premises=[], conclusions=[],
                         data={"violation": str(exc)},
                         forced_verdict=THEOREM_VIOLATION)
-    return report, _input_desc(args)
+    return report
 
 
 def _cmd_generate(args):
@@ -252,7 +248,7 @@ def _cmd_generate(args):
     save_algebra(algebra, args.out)
     data = {"family": args.family, "field": str(field), "dim": algebra.dim,
             "out": str(args.out)}
-    return Report(premises=[], conclusions=[], data=data), _input_desc(args)
+    return Report(premises=[], conclusions=[], data=data)
 
 
 def _cmd_fuzz(args):
@@ -292,8 +288,7 @@ def _cmd_fuzz(args):
     data = {"items": items, "passes": passes,
             "premises_failed": premises_failed,
             "violations": violations}
-    return Report(premises=[], conclusions=conclusions, data=data), \
-        _input_desc(args)
+    return Report(premises=[], conclusions=conclusions, data=data)
 
 
 if __name__ == "__main__":

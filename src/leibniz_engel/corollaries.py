@@ -5,7 +5,9 @@ left multiplications, fixed-point-free automorphisms of finite order,
 non-singular derivations in characteristic zero, and sums of nilpotent
 ideals (with a family-relative nilradical fold on top). Each returns a
 premise/conclusion report; a conclusion failing under passing premises is an
-implementation bug surfaced as a THEOREM_VIOLATION verdict.
+implementation bug surfaced as a THEOREM_VIOLATION verdict. The derivation
+and automorphism tests compare two operators per basis element, built from
+the algebra's cached multiplication operators, not products pair by pair.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (LeibnizAlgebra, LieSet, carrier_series, is_ideal,
-                      lower_central_series, mult_coords, series_nilpotency)
+from .algebra import (LeibnizAlgebra, LieSet, _add_combination,
+                      _combination, carrier_series, is_ideal,
+                      lower_central_series, series_nilpotency)
 from .bimodule import regular_bimodule
 from .engel import check_engel_premises
 from .errors import (NotAnIdealError, NotNilpotentIdealError, ShapeMismatch,
@@ -32,11 +35,7 @@ class LinearSelfMap:
     matrix: Matrix
 
     def __post_init__(self):
-        n = self.algebra.dim
-        if self.matrix.rows != n or self.matrix.cols != n:
-            raise ShapeMismatch(f"self map must be {n}x{n}")
-        if self.matrix.field != self.algebra.field:
-            raise ShapeMismatch("self map over a different field")
+        _check_map_shape(self.algebra, self.matrix)
 
 
 @dataclass
@@ -45,53 +44,55 @@ class MapCheck:
     witness: dict | None
 
 
-def is_derivation(algebra: LeibnizAlgebra, d: Matrix) -> MapCheck:
-    """D(xy) = D(x)y + x D(y) on all basis pairs; witness is the first pair."""
-    _check_map_shape(algebra, d)
-    f = algebra.field
-    n = algebra.dim
-    cols = [d.column(j) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = d.apply(algebra.structure[i][j])
-            ei = tuple(f.one() if t == i else f.zero() for t in range(n))
-            ej = tuple(f.one() if t == j else f.zero() for t in range(n))
-            rhs1 = mult_coords(algebra, cols[i], ej)
-            rhs2 = mult_coords(algebra, ei, cols[j])
-            rhs = tuple(f.add(a, b) for a, b in zip(rhs1, rhs2))
-            if lhs != rhs:
-                return MapCheck(False, {
-                    "pair": (i + 1, j + 1),
-                    "lhs": [f.to_str(x) for x in lhs],
-                    "rhs": [f.to_str(x) for x in rhs]})
-    return MapCheck(True, None)
-
-
-def is_automorphism(algebra: LeibnizAlgebra, t: Matrix) -> MapCheck:
-    """T invertible with T(xy) = T(x)T(y) on all basis pairs."""
-    _check_map_shape(algebra, t)
-    f = algebra.field
-    n = algebra.dim
-    if matrix_rank(t) != n:
-        return MapCheck(False, {"singular": True})
-    cols = [t.column(j) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = t.apply(algebra.structure[i][j])
-            rhs = mult_coords(algebra, cols[i], cols[j])
-            if lhs != rhs:
-                return MapCheck(False, {
-                    "pair": (i + 1, j + 1),
-                    "lhs": [f.to_str(x) for x in lhs],
-                    "rhs": [f.to_str(x) for x in rhs]})
-    return MapCheck(True, None)
-
-
 def _check_map_shape(algebra: LeibnizAlgebra, m: Matrix) -> None:
     if m.rows != algebra.dim or m.cols != algebra.dim:
         raise ShapeMismatch(f"self map must be {algebra.dim}x{algebra.dim}")
     if m.field != algebra.field:
         raise ShapeMismatch("self map over a different field")
+
+
+def _first_failing_pair(algebra: LeibnizAlgebra, sides) -> MapCheck:
+    """Check a map identity on all basis pairs (e_i, e_j) from its operator
+    form at each e_i: ``sides(i, L_i^T)`` gives the transposes of its two
+    sides, so row j of each is one side at (e_i, e_j). The witness is the
+    first pair, i outer and j inner, whose rows differ."""
+    to_str = algebra.field.to_str
+    for i, lt in enumerate(algebra._operators()[0]):
+        lhs, rhs = sides(i, lt)
+        for j, (left, right) in enumerate(zip(lhs.entries, rhs.entries)):
+            if left != right:
+                return MapCheck(False, {"pair": (i + 1, j + 1),
+                                        "lhs": [to_str(x) for x in left],
+                                        "rhs": [to_str(x) for x in right]})
+    return MapCheck(True, None)
+
+
+def is_derivation(algebra: LeibnizAlgebra, d: Matrix) -> MapCheck:
+    """D(xy) = D(x)y + x D(y) on all basis pairs; witness is the first pair.
+
+    At x = e_i this is D L_i = L_{D e_i} + L_i D, checked transposed: row j
+    of L_i^T D^T is D(e_i e_j), and row j of L_{D e_i}^T + D^T L_i^T is
+    D(e_i) e_j + e_i D(e_j), where D e_i is row i of D^T.
+    """
+    _check_map_shape(algebra, d)
+    dt, lts = d.transpose(), algebra._operators()[0]
+    return _first_failing_pair(algebra, lambda i, lt: (
+        lt @ dt, _add_combination(dt @ lt, dt.entries[i], lts)))
+
+
+def is_automorphism(algebra: LeibnizAlgebra, t: Matrix) -> MapCheck:
+    """T invertible with T(xy) = T(x)T(y) on all basis pairs.
+
+    At x = e_i this is T L_i = L_{T e_i} T, checked transposed: row j of
+    L_i^T T^T is T(e_i e_j), and row j of T^T L_{T e_i}^T is T(e_i) T(e_j).
+    """
+    _check_map_shape(algebra, t)
+    if matrix_rank(t) != algebra.dim:
+        return MapCheck(False, {"singular": True})
+    tt, lts = t.transpose(), algebra._operators()[0]
+    return _first_failing_pair(algebra, lambda i, lt: (
+        lt @ tt,
+        tt @ _combination(algebra.field, algebra.dim, tt.entries[i], lts)))
 
 
 def _nilpotency_conclusion(algebra: LeibnizAlgebra) -> tuple:

@@ -7,15 +7,20 @@ a unimodular matrix built from elementary row operations, so constants stay
 small and inverses are exact). Random structure constants are never drawn
 directly: random tensors essentially never satisfy the defining identity, so
 randomness enters only through basis changes and family mixing.
+
+One table, :data:`FAMILIES`, gives each family name its argument kinds and
+its builder: ``parse_family_spec`` reads a spec by it, refusing nesting
+past ``MAX_SPEC_DEPTH``, and ``build`` applies its builders.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
-from .algebra import (MAX_DIM, LeibnizAlgebra, lower_central_series,
-                      mult_coords)
+from .algebra import (MAX_DIM, LeibnizAlgebra, _combination,
+                      lower_central_series)
 from .bimodule import (Bimodule, quotient_bimodule, regular_bimodule,
                        submodule_generated)
 from .errors import FieldMismatch, InvalidSpec
@@ -25,12 +30,11 @@ from .linalg import Matrix, invert
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parsed family expression plus the target field."""
+    """Parsed family expression over a target field: a name of
+    :data:`FAMILIES` and its arguments in the order of their kinds there."""
 
-    kind: str            # cyclic | heisenberg3 | abelian | sol2 | direct_sum | basis_change
-    n: int | None = None
-    parts: tuple = ()    # nested FamilySpec for direct_sum / basis_change
-    seed: int | None = None
+    kind: str
+    args: tuple = ()
     field: Field = QQ
 
 
@@ -122,129 +126,92 @@ def _unimodular(field: Field, n: int, rng: random.Random) -> Matrix:
 
 
 def basis_change(base: LeibnizAlgebra, seed: int) -> LeibnizAlgebra:
-    """Conjugate the structure constants by a seeded unimodular matrix.
+    """Conjugate the structure constants by a seeded unimodular matrix P.
 
-    The result is isomorphic to the input, so validation and the nilpotency
-    class are preserved.
+    The new basis is the columns P e_i, with left multiplications
+    L'_i = P^-1 L_{P e_i} P; row j of L'_i^T = P^T L_{P e_i}^T P^-T is the
+    new product e'_i e'_j. The result is isomorphic to the input, so
+    validation and the nilpotency class are preserved.
     """
-    rng = random.Random(seed)
-    n = len(base.structure)
-    field = base.field
-    p = _unimodular(field, n, rng)
+    n, field = base.dim, base.field
+    p = _unimodular(field, n, random.Random(seed))
     p_inv = invert(p)
     assert p_inv is not None
-    cols = [p.column(j) for j in range(n)]
-    structure = [[p_inv.apply(mult_coords(base, cols[i], cols[j]))
-                  for j in range(n)] for i in range(n)]
+    pt, p_inv_t = p.transpose(), p_inv.transpose()
+    lts = base._operators()[0]
+    structure = [(pt @ _combination(field, n, pe, lts) @ p_inv_t).entries
+                 for pe in pt.entries]
     return LeibnizAlgebra.create(field, structure)
 
 
+# Family name -> (argument kinds, builder), a kind being FamilySpec for a
+# nested spec or int for an integer. The builder takes the built arguments,
+# then the field if no argument is a spec (else the parts carry it).
+FAMILIES = {
+    "cyclic": ((int,), cyclic),
+    "heisenberg3": ((), heisenberg3),
+    "abelian": ((int,), abelian),
+    "sol2": ((), sol2),
+    "direct_sum": ((FamilySpec, FamilySpec), direct_sum),
+    "basis_change": ((FamilySpec, int), basis_change),
+}
+
+# A family may sit inside at most this many others, which keeps the reader's
+# recursion far from the interpreter's limit (it bounds no building time).
+MAX_SPEC_DEPTH = 8
+
+_TOKEN = re.compile(r"[\w-]+|\S")
+_INT = re.compile(r"-?[0-9]+")
+
+
 def build(spec: FamilySpec) -> LeibnizAlgebra:
-    """Materialize a family spec."""
-    kind = spec.kind
-    if kind == "cyclic":
-        if spec.n is None:
-            raise InvalidSpec("cyclic needs a dimension")
-        return cyclic(spec.n, spec.field)
-    if kind == "heisenberg3":
-        return heisenberg3(spec.field)
-    if kind == "abelian":
-        if spec.n is None:
-            raise InvalidSpec("abelian needs a dimension")
-        return abelian(spec.n, spec.field)
-    if kind == "sol2":
-        return sol2(spec.field)
-    if kind == "direct_sum":
-        if len(spec.parts) != 2:
-            raise InvalidSpec("direct_sum takes exactly two parts")
-        return direct_sum(build(spec.parts[0]), build(spec.parts[1]))
-    if kind == "basis_change":
-        if len(spec.parts) != 1 or spec.seed is None:
-            raise InvalidSpec("basis_change takes a part and a seed")
-        return basis_change(build(spec.parts[0]), spec.seed)
-    raise InvalidSpec(f"unknown family kind {kind!r}")
+    """Materialize a family spec: the table's builder on the built
+    arguments."""
+    kinds, builder = FAMILIES.get(spec.kind, ((), None))
+    if builder is None or len(spec.args) != len(kinds) or not all(
+            map(isinstance, spec.args, kinds)):
+        raise InvalidSpec(f"no family {spec.kind!r} takes {spec.args!r}")
+    args = [build(a) if k is FamilySpec else a
+            for k, a in zip(kinds, spec.args)]
+    return builder(*args) if FamilySpec in kinds \
+        else builder(*args, spec.field)
 
 
 def parse_family_spec(text: str, field: Field = QQ) -> FamilySpec:
-    """Parse expressions like ``basis_change(direct_sum(cyclic(2),sol2),7)``."""
-    tokens = _tokenize(text)
-    spec, pos = _parse_spec(tokens, 0, field)
-    if pos != len(tokens):
+    """Parse expressions like ``basis_change(direct_sum(cyclic(2),sol2),7)``.
+
+    A spec is a family name of :data:`FAMILIES`, followed, when the family
+    takes arguments, by one argument per kind of its table entry, in
+    parentheses and separated by commas. A family nested inside more than
+    ``MAX_SPEC_DEPTH`` others is refused before it is read.
+    """
+    tokens = _TOKEN.findall(text)[::-1]
+
+    def take(expected: str, accept) -> str:
+        token = tokens.pop() if tokens else ""
+        if not accept(token):
+            raise InvalidSpec(f"expected {expected} in family spec, got "
+                              f"{repr(token) if token else 'its end'}")
+        return token
+
+    def read(depth: int) -> FamilySpec:
+        if depth > MAX_SPEC_DEPTH:
+            raise InvalidSpec(f"family spec nested more than "
+                              f"{MAX_SPEC_DEPTH} deep")
+        name = take(f"a family ({', '.join(FAMILIES)})", FAMILIES.__contains__)
+        kinds, args = FAMILIES[name][0], []
+        for i, kind in enumerate(kinds):
+            take("','" if i else "'('", ("," if i else "(").__eq__)
+            args.append(read(depth + 1) if kind is FamilySpec
+                        else int(take("an integer", _INT.fullmatch)))
+        if kinds:
+            take("')'", ")".__eq__)
+        return FamilySpec(name, tuple(args), field)
+
+    spec = read(0)
+    if tokens:
         raise InvalidSpec(f"trailing input in family spec {text!r}")
     return spec
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalnum() or ch in "_-":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise InvalidSpec(f"unexpected character {ch!r} in family spec")
-    return tokens
-
-
-def _parse_spec(tokens: list, pos: int, field: Field) -> tuple:
-    if pos >= len(tokens):
-        raise InvalidSpec("unexpected end of family spec")
-    head = tokens[pos]
-    pos += 1
-    if head in ("heisenberg3", "sol2"):
-        return FamilySpec(head, field=field), pos
-    if head in ("cyclic", "abelian"):
-        args, pos = _parse_args(tokens, pos)
-        if len(args) != 1 or not args[0].lstrip("-").isdigit():
-            raise InvalidSpec(f"{head} takes one integer argument")
-        return FamilySpec(head, n=int(args[0]), field=field), pos
-    if head == "direct_sum":
-        pos = _expect(tokens, pos, "(")
-        first, pos = _parse_spec(tokens, pos, field)
-        pos = _expect(tokens, pos, ",")
-        second, pos = _parse_spec(tokens, pos, field)
-        pos = _expect(tokens, pos, ")")
-        return FamilySpec("direct_sum", parts=(first, second), field=field), pos
-    if head == "basis_change":
-        pos = _expect(tokens, pos, "(")
-        inner, pos = _parse_spec(tokens, pos, field)
-        pos = _expect(tokens, pos, ",")
-        if pos >= len(tokens) or not tokens[pos].lstrip("-").isdigit():
-            raise InvalidSpec("basis_change needs an integer seed")
-        seed = int(tokens[pos])
-        pos = _expect(tokens, pos + 1, ")")
-        return FamilySpec("basis_change", parts=(inner,), seed=seed,
-                          field=field), pos
-    raise InvalidSpec(f"unknown family {head!r}")
-
-
-def _parse_args(tokens: list, pos: int) -> tuple:
-    pos = _expect(tokens, pos, "(")
-    args = []
-    while True:
-        if pos >= len(tokens):
-            raise InvalidSpec("unterminated argument list")
-        if tokens[pos] == ")":
-            return args, pos + 1
-        args.append(tokens[pos])
-        pos += 1
-        if pos < len(tokens) and tokens[pos] == ",":
-            pos += 1
-
-
-def _expect(tokens: list, pos: int, tok: str) -> int:
-    if pos >= len(tokens) or tokens[pos] != tok:
-        raise InvalidSpec(f"expected {tok!r} in family spec")
-    return pos + 1
 
 
 _FIELDS = (QQ, GF(5), GF(7))

@@ -111,9 +111,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
     def __reduce__(self):
         # the cached row terms and transpose stay behind (a weak link
         # cannot be pickled); the copy rebuilds them when read

@@ -14,7 +14,10 @@ The per-scalar kernels below (matrix product, transpose read column by
 column, matrix-vector product, row reduction, the product of coordinate
 vectors, the linear combination of matrices, and the flag built from every
 Lie set member) are the textbook loops the sparse library kernels replaced:
-one field method call per scalar operation. The Lie set check and closure multiply one pair of members at a
+one field method call per scalar operation. The derivation and
+automorphism checks and the basis change take one product of basis images
+per pair (i, j), as they did before each became one operator identity per
+basis element. The Lie set check and closure multiply one pair of members at a
 time, as they did before the products of a member with the whole set came
 from one matrix product. The quotient projection is read off the inverse of the basis
 completed by unit vectors, as it was before it was read off the echelon
@@ -308,10 +311,13 @@ def matmul_per_scalar(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, a.rows, b.cols, tuple(out))
 
 
+def _columns(m: Matrix) -> list:
+    return [tuple(row[j] for row in m.entries) for j in range(m.cols)]
+
+
 def transpose_per_column(m: Matrix) -> Matrix:
     """The transpose, row j built from column j of ``m``."""
-    return Matrix(m.field, m.cols, m.rows,
-                  tuple(m.column(j) for j in range(m.cols)))
+    return Matrix(m.field, m.cols, m.rows, tuple(_columns(m)))
 
 
 def apply_per_scalar(m: Matrix, v) -> tuple:
@@ -364,6 +370,54 @@ def mult_coords_per_scalar(field, structure, x, y) -> tuple:
                 if c != 0:
                     out[k] = field.add(out[k], field.mul(coeff, c))
     return tuple(out)
+
+
+def _map_witness(field, i, j, lhs, rhs) -> dict:
+    return {"pair": (i + 1, j + 1), "lhs": [field.to_str(x) for x in lhs],
+            "rhs": [field.to_str(x) for x in rhs]}
+
+
+def derivation_check_per_pair(algebra: LeibnizAlgebra, d: Matrix) -> tuple:
+    """(ok, witness) of D(e_i e_j) = D(e_i) e_j + e_i D(e_j), one basis
+    pair (i, j) at a time, i outer; the witness is the first failing pair."""
+    f, n, c = algebra.field, algebra.dim, algebra.structure
+    cols = _columns(d)
+    units = [tuple(f.one() if t == i else f.zero() for t in range(n))
+             for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = apply_per_scalar(d, c[i][j])
+            rhs = tuple(map(f.add,
+                            mult_coords_per_scalar(f, c, cols[i], units[j]),
+                            mult_coords_per_scalar(f, c, units[i], cols[j])))
+            if lhs != rhs:
+                return False, _map_witness(f, i, j, lhs, rhs)
+    return True, None
+
+
+def automorphism_check_per_pair(algebra: LeibnizAlgebra, t: Matrix) -> tuple:
+    """(ok, witness) of T(e_i e_j) = T(e_i) T(e_j), one basis pair at a
+    time, after the rank test of the library."""
+    f, n, c = algebra.field, algebra.dim, algebra.structure
+    if rref_per_scalar(t)[1] != n:
+        return False, {"singular": True}
+    cols = _columns(t)
+    for i in range(n):
+        for j in range(n):
+            lhs = apply_per_scalar(t, c[i][j])
+            rhs = mult_coords_per_scalar(f, c, cols[i], cols[j])
+            if lhs != rhs:
+                return False, _map_witness(f, i, j, lhs, rhs)
+    return True, None
+
+
+def basis_change_per_pair(base: LeibnizAlgebra, p: Matrix) -> tuple:
+    """Structure constants in the basis of the columns P e_i of the
+    invertible P: e'_i e'_j = P^-1 ((P e_i)(P e_j)), one pair at a time."""
+    f, c = base.field, base.structure
+    cols, p_inv = _columns(p), invert(p)
+    return tuple(tuple(apply_per_scalar(p_inv, mult_coords_per_scalar(
+        f, c, x, y)) for y in cols) for x in cols)
 
 
 def add_combination_per_scalar(base: Matrix, coords, mats) -> Matrix:

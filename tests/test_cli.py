@@ -5,6 +5,7 @@ import os
 import pytest
 
 from leibniz_engel.cli import _build_parser, main
+from leibniz_engel.families import MAX_SPEC_DEPTH
 from leibniz_engel.formats import MAX_FILE_BYTES
 from leibniz_engel.reports import EXIT_CODES
 
@@ -201,6 +202,24 @@ def test_generate_round_trip_deterministic(tmp_path):
 def test_generate_rejects_bad_spec(tmp_path):
     assert main(["generate", "--family", "nope(3)",
                  "--out", str(tmp_path / "x.json"), "--quiet"]) == 2
+
+
+def _nested_spec(depth):
+    """cyclic(2) inside ``depth`` nested basis changes."""
+    return "basis_change(" * depth + "cyclic(2)" + ",1)" * depth
+
+
+def test_generate_refuses_specs_nested_past_the_bound(tmp_path):
+    out, report = tmp_path / "x.json", tmp_path / "report.json"
+    for depth in (3000, MAX_SPEC_DEPTH + 1):
+        assert main(["generate", "--family", _nested_spec(depth), "--out",
+                     str(out), "--quiet", "--json", str(report)]) == 2
+        error = json.loads(report.read_text())["data"]["error"]
+        assert error.startswith("InvalidSpec: ")
+        assert not out.exists()
+    assert main(["generate", "--family", _nested_spec(MAX_SPEC_DEPTH),
+                 "--out", str(out), "--quiet"]) == 0
+    assert main(["validate", str(out), "--quiet"]) == 0
 
 
 def test_fuzz_small_corpus(tmp_path):

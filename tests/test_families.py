@@ -76,9 +76,10 @@ def test_family_spec_parsing():
     assert build(parse_family_spec("abelian(4)")).dim == 4
 
 
-@pytest.mark.parametrize("bad", ["cyclic", "cyclic()", "unknown(2)",
-                                 "basis_change(cyclic(2))", "cyclic(2) extra",
-                                 "cyclic(0)", "direct_sum(cyclic(2))",
+@pytest.mark.parametrize("bad", ["cyclic", "cyclic()", "cyclic(3,)",
+                                 "unknown(2)", "basis_change(cyclic(2))",
+                                 "cyclic(2) extra", "cyclic(0)",
+                                 "direct_sum(cyclic(2))",
                                  "cyclic(1000000000)", "abelian(65)",
                                  "direct_sum(abelian(33),abelian(32))"])
 def test_family_spec_rejects_malformed(bad):

@@ -5,11 +5,14 @@ direct sums and seeded basis changes), optionally with the basis rescaled
 by nonzero scalars, which puts true fractions into the constants over Q,
 and optionally with basis names. Files written by ``dump_algebra`` and
 ``save_algebra`` load back to the same algebra, and a basis change keeps
-the nilpotency verdict and class and the operator identities. Skipped when
-hypothesis is not installed.
+the nilpotency verdict and class and the operator identities and equals
+the basis change taken one product per pair. Random family specs drawn
+from the table build what direct calls of the family functions build.
+Skipped when hypothesis is not installed.
 """
 
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -19,9 +22,13 @@ from leibniz_engel import (abelian, basis_change, cyclic, direct_sum,
                            heisenberg3, is_nilpotent_algebra, sol2,
                            verify_operator_identities)
 from leibniz_engel.algebra import LeibnizAlgebra
+from leibniz_engel.families import (FAMILIES, FamilySpec, _unimodular, build,
+                                    parse_family_spec)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.formats import (dump_algebra, load_algebra,
                                    load_algebra_dict, save_algebra)
+
+from oracles import basis_change_per_pair
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -89,3 +96,51 @@ def test_basis_change_keeps_class_and_identities(algebra, seed):
     changed = basis_change(algebra, seed)
     assert is_nilpotent_algebra(changed) == is_nilpotent_algebra(algebra)
     assert verify_operator_identities(changed).ok
+    p = _unimodular(algebra.field, algebra.dim, random.Random(seed))
+    assert changed.structure == basis_change_per_pair(algebra, p)
+
+
+# each family by a direct call, independent of the table's builders
+DIRECT = {
+    "cyclic": lambda field, n: cyclic(n, field),
+    "heisenberg3": heisenberg3,
+    "abelian": lambda field, n: abelian(n, field),
+    "sol2": sol2,
+    "direct_sum": lambda field, a, b: direct_sum(a, b),
+    "basis_change": lambda field, a, seed: basis_change(a, seed),
+}
+
+
+@st.composite
+def family_specs(draw, field, depth=0):
+    """(spec text, the algebra direct calls build) for a family drawn from
+    the table, with families nested at most two deep; an integer is a
+    dimension in 1..3 for a family without a nested spec, else a seed."""
+    names = sorted(name for name, (kinds, _) in FAMILIES.items()
+                   if depth < 2 or FamilySpec not in kinds)
+    name = draw(st.sampled_from(names))
+    kinds = FAMILIES[name][0]
+    texts, args = [], []
+    for kind in kinds:
+        if kind is FamilySpec:
+            text, arg = draw(family_specs(field, depth + 1))
+        else:
+            arg = draw(st.integers(-10**6, 10**6) if FamilySpec in kinds
+                       else st.integers(1, 3))
+            text = str(arg)
+        texts.append(text)
+        args.append(arg)
+    space = draw(st.sampled_from(("", " ")))
+    text = name + (f"({space}{f',{space}'.join(texts)})" if kinds else "")
+    return text, DIRECT[name](field, *args)
+
+
+@SETTINGS
+@given(st.data())
+def test_family_specs_build_what_direct_calls_build(data):
+    assert set(FAMILIES) == set(DIRECT)
+    field = data.draw(st.sampled_from((QQ, GF(5), GF(7))))
+    text, algebra = data.draw(family_specs(field))
+    built = build(parse_family_spec(text, field))
+    assert built.field == field
+    assert built.structure == algebra.structure

@@ -3,8 +3,9 @@
 Random sparse and dense inputs over Q, F_5 and F_7, with negative and
 fractional entries, all-zero rows and zero-row shapes; the batched
 products of one element with many are checked against the product of
-coordinate vectors on the small fuzz corpus. The sparse contractions that
-check the defining identity and the operator pair identities are checked
+coordinate vectors on the small fuzz corpus, and the derivation and
+automorphism checks against their per-pair loops. The sparse contractions
+that check the defining identity and the operator pair identities are checked
 against the triple-by-triple and matrix-product oracles on random tensors,
 mostly not Leibniz, and on random action families that are mostly not
 bimodules. A right operand is read
@@ -24,16 +25,18 @@ from functools import partial
 
 import pytest
 
-from leibniz_engel.algebra import (Element, _add_combination, _mult_coords,
-                                   _products_with, left_mult_matrix,
-                                   mult_coords, validate_leibniz,
+from leibniz_engel.algebra import (Element, _add_combination, _products_with,
+                                   left_mult_matrix, mult_coords,
+                                   validate_leibniz,
                                    verify_operator_identities)
 from leibniz_engel.bimodule import Bimodule, validate_bimodule
+from leibniz_engel.corollaries import is_automorphism, is_derivation
 from leibniz_engel.fields import GF, QQ, RationalField
 from leibniz_engel.linalg import (Matrix, Subspace, _annihilator, _echelon,
                                   _image, kernel_basis, rref)
 
 from oracles import (add_combination_per_scalar, apply_per_scalar,
+                     automorphism_check_per_pair, derivation_check_per_pair,
                      leibniz_triple_violations, matmul_per_scalar,
                      mult_coords_per_scalar, operator_pair_violations,
                      quotient_data_by_inverse, rref_per_scalar,
@@ -233,9 +236,27 @@ def test_batched_products_equal_mult_coords(small_corpus, data):
     rights = _products_with(Element(algebra, x), ys, right=True)
     assert len(lefts) == len(rights) == ys.rows
     for y, left, right in zip(ys.entries, lefts, rights):
-        assert left == _mult_coords(algebra, x, y)
-        assert right == _mult_coords(algebra, y, x)
+        assert left == mult_coords(algebra, x, y)
+        assert right == mult_coords(algebra, y, x)
         assert_canonical(field, left + right)
+
+
+@SETTINGS
+@given(st.data())
+def test_map_checks_equal_per_pair_oracle(small_corpus, data):
+    algebra, _ = data.draw(st.sampled_from(small_corpus))
+    field, n = algebra.field, algebra.dim
+    # L_x is a derivation and the identity an automorphism, so both
+    # verdicts occur; a random matrix mostly fails with a witness
+    m = data.draw(st.one_of(
+        matrices(field, n, n), st.just(Matrix.identity(field, n)),
+        vectors(field, n).map(
+            lambda x: left_mult_matrix(Element(algebra, x)))))
+    check = is_derivation(algebra, m)
+    assert (check.ok, check.witness) == derivation_check_per_pair(algebra, m)
+    check = is_automorphism(algebra, m)
+    assert (check.ok, check.witness) == \
+        automorphism_check_per_pair(algebra, m)
 
 
 MULT_IDENTITIES = ("right_mult_of_product", "mixed_mult_commutation",
@@ -578,6 +599,6 @@ def test_kernels_never_return_a_float(data):
     combination = _add_combination(m, v, [m] * len(v))
     results = (flat(m @ other) + list(m.apply(v)) + flat(rref(m).matrix)
                + [c for u in kernel_basis(m).basis for c in u]
-               + flat(combination) + list(_mult_coords(algebra, x, y)))
+               + flat(combination) + list(mult_coords(algebra, x, y)))
     assert_no_float(results)
     assert_canonical(field, results)
