@@ -14,21 +14,20 @@ and the ideal test. An algebra's ``_cache`` holds its operators and, per
 carrier, the series and the ideal verdict, each computed once.
 
 The multiplication operators of the basis are read once per algebra off
-the tensor: row j of ``c[i]`` is e_i e_j, so ``c[i]`` is L_{e_i}^T as it
-stands. Every product is taken from them, with ``_combination`` building
-the operator of any element: x y is L_x applied to y, the Lie sets take
-row y of Y @ L_x^T as x y and of Y @ R_x^T as y x, and the ideal test, the
-regular bimodule and the identity suite use them as they are. The series
-of a carrier is the image walk ``linalg._walk`` under such operators, and
-the generated subalgebra and the ideal test take its one image step
-``linalg._image``.
+the tensor, by the validation in ``create``: row j of ``c[i]`` is e_i e_j,
+so ``c[i]`` is L_{e_i}^T as it stands. Every product is taken from them,
+with ``_combination`` building the operator of any element: x y is L_x
+applied to y, the Lie sets take row y of Y @ L_x^T as x y and of
+Y @ R_x^T as y x, and the ideal test, the regular bimodule and the
+identity suite use them as they are. The series of a carrier is the image
+walk ``linalg._walk`` under such operators, the generated subalgebra is
+the spin ``linalg._spin`` under those of the generators, and the ideal
+test takes one image step ``linalg._image``.
 
-The defining identity and the pair identities of the operator suite are
-checked as sparse contractions, not as matrix products: for one basis
-element at a time, the residual (lhs - rhs) of every identity is summed
-row by row in raw arithmetic from the nonzero products alone, through
-indexes of the nonzero constants or action rows built once per call, and
-a row fails when it is nonzero after ``reduce_row``.
+One sparse contraction, ``_pair_identity_violations``, takes no matrix
+product: it checks the pair identities of the identity suite on (L, R),
+the bimodule axioms on (T, S), and the defining identity, which is the
+pair identity L_{xy} = L_x L_y - L_y L_x, on (L, 0).
 """
 
 from __future__ import annotations
@@ -36,13 +35,13 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from itertools import compress, count
+from typing import Callable, Sequence
 
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
                      InvalidExponent, ShapeMismatch)
 from .fields import Field
-from .linalg import Matrix, Subspace, _image, _walk
+from .linalg import Matrix, Subspace, _image, _spin, _walk
 
 DEFAULT_CLOSURE_CAP = 1000
 
@@ -93,71 +92,35 @@ def _combination(field: Field, size: int, coords: Sequence,
     return _add_combination(Matrix.zero(field, size, size), coords, mats)
 
 
-def validate_leibniz(structure, field: Field, n: int) -> LeibnizValidation:
+def validate_leibniz(structure, field: Field, n: int,
+                     operators: Callable | None = None) -> LeibnizValidation:
     """Check x(yz) = (xy)z + y(xz) on all basis triples of the tensor.
 
-    With c_jk^m the e_m-coefficient of e_j e_k, the residual of the triple
-    (i, j, k) is
+    As operators the identity reads L_{xy} = L_x L_y - L_y L_x, the pair
+    identity left_mult_of_product, and it is checked as that: by the pair
+    contraction on the action family (T, S) = (L, 0), S passed as no
+    matrices, where the other three pair identities vanish identically.
+    Column k of the residual T_c T_b - T_{cb} - T_b T_c at the pair (b, c)
+    is the residual of the triple (c, b, k), so each column that is nonzero
+    after ``reduce_row`` is a violating triple, and only that triple has
+    its two sides built.
 
-        sum_m c_jk^m e_i e_m - sum_m c_ij^m e_m e_k - sum_m c_ik^m e_j e_m,
-
-    and each of its terms has a factor from the products of e_i: e_i e_m,
-    c_ij or c_ik. So, for one i at a time, the residuals of all (j, k) are
-    summed in raw arithmetic over the nonzero products e_i e_m alone: the
-    first sum through the constants indexed by their output index m, the
-    other two through the nonzero products e_m e_k and e_j e_m. Only
-    nonzero products touch a row, at most n^2 rows of length n are alive,
-    and a triple is a violation when its row is nonzero after
-    ``reduce_row``. Only a violating triple has its two sides built, for
-    the report.
+    ``create`` passes its new algebra's ``_operators`` as ``operators``,
+    called after the shape check, so they are read once, into its cache.
     """
     if len(structure) != n or any(
             len(ci) != n or any(len(cij) != n for cij in ci) for ci in structure):
         raise ShapeMismatch(f"structure tensor is not {n}x{n}x{n}")
-    zero, reduce_row, to_str = field.zero(), field.reduce_row, field.to_str
-    # rows[a]: (b, nonzero terms of e_a e_b) for the nonzero products e_a e_b
-    rows = [Matrix(field, n, n, ca)._row_terms for ca in structure]
-    by_output = [[] for _ in range(n)]  # m -> ((j, k), c_{jk}^m)
-    by_right = [[] for _ in range(n)]   # m -> (j, terms of e_j e_m)
-    for j, row in enumerate(rows):
-        for k, terms in row:
-            by_right[k].append((j, terms))
-            for m, x in terms:
-                by_output[m].append(((j, k), x))
-
-    def side(pairs):
-        acc = [zero] * n
-        for x, row in pairs:
-            if x:
-                acc = [a + x * y for a, y in zip(acc, row)]
-        return tuple(map(to_str, reduce_row(acc)))
-
-    c, violations = structure, []
-    for i, row_i in enumerate(rows):
-        block = defaultdict(lambda: [zero] * n)
-        for m, terms in row_i:
-            for jk, x in by_output[m]:
-                acc = block[jk]
-                for t, y in terms:
-                    acc[t] += x * y
-        for j, ij in row_i:
-            for m, x in ij:
-                for k, terms in rows[m]:
-                    acc = block[j, k]
-                    for t, y in terms:
-                        acc[t] -= x * y
-        for k, ik in row_i:
-            for m, x in ik:
-                for j, terms in by_right[m]:
-                    acc = block[j, k]
-                    for t, y in terms:
-                        acc[t] -= x * y
-        for j, k in sorted(block):
-            if any(reduce_row(block[j, k])):
-                violations.append((
-                    i + 1, j + 1, k + 1, side(zip(c[j][k], c[i])),
-                    side(chain(zip(c[i][j], (cm[k] for cm in c)),
-                               zip(c[i][k], c[j])))))
+    _, _, L, R = (operators or LeibnizAlgebra(field, n, structure)._operators)()
+    found = _pair_identity_violations(field, L, L, (), n)
+    triples = sorted((c, b, k) for b, c, _, cols in found for k in cols)
+    c, to_str, violations = structure, field.to_str, []
+    for i, j, k in triples:
+        rhs = zip(R[k].apply(c[i][j]), L[j].apply(c[i][k]))
+        violations.append((i + 1, j + 1, k + 1,
+                           tuple(map(to_str, L[i].apply(c[j][k]))),
+                           tuple(map(to_str, field.reduce_row(
+                               [a + b for a, b in rhs])))))
     return LeibnizValidation(not violations, violations)
 
 
@@ -185,10 +148,11 @@ class LeibnizAlgebra:
         names = tuple(basis_names) if basis_names is not None else None
         if names is not None and len(names) != n:
             raise ShapeMismatch("basis_names length differs from dimension")
-        report = validate_leibniz(norm, field, n)
+        algebra = LeibnizAlgebra(field, n, norm, names)
+        report = validate_leibniz(norm, field, n, algebra._operators)
         if not report.ok:
             raise InvalidAlgebra(report)
-        return LeibnizAlgebra(field, n, norm, names)
+        return algebra
 
     # -- elements ---------------------------------------------------------
 
@@ -310,13 +274,16 @@ class IdentityReport:
     violations: list
 
 
-def _pair_identity_violations(algebra: LeibnizAlgebra, lefts: Sequence[Matrix],
-                               rights: Sequence[Matrix], size: int,
-                               names: Sequence[str]) -> list:
+def _pair_identity_violations(field: Field, L: Sequence[Matrix],
+                               lefts: Sequence[Matrix],
+                               rights: Sequence[Matrix], size: int) -> list:
     """The four pair identities of :func:`verify_operator_identities` with
     L, R replaced by an action family T, S of size x size matrices, one per
-    basis element, named by ``names`` in that order. Violations come pair
-    by pair, in that order within a pair.
+    basis element, the constants of the products read off the left
+    multiplications ``L`` of the basis. Returns (b, c, identity, columns),
+    sorted, for each identity (numbered in that order) that fails at a pair
+    (b, c); ``columns`` holds the columns of its residual that are nonzero
+    after ``reduce_row``.
 
     For one b at a time, the residuals (lhs - rhs) of the identities at
     every pair (b, c),
@@ -327,67 +294,78 @@ def _pair_identity_violations(algebra: LeibnizAlgebra, lefts: Sequence[Matrix],
     are summed row by row in raw arithmetic, row r of X Y being
     sum_q X[r][q] Y_q. A product with b on the right walks the nonzero rows
     q of S_b and T_b and the entries of S_c, T_c in column q; one with b on
-    the left walks the entries of T_b and the rows q of S_c, T_c; S_{bc}
-    and T_{cb} walk the nonzero constants of e_b e_c and e_c e_b and the
-    rows of S_t, T_t. The entries and rows of the family are indexed by
-    that shared q once per call, so only nonzero products touch a row, and
-    at most 4 n size rows of length size are alive. An identity fails at
+    the left walks the entries of T_b and the rows q of S_c, T_c. S_{bc}
+    and T_{cb} walk the constants of e_b e_c (row t of L_b) and of e_c e_b
+    (the L_c in column b) and the rows of S_t, T_t. The rows and entries of
+    each family are indexed by that shared index once per call, so only
+    nonzero products touch a row, and at most 4 n size rows of length size
+    are alive. With S = 0, or no S at all, only the third identity has
+    terms, and the loops that read S are skipped. An identity fails at
     (b, c) when one of its rows is nonzero after ``reduce_row``.
     """
-    zero, reduce_row = algebra.field.zero(), algebra.field.reduce_row
-    lts, rts, _, _ = algebra._operators()
-    T = [m._row_terms for m in lefts]
-    S = [m._row_terms for m in rights]
+    zero, reduce_row = field.zero(), field.reduce_row
 
-    def index(family):
+    def index(family, width):
         # q -> (c, row q of the c-th matrix), and q -> (c, r, entry [r][q])
-        by_row, by_col = [[] for _ in range(size)], [[] for _ in range(size)]
-        for c, rows in enumerate(family):
-            for r, terms in rows:
+        by_row, by_col = [[] for _ in range(width)], [[] for _ in range(width)]
+        for c, m in enumerate(family):
+            for r, terms in m._row_terms:
                 by_row[r].append((c, terms))
                 for q, x in terms:
                     by_col[q].append((c, r, x))
         return by_row, by_col
 
-    (T_row, T_col), (S_row, S_col) = index(T), index(S)
+    T = [m._row_terms for m in lefts]
+    S = [m._row_terms for m in rights]
+    (T_row, T_col), (S_row, S_col) = index(lefts, size), index(rights, size)
+    L_col = T_col if L is lefts else index(L, len(L))[1]
 
-    def add(x, terms, plus, minus=None):
+    def add(x, terms, plus, minus):
         for t, y in terms:
             v = x * y
             plus[t] += v
-            if minus is not None:
-                minus[t] -= v
+            minus[t] -= v
 
-    found = []
-    for b in range(algebra.dim):
+    failed = defaultdict(set)  # (b, c, identity) -> nonzero columns
+    for b in range(len(T)):
         # (c, identity, r) -> row r of that identity's residual at (b, c)
         res = defaultdict(lambda: [zero] * size)
-        for q, terms in S[b]:
-            for c, r, x in S_col[q]:  # S_c S_b
-                add(x, terms, res[c, 3, r], res[c, 0, r])
         for q, terms in T[b]:
-            for c, r, x in S_col[q]:  # S_c T_b
-                add(x, terms, res[c, 3, r], res[c, 1, r])
             for c, r, x in T_col[q]:  # T_c T_b
-                add(x, terms, res[c, 2, r])
+                acc = res[c, 2, r]
+                for t, y in terms:
+                    acc[t] += x * y
         for r, row in T[b]:
             for q, x in row:
-                for c, terms in S_row[q]:  # T_b S_c
-                    add(x, terms, res[c, 1, r], res[c, 0, r])
                 for c, terms in T_row[q]:  # T_b T_c
-                    add(-x, terms, res[c, 2, r])
-        for c, coords in lts[b]._row_terms:  # S_{bc}
-            for t, x in coords:
+                    acc = res[c, 2, r]
+                    for t, y in terms:
+                        acc[t] -= x * y
+        for c, s, x in L_col[b]:  # T_{cb}
+            for r, terms in T[s]:
+                acc = res[c, 2, r]
+                for t, y in terms:
+                    acc[t] -= x * y
+        if any(S):  # the other three identities vanish with S = 0
+            for q, terms in S[b]:
+                for c, r, x in S_col[q]:  # S_c S_b
+                    add(x, terms, res[c, 3, r], res[c, 0, r])
+            for q, terms in T[b]:
+                for c, r, x in S_col[q]:  # S_c T_b
+                    add(x, terms, res[c, 3, r], res[c, 1, r])
+            for r, row in T[b]:
+                for q, x in row:
+                    for c, terms in S_row[q]:  # T_b S_c
+                        add(x, terms, res[c, 1, r], res[c, 0, r])
+            for t, consts in L[b]._row_terms:  # S_{bc}
                 for r, terms in S[t]:
-                    add(x, terms, res[c, 0, r], res[c, 1, r])
-        for c, coords in rts[b]._row_terms:  # T_{cb}
-            for t, x in coords:
-                for r, terms in T[t]:
-                    add(-x, terms, res[c, 2, r])
-        failed = {key[:2] for key, row in res.items() if any(reduce_row(row))}
-        found += [(b, c, t) for c, t in sorted(failed)]
-    return [IdentityViolation(names[t], {"pair": (b + 1, c + 1)})
-            for b, c, t in found]
+                    for c, x in consts:
+                        add(x, terms, res[c, 0, r], res[c, 1, r])
+        for (c, t, _), acc in res.items():
+            row = reduce_row(acc)
+            if any(row):
+                failed[b, c, t].update(compress(count(), row))
+    return [(*key, cols) for key, cols in sorted(failed.items())]
 
 
 def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
@@ -419,10 +397,11 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     A = algebra
     n = A.dim
     _, _, lefts, rights = A._operators()
-    violations = _pair_identity_violations(
-        A, lefts, rights, n,
-        ("right_mult_of_product", "mixed_mult_commutation",
-         "left_mult_of_product", "right_right_reduction"))
+    names = ("right_mult_of_product", "mixed_mult_commutation",
+             "left_mult_of_product", "right_right_reduction")
+    violations = [IdentityViolation(names[t], {"pair": (b + 1, c + 1)})
+                  for b, c, t, _ in _pair_identity_violations(
+                      A.field, lefts, lefts, rights, n)]
 
     for i in range(n):
         a = A.basis_element(i)
@@ -455,24 +434,30 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
 def subalgebra_generated(elements: Sequence[Element]) -> Subspace:
     """Smallest subspace containing the elements and closed under products.
 
-    Each step adds the image of the current span U under the left
-    multiplications L_u, u in the basis of U: span{u v : u, v in U}."""
+    It is the spin ``linalg._spin`` of U = span(X), for the generators X,
+    under the fixed operators L_u, u in the echelon basis of U: the
+    smallest subspace W that contains X and is invariant under L_x for
+    every x in X (invariance under the L_u is the same, by linearity).
+
+    Why that W is closed under products: the defining identity
+    x(yz) = (xy)z + y(xz) reads L_{xy} = L_x L_y - L_y L_x, so the subspace
+    P = {a : L_a W lies in W} is closed under products. P contains X, so it
+    contains the subalgebra generated by X, and that contains W (it
+    contains X and each L_x maps it into itself). Hence L_w W lies in W for
+    every w in W, and W is the subalgebra generated by X.
+    """
     if not elements:
         raise AlgebraMismatch("need at least one generator")
     A = elements[0].algebra
     for x in elements[1:]:
         if x.algebra != A:
             raise AlgebraMismatch("generators from different algebras")
-    current = Subspace.span(A.field, A.dim, [x.coords for x in elements])
+    span = Subspace.span(A.field, A.dim, [x.coords for x in elements])
+    if span.is_full():  # closed already: no operator needs building
+        return span
     lts = A._operators()[0]
-    # the whole algebra is closed under products
-    while not current.is_full():
-        grown = current + _image(current, [_combination(A.field, A.dim, u, lts)
-                                           for u in current.basis])
-        if grown == current:
-            break
-        current = grown
-    return current
+    return _spin(span, [_combination(A.field, A.dim, u, lts)
+                        for u in span.basis])
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (Element, LeibnizAlgebra, _combination,
-                      _pair_identity_violations, is_ideal)
+from .algebra import (Element, IdentityViolation, LeibnizAlgebra,
+                      _combination, _pair_identity_violations, is_ideal)
 from .errors import AlgebraMismatch, ShapeMismatch
-from .linalg import Matrix, Subspace, _image, kernel_basis
+from .linalg import Matrix, Subspace, _image, _spin, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,15 @@ def validate_bimodule(module: Bimodule) -> BimoduleValidation:
     S_c S_b = -(S_c T_b); its failure while the axioms hold would mean an
     implementation bug.
     """
-    derived_name = "right_right_action_reduction"
-    found = _pair_identity_violations(
-        module.algebra, module.left_actions, module.right_actions,
-        module.module_dim,
-        ("right_action_of_product", "mixed_action_commutation",
-         "left_action_of_product", derived_name))
-    violations = [v for v in found if v.identity != derived_name]
-    derived = [v for v in found if v.identity == derived_name]
+    names = ("right_action_of_product", "mixed_action_commutation",
+             "left_action_of_product", "right_right_action_reduction")
+    A = module.algebra
+    found = [IdentityViolation(names[t], {"pair": (b + 1, c + 1)})
+             for b, c, t, _ in _pair_identity_violations(
+                 A.field, A._operators()[2], module.left_actions,
+                 module.right_actions, module.module_dim)]
+    violations = [v for v in found if v.identity != names[3]]
+    derived = [v for v in found if v.identity == names[3]]
     return BimoduleValidation(not violations, violations, not derived, derived)
 
 
@@ -118,20 +119,15 @@ def annihilator_ideal(module: Bimodule) -> Subspace:
 
 
 def submodule_generated(module: Bimodule, vector: Sequence) -> Subspace:
-    """The smallest submodule containing the vector: spin it under all left
-    and right actions until the span stops growing."""
+    """The smallest submodule containing the vector: its spin under all
+    left and right actions."""
     field = module.algebra.field
     v = tuple(field.normalize(x) for x in vector)
     if len(v) != module.module_dim:
         raise ShapeMismatch("vector length differs from module dimension")
-    transposes = [m.transpose()
-                  for m in module.left_actions + module.right_actions]
-    current = Subspace.span(field, module.module_dim, [v])
-    while True:
-        grown = current + _image(current, transposes)
-        if grown == current:
-            return current
-        current = grown
+    return _spin(Subspace.span(field, module.module_dim, [v]),
+                 [m.transpose()
+                  for m in module.left_actions + module.right_actions])
 
 
 def is_submodule(module: Bimodule, carrier: Subspace) -> bool:

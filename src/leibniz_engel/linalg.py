@@ -14,11 +14,13 @@ operator that is reused is scanned once.
 
 One reducer, ``_echelon``, serves ``rref``, the rank, every span and image.
 One image step, ``_image``, streams each g v into it without building a
-product matrix: the spin, the ideal and invariance tests, the generated
-subalgebra and the one walk of repeated images, ``_walk``, which is the
-image filtration, a carrier's lower central series and the dual walk of
-the flag. One read-off, ``_annihilator``, gives the annihilator of an
-echelon basis: the kernel, the quotient projection and each flag level.
+product matrix. It serves the ideal and invariance tests, the one spin
+``_spin``, which adds images until the space is invariant (the spun
+submodule and the generated subalgebra), and the one walk of repeated
+images, ``_walk``, which is the image filtration, a carrier's lower
+central series and the dual walk of the flag. One read-off,
+``_annihilator``, gives the annihilator of an echelon basis: the kernel,
+the quotient projection and each flag level.
 ``Subspace.span`` normalises what it is handed; the kernels span their own
 canonical results through ``Subspace._span``, which skips that pass.
 
@@ -455,6 +457,22 @@ def _image(space: Subspace, transposes: Sequence[Matrix]) -> Subspace:
         return space
     field, n = space.field, space.ambient_dim
     return Subspace(field, n, _echelon(field, n, _image_rows(space, transposes)))
+
+
+def _spin(space: Subspace, transposes: Sequence[Matrix]) -> Subspace:
+    """The smallest subspace that contains ``space`` and is invariant under
+    the operators of ``_image``: a full space as it is, otherwise the space
+    with images added until it stops growing. Each round adds the image of
+    the last image only; that adds the image of the whole space, since the
+    images of the earlier terms are in it already."""
+    new = space
+    while not space.is_full():
+        new = _image(new, transposes)
+        grown = space + new
+        if grown == space:
+            break
+        space = grown
+    return space
 
 
 def _walk(space: Subspace, transposes: Sequence[Matrix]) -> list:

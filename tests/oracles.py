@@ -23,12 +23,15 @@ from one matrix product. The quotient projection is read off the inverse of the 
 completed by unit vectors, as it was before it was read off the echelon
 basis directly. The spun submodule and the invariance test take the image
 of a subspace one action and one basis vector at a time, as they did
-before the images came from one matrix product per action. The lower
-central series of a carrier takes span(S T + T S) one product of basis
-vectors per pair, as it did before each step became one image under the
-multiplication operators of the carrier's basis, and the flag stacks the
-projected actions level by level, as it did before it became the
-annihilator of the dual image walk.
+before the images came from one matrix product per action. The generated
+subalgebra grows by the products of every pair of basis vectors of the
+current span, a round at a time, as it did before it became the spin under
+the fixed operators of the generators. The lower central series of a
+carrier takes span(S T + T S) one product of basis vectors per pair, as it
+did before each step became one image under the multiplication operators
+of the carrier's basis, and the flag stacks the projected actions level
+by level, as it did before it became the annihilator of the dual image
+walk.
 
 ``unchecked_algebra`` builds the non-Leibniz tensors the validators are
 tested on, which ``LeibnizAlgebra.create`` refuses.
@@ -504,6 +507,21 @@ def product_span_per_pair(algebra: LeibnizAlgebra, left: Subspace,
     return Subspace.span(algebra.field, algebra.dim,
                          [mult_coords(algebra, u, v)
                           for u in left.basis for v in right.basis])
+
+
+def subalgebra_generated_per_round(elements) -> Subspace:
+    """The span of the elements grown a round at a time by the products of
+    every pair of its current basis vectors until it stops growing, as the
+    generated subalgebra was before it became the spin under the fixed
+    operators of the generators."""
+    algebra = elements[0].algebra
+    current = Subspace.span(algebra.field, algebra.dim,
+                            [x.coords for x in elements])
+    while True:
+        grown = current + product_span_per_pair(algebra, current, current)
+        if grown == current:
+            return current
+        current = grown
 
 
 def carrier_series_per_pair(algebra: LeibnizAlgebra, carrier: Subspace) -> list:

@@ -18,12 +18,13 @@ from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 import leibniz_engel.algebra as algebra_module
+import leibniz_engel.linalg as linalg_module
 
 from oracles import (carrier_series_per_pair, ideal_by_unit_vectors,
                      leibniz_triple_violations, lie_set_check_per_pair,
                      lie_set_closure_per_pair, operator_pair_violations,
                      power_identity_violations, product_span_per_pair,
-                     unchecked_algebra)
+                     subalgebra_generated_per_round, unchecked_algebra)
 
 
 # e1 e1 = e1 violates the defining identity: e1(e1 e1) = e1 but
@@ -137,19 +138,47 @@ def test_subalgebra_generated_idempotent_and_monotone():
 
 def test_subalgebra_generated_stops_at_the_full_span(monkeypatch):
     calls = []
-    real = algebra_module._image
+    real = linalg_module._image
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(algebra_module, "_image", counted)
+    monkeypatch.setattr(linalg_module, "_image", counted)
     for A in (cyclic(3), heisenberg3(), sol2()):
         assert subalgebra_generated(A.basis()) == A.full_space()
     assert calls == []
     # a generator short of the full span does take the image step
     assert subalgebra_generated([cyclic(3).basis_element(0)]).is_full()
     assert calls
+
+
+def test_subalgebra_generated_equals_per_round_oracle(small_corpus,
+                                                     corpus2024):
+    # random generator sets: with zero vectors, with repeats, basis
+    # elements, and random vectors, mostly not Lie sets
+    rng = random.Random(323)
+    compared = not_lie_sets = 0
+    for algebra, _ in small_corpus + corpus2024 + fuzz_corpus(323, 200, 8):
+        n = algebra.dim
+        if n == 0:
+            continue
+
+        def vector():
+            return algebra.element([rng.randrange(-2, 3) for _ in range(n)])
+
+        basis = algebra.basis()
+        for gens in ([algebra.zero(), vector()],
+                     [vector()] * 2 + [vector()],
+                     rng.sample(basis, rng.randint(1, n)),
+                     [vector() for _ in range(rng.randint(1, 3))]):
+            assert subalgebra_generated(gens) == \
+                subalgebra_generated_per_round(gens)
+            compared += 1
+            nonzero = [x for x in gens if not x.is_zero()]
+            not_lie_sets += bool(nonzero) and not is_lie_set(nonzero).ok
+    assert compared > 1500
+    assert not_lie_sets > compared // 4
 
 
 def test_is_lie_set_cyclic2():
@@ -372,6 +401,21 @@ def test_validate_matches_triple_loop_oracle_on_corrupted_tensors():
         fields_seen.add(str(f))
         broken += bool(got)
     assert fields_seen == {"Q", "F5", "F7"}
+    assert broken > 20
+
+
+def test_validate_triples_are_the_swapped_left_mult_of_product_pairs():
+    # the defining identity at (i, j, k) is column k of the residual of
+    # L_c L_b = L_{cb} + L_b L_c at the pair (b, c) = (j, i)
+    broken = 0
+    for _, A in _corrupted_algebras():
+        triples = validate_leibniz(A.structure, A.field, A.dim).violations
+        pairs = [v.witness["pair"]
+                 for v in verify_operator_identities(A).violations
+                 if v.identity == "left_mult_of_product"]
+        assert sorted({t[:2] for t in triples}) == \
+            sorted((c, b) for b, c in pairs)
+        broken += bool(pairs)
     assert broken > 20
 
 

@@ -4,11 +4,12 @@ Random sparse and dense inputs over Q, F_5 and F_7, with negative and
 fractional entries, all-zero rows and zero-row shapes; the batched
 products of one element with many are checked against the product of
 coordinate vectors on the small fuzz corpus, and the derivation and
-automorphism checks against their per-pair loops. The sparse contractions
-that check the defining identity and the operator pair identities are checked
+automorphism checks against their per-pair loops. The sparse contraction
+that checks the defining identity and the operator pair identities is checked
 against the triple-by-triple and matrix-product oracles on random tensors,
 mostly not Leibniz, and on random action families that are mostly not
-bimodules. A right operand is read
+bimodules; the violating triples are the swapped pairs at which
+left_mult_of_product fails. A right operand is read
 through the nonzero rows it caches, so reuse, equality and hashing are
 checked too, and a recording row shows that a product reads only those
 rows. The echelon reducer is checked against column-wise Gauss-Jordan
@@ -282,6 +283,19 @@ def test_validate_leibniz_equals_triple_oracle(data):
     report = validate_leibniz(c, field, n)
     assert report.violations == leibniz_triple_violations(c, field, n)
     assert report.ok == (not report.violations)
+
+
+@SETTINGS
+@given(st.data())
+def test_validate_triples_are_the_swapped_left_mult_of_product_pairs(data):
+    field = data.draw(FIELDS)
+    algebra = unchecked_algebra(field, data.draw(tensors(field)))
+    triples = validate_leibniz(algebra.structure, field, algebra.dim).violations
+    pairs = [v.witness["pair"]
+             for v in verify_operator_identities(algebra).violations
+             if v.identity == "left_mult_of_product"]
+    assert sorted({t[:2] for t in triples}) == \
+        sorted((c, b) for b, c in pairs)
 
 
 @SETTINGS
