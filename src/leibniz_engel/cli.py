@@ -31,8 +31,6 @@ from .formats import (load_algebra, load_bimodule, load_elements, load_ideals,
                       load_map, parse_field_name, save_algebra)
 from .reports import PASS, THEOREM_VIOLATION, Check, Report, error_report
 
-FUZZ_CLOSURE_CAP = 100_000
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -130,9 +128,8 @@ def _input_desc(args) -> dict:
     return desc
 
 
-def _default_lie_set(algebra: LeibnizAlgebra,
-                     cap: int = DEFAULT_CLOSURE_CAP) -> LieSet:
-    return lie_set_closure(algebra.basis(), cap=cap)
+def _default_lie_set(algebra: LeibnizAlgebra) -> LieSet:
+    return lie_set_closure(algebra.basis())
 
 
 def _cmd_validate(args):
@@ -259,11 +256,11 @@ def _cmd_fuzz(args):
     passes = 0
     for idx, (algebra, module) in enumerate(corpus):
         try:
-            closure = lie_set_closure(algebra.basis(), cap=FUZZ_CLOSURE_CAP)
+            closure = _default_lie_set(algebra)
         except CapExceeded:
             premises_failed += 1
             items.append({"index": idx, "verdict": "premises_failed",
-                          "note": "basis closure exceeded the fuzz cap"})
+                          "note": "basis closure exceeded the closure cap"})
             continue
         verdicts = [theorem2_verify(module, closure).verdict]
         series = lower_central_series(algebra)

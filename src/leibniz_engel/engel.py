@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .algebra import Element, LieSet, is_lie_set, subalgebra_generated
+from .algebra import (Element, LieSet, LieSetCheck, is_lie_set,
+                      subalgebra_generated)
 from .bimodule import Bimodule, s_matrix, t_matrix
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
                      FlagStalled, NoAnnihilator, NotNilpotentError)
@@ -117,14 +118,28 @@ def lemma_word_bound_check(module: Bimodule, a: Element) -> Report:
                         "image_dims": list(op.dims)})
 
 
+def _closed_under_products(lie_set: LieSet) -> LieSetCheck:
+    """The closure premise, read off the set's multiplication table when it
+    has one that is whole: all k**2 cells present, each a member index or
+    -1 for a zero product. Reading it takes no product. A set without such
+    a table takes the full :func:`is_lie_set`."""
+    table, k = lie_set.table, len(lie_set.members)
+    if table is not None and len(table) == k and all(
+            len(row) == k and min(row) >= -1 and max(row) < k
+            for row in table):
+        return LieSetCheck(True, None)
+    return is_lie_set(lie_set.members)
+
+
 def check_engel_premises(module: Bimodule, lie_set: LieSet) -> Report:
     """The three hypotheses: closure, generation, nilpotent left actions.
 
     All three clauses are evaluated and recorded independently, each with
-    its first failing witness.
+    its first failing witness. Closure is read off the table of a set from
+    ``lie_set_closure``; any other set has every product checked.
     """
     members = list(lie_set.members)
-    closed = is_lie_set(members)
+    closed = _closed_under_products(lie_set)
     witness_pair = None
     if not closed.ok:
         x, y = closed.witness

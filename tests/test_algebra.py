@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,13 +7,15 @@ from itertools import product
 import pytest
 
 from leibniz_engel import (cyclic, heisenberg3, sol2, abelian, fuzz_corpus,
+                           check_engel_premises,
                            is_ideal, is_lie_set, is_nilpotent_algebra,
                            left_mult_matrix, lie_set_closure,
                            lower_central_series, power, regular_bimodule,
                            right_mult_matrix, subalgebra_generated,
                            validate_bimodule, validate_leibniz,
                            direct_sum, verify_operator_identities)
-from leibniz_engel.algebra import LeibnizAlgebra, carrier_series
+from leibniz_engel.algebra import (Element, LeibnizAlgebra, LieSet,
+                                   carrier_series)
 from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   InvalidAlgebra, InvalidExponent)
 from leibniz_engel.fields import GF, QQ
@@ -253,6 +256,16 @@ def test_lie_sets_match_per_pair_oracles(small_corpus, corpus2024,
         check = is_lie_set(members)
         assert (check.ok, check.witness) == (True, None)
         assert lie_set_check_per_pair(members) == (True, None)
+        # the table holds the member index of every x y, or -1 for zero
+        index = {x.coords: i for i, x in enumerate(members)}
+        assert [list(row) for row in closure.table] == \
+            [[-1 if (x * y).is_zero() else index[(x * y).coords]
+              for y in members] for x in members]
+        module = regular_bimodule(A)
+        premises = check_engel_premises(module, closure)
+        assert premises == check_engel_premises(
+            module, dataclasses.replace(closure, table=None))
+        assert premises.premises[0].passed
         if len(members) > A.dim:
             # members past the basis were adjoined as products of earlier
             # ones, so dropping one leaves a set that is not closed
@@ -260,8 +273,16 @@ def test_lie_sets_match_per_pair_oracles(small_corpus, corpus2024,
             dropped = members[:middle] + members[middle + 1:]
             check = is_lie_set(dropped)
             assert not check.ok
-            assert _check_outcome(check.ok, check.witness) == \
-                _check_outcome(*lie_set_check_per_pair(dropped))
+            expected = _check_outcome(*lie_set_check_per_pair(dropped))
+            assert _check_outcome(check.ok, check.witness) == expected
+            # without a table, or with the table of the whole closure, the
+            # premise is checked product by product
+            for open_set in (LieSet(A, dropped),
+                             dataclasses.replace(closure, members=dropped)):
+                closed = check_engel_premises(module, open_set).premises[0]
+                assert not closed.passed
+                assert closed.witness == [
+                    Element(A, c).to_str() for c in expected[1]]
             open_sets += 1
     # e1 e2 = 2 e2 doubles forever over Q: both stop at the same count
     A = LeibnizAlgebra.create(QQ, [[[0, 0], [0, 2]], [[0, -2], [0, 0]]])

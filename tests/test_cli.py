@@ -4,7 +4,10 @@ import os
 
 import pytest
 
+import leibniz_engel.cli as cli_module
+from leibniz_engel.algebra import DEFAULT_CLOSURE_CAP
 from leibniz_engel.cli import _build_parser, main
+from leibniz_engel.errors import CapExceeded
 from leibniz_engel.families import MAX_SPEC_DEPTH
 from leibniz_engel.formats import MAX_FILE_BYTES
 from leibniz_engel.reports import EXIT_CODES
@@ -231,6 +234,28 @@ def test_fuzz_small_corpus(tmp_path):
     assert report["data"]["violations"] == []
     assert report["data"]["passes"] + report["data"]["premises_failed"] == 16
     assert report["conventions"]["bimodule_axioms"]
+
+
+def test_fuzz_closes_each_item_within_the_default_cap(monkeypatch,
+                                                     tmp_path):
+    """fuzz closes every basis with the default member cap, which bounds
+    its multiplication table, and reports an item whose closure exceeds
+    the cap as premises_failed."""
+    caps = []
+
+    def capped(elements, cap=DEFAULT_CLOSURE_CAP):
+        caps.append(cap)
+        raise CapExceeded(cap, cap + 1)
+
+    monkeypatch.setattr(cli_module, "lie_set_closure", capped)
+    report_path = tmp_path / "fuzz.json"
+    assert main(["fuzz", "--seed", "11", "--count", "3", "--max-dim", "4",
+                 "--quiet", "--json", str(report_path)]) == 0
+    data = json.loads(report_path.read_text())["data"]
+    assert caps == [DEFAULT_CLOSURE_CAP] * 3
+    assert [(item["verdict"], item["note"]) for item in data["items"]] == \
+        [("premises_failed", "basis closure exceeded the closure cap")] * 3
+    assert (data["passes"], data["premises_failed"]) == (0, 3)
 
 
 def test_reports_carry_conventions(c2_file, tmp_path):

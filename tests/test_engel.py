@@ -1,3 +1,6 @@
+import dataclasses
+from array import array
+
 import pytest
 
 from leibniz_engel import (LieSet, abelian, check_engel_premises, cyclic,
@@ -14,6 +17,7 @@ from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   NotNilpotentError)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
+import leibniz_engel.algebra as algebra_module
 import leibniz_engel.engel as engel_module
 import leibniz_engel.linalg as linalg_module
 
@@ -152,6 +156,49 @@ def test_premises_generation_clause_fails():
     assert by_name["closed_under_products"].passed
     assert not by_name["members_generate_algebra"].passed
     assert by_name["left_actions_nilpotent"].passed
+
+
+def test_premises_read_closure_off_the_closure_table(monkeypatch,
+                                                     dense_f7_closures):
+    """A basis closure's table certifies the closure premise: checking it
+    multiplies no pair of members again."""
+    calls = []
+    real = algebra_module._products_with
+
+    def counted(x, ys, right=False):
+        calls.append(x)
+        return real(x, ys, right)
+
+    monkeypatch.setattr(algebra_module, "_products_with", counted)
+    for A, closure in dense_f7_closures:
+        report = check_engel_premises(regular_bimodule(A), closure)
+        assert report.premises[0].passed
+    assert calls == []
+    # the same members without their table are multiplied again
+    A, closure = dense_f7_closures[0]
+    check_engel_premises(regular_bimodule(A), LieSet(A, closure.members))
+    assert len(calls) == len(closure.members)
+
+
+def test_premise_read_off_needs_the_whole_table():
+    """Only a table of k rows of k cells, each a member index or -1, stands
+    for the products; any other falls back to checking every product."""
+    A = sol2()
+    e1, e2 = A.basis()
+    module = regular_bimodule(A)
+    open_set = LieSet(A, (e1, e2))  # e2 e1 = -e2 is no member
+    for table in ((), (array("i", (-1, -1)),),
+                  (array("i", (-1, -1)), array("i", (-1,))),
+                  (array("i", (0, 1)), array("i", (-1, -2))),
+                  (array("i", (0, 1)), array("i", (2, -1)))):
+        forged = dataclasses.replace(open_set, table=table)
+        closed = check_engel_premises(module, forged).premises[0]
+        assert not closed.passed
+        assert closed.witness == ["(0, 1)", "(1, 0)"]
+    # a whole table is taken as it stands: only lie_set_closure makes one
+    whole = dataclasses.replace(
+        open_set, table=(array("i", (-1, 1)), array("i", (-1, -1))))
+    assert check_engel_premises(module, whole).premises[0].passed
 
 
 def test_premises_nilpotency_clause_fails_on_sol2():
