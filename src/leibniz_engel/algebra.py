@@ -17,12 +17,13 @@ The multiplication operators of the basis are read once per algebra off
 the tensor, by the validation in ``create``: row j of ``c[i]`` is e_i e_j,
 so ``c[i]`` is L_{e_i}^T as it stands. Every product is taken from them,
 with ``_combination`` building the operator of any element: x y is L_x
-applied to y, the Lie sets take row y of Y @ L_x^T as x y and of
-Y @ R_x^T as y x, and the ideal test, the regular bimodule and the
-identity suite use them as they are. The series of a carrier is the image
-walk ``linalg._walk`` under such operators, the generated subalgebra is
-the spin ``linalg._spin`` under those of the generators, and the ideal
-test takes one image step ``linalg._image``.
+applied to y, the Lie sets take row y of Y @ L_x^T as x y (the closure
+takes y x as a left product of y, and no product at all of an x with
+L_x = 0, which every square is: (xx)z = 0), and the ideal test, the
+regular bimodule and the identity suite use them as they are. The series
+of a carrier is the image walk ``linalg._walk`` under such operators, the
+generated subalgebra is the spin ``linalg._spin`` under those of the
+generators, and the ideal test takes one image step ``linalg._image``.
 
 One sparse contraction, ``_pair_identity_violations``, takes no matrix
 product: it checks the pair identities of the identity suite on (L, R),
@@ -36,7 +37,7 @@ import dataclasses
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import compress, count
 from typing import Callable, Sequence
 
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
@@ -470,7 +471,9 @@ class LieSet:
     :func:`lie_set_closure`, is the multiplication table of the members:
     row i is an ``array('i')`` whose cell j is the member index of
     x_i x_j, or -1 for a zero product. A set with a table is closed by
-    construction, and the table is its certificate.
+    construction, and the table is its certificate. Row i is all -1
+    whenever L_{x_i} = 0, as for every square x = y y, since the defining
+    identity at x = y reads (yy)z = 0.
     """
 
     algebra: LeibnizAlgebra
@@ -501,13 +504,13 @@ class LieSetCheck:
     witness: tuple | None  # (x, y) with x y neither zero nor a member
 
 
-def _products_with(x: Element, ys: Matrix, right: bool = False) -> tuple:
-    """The products x y for every row y of ``ys`` (y x with ``right``), as
-    the rows of one matmul ys @ L_x^T (ys @ R_x^T), with L_x^T (R_x^T)
-    combined from the cached transposes of the basis operators."""
+def _products_with(x: Element, ys: Matrix) -> tuple:
+    """The products x y for every row y of ``ys``, as the rows of one
+    matmul ys @ L_x^T, with L_x^T combined from the cached transposes of
+    the basis operators."""
     A = x.algebra
     return (ys @ _combination(A.field, A.dim, x.coords,
-                              A._operators()[right])).entries
+                              A._operators()[0])).entries
 
 
 def is_lie_set(elements: Sequence[Element]) -> LieSetCheck:
@@ -533,73 +536,75 @@ def lie_set_closure(elements: Sequence[Element],
                     cap: int = DEFAULT_CLOSURE_CAP) -> LieSet:
     """Adjoin nonzero products until closed; CapExceeded past ``cap`` members.
 
-    Each round multiplies every frontier member x with the members present
-    at the start of the round, x y and y x from one matmul per side, and
-    adjoins new products in the order x, y, then x y before y x. A frontier
-    member earlier than x already took both products with x as the outer
-    member, so x skips it, and the square x x is taken on the left side
-    only.
+    The multiplication table (see :class:`LieSet`) is filled by rows, and
+    only the rows of active members x, those with L_x != 0, take products;
+    every other row is all -1. Most members of a closure are inactive: in a
+    left Leibniz algebra every square lies in the left annihilator, since
+    y = x in x(yz) = (xy)z + y(xz) gives (xx)z = 0. Each member's L_x^T is
+    combined once, when it joins. An active row takes its new cells from
+    one block product Y @ L_x^T, whose row y is x y: against every member
+    for a member that joins this round, and against the round's new
+    members for an older one. So y x is taken as a left product of y, and
+    each ordered pair (x, y) with x active is multiplied once.
 
-    Every product lands in the multiplication table of the result (see
-    :class:`LieSet`). One dict maps coordinates to member indices, and the
-    zero vector to -1; each side's block of products is looked up in it
-    whole, and only the products it does not hold yet are walked one at a
-    time, in the adjoin order. The rows grow as lists and end as arrays of
-    4-byte cells: about 4 MB at the default cap.
+    New products join in the order of a round that multiplies each
+    frontier member x with the members y present at its start, x y before
+    y x, skipping the frontier members before x (they took both products
+    with x already). A cell's key is (owner, 2 other + side): the owner is
+    the frontier member of the pair, the earlier one when both are, and
+    side is 0 for owner * other and 1 for other * owner. The products of a
+    round that the index does not hold yet are walked in key order, so the
+    members, the table and the point of CapExceeded are those of that pair
+    by pair order; a skipped row holds only zero products, which never
+    join.
+
+    One dict maps coordinates to member indices, and the zero vector to
+    -1; each block is looked up in it whole. The rows grow as lists and
+    end as arrays of 4-byte cells: about 4 MB at the default cap.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     A, members = _prepare_members(elements)
     if len(members) > cap:
         raise CapExceeded(cap, len(members))
+    field, dim, lts = A.field, A.dim, A._operators()[0]
     index = {x.coords: i for i, x in enumerate(members)}
-    index[(A.field.zero(),) * A.dim] = -1
-    table = []
+    index[(field.zero(),) * dim] = -1
+    active = {}  # member index -> (L_x^T, its table row so far)
     old = 0
     while old < len(members):  # members[old:] is the frontier
         n = len(members)
-        rows = tuple(y.coords for y in members)
-        # the frontier's rows and columns, filled this round; -2 marks a
-        # cell not filled yet
-        for row in table:
-            row.extend([-2] * (n - len(row)))
-        table.extend([-2] * n for _ in range(old, n))
+        ys = tuple(y.coords for y in members)
+        # the first column each active row takes this round
+        starts = dict.fromkeys(active, old)
         for a in range(old, n):
-            # x is row ``old`` of the left side and left out of the right:
-            # the square x x is taken once
-            x, ys = members[a], rows[:old] + rows[a:]
-            lefts = _products_with(x, Matrix(A.field, len(ys), A.dim, ys))
-            rights = _products_with(
-                x, Matrix(A.field, len(ys) - 1, A.dim, ys[:old] + ys[old + 1:]),
-                right=True)
-            left_cells = list(map(index.get, lefts))
-            right_cells = list(map(index.get, rights))
-            if None in left_cells or None in right_cells:
-                # new products join in ys order, x y before y x, by the
-                # distinct keys 2i and 2i + 1 for ys position i; y = x, at
-                # ys position old, has no right cell
-                new = sorted(
-                    [(2 * i, left_cells, i, lefts)
-                     for i, c in enumerate(left_cells) if c is None]
-                    + [(2 * (r + (r >= old)) + 1, right_cells, r, rights)
-                       for r, c in enumerate(right_cells) if c is None])
-                for _, cells, i, block in new:
-                    p = block[i]
-                    if p not in index:
-                        members.append(Element(A, p))
-                        index[p] = len(members) - 1
-                        if len(members) > cap:
-                            raise CapExceeded(cap, len(members))
-                    cells[i] = index[p]
-            row = table[a]
-            row[:old] = left_cells[:old]
-            row[a:n] = left_cells[old:]
-            for j, cell in zip(chain(range(old), range(a + 1, n)),
-                               right_cells):
-                table[j][a] = cell
+            lt = _combination(field, dim, ys[a], lts)
+            if lt._row_terms:
+                active[a] = lt, []
+                starts[a] = 0
+        pending = []  # (key, row, cell position, product) of new products
+        for r, start in starts.items():
+            lt, row = active[r]
+            products = (Matrix(field, n - start, dim, ys[start:]) @ lt).entries
+            cells = list(map(index.get, products))
+            if None in cells:
+                for c, cell, p in zip(count(start), cells, products):
+                    if cell is None:
+                        key = ((c, 2 * r + 1) if old <= c < r or r < old
+                               else (r, 2 * c))
+                        pending.append((key, row, len(row) + c - start, p))
+            row.extend(cells)
+        for _, row, i, p in sorted(pending):
+            if p not in index:
+                members.append(Element(A, p))
+                index[p] = len(members) - 1
+                if len(members) > cap:
+                    raise CapExceeded(cap, len(members))
+            row[i] = index[p]
         old = n
-    return LieSet(A, tuple(members),
-                  tuple(array("i", row) for row in table))
+    return LieSet(A, tuple(members), tuple(
+        array("i", active[i][1]) if i in active else array("i", [-1]) * old
+        for i in range(old)))
 
 
 def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:

@@ -294,18 +294,26 @@ def test_lie_sets_match_per_pair_oracles(small_corpus, corpus2024,
 
 def test_closure_multiplies_each_ordered_pair_once(monkeypatch, corpus2024,
                                                   dense_f7_closures):
-    """Every product x y of two members is computed exactly once, a square
-    x x included."""
-    computed = []
-    real = algebra_module._products_with
+    """The closure takes x y only for a member x with L_x != 0, as a row of
+    a block product with L_x^T, and each such ordered pair once, a square
+    x x included; every pair it skips has x y = 0."""
+    operand_of, computed = {}, []
+    real_combination = algebra_module._combination
+    real_matmul = Matrix.__matmul__
 
-    def recorded(x, ys, right=False):
-        computed.extend((y, x.coords) if right else (x.coords, y)
-                        for y in ys.entries)
-        return real(x, ys, right)
+    def combined(field, size, coords, mats):
+        m = real_combination(field, size, coords, mats)
+        operand_of[id(m)] = coords
+        return m
 
-    monkeypatch.setattr(algebra_module, "_products_with", recorded)
+    def recorded(ys, lt):
+        computed.extend((operand_of[id(lt)], y) for y in ys.entries)
+        return real_matmul(ys, lt)
+
+    monkeypatch.setattr(algebra_module, "_combination", combined)
+    monkeypatch.setattr(Matrix, "__matmul__", recorded)
     algebras = [A for A, _ in corpus2024] + [A for A, _ in dense_f7_closures]
+    skipped_somewhere = False
     for A in algebras:
         computed.clear()
         try:
@@ -316,7 +324,15 @@ def test_closure_multiplies_each_ordered_pair_once(monkeypatch, corpus2024,
         counts = Counter(computed)
         assert all(n == 1 for n in counts.values())
         if members is not None:
-            assert set(counts) == {(a, b) for a in members for b in members}
+            active = [x for x in members
+                      if not left_mult_matrix(Element(A, x)).is_zero()]
+            assert set(counts) == {(a, b) for a in active for b in members}
+            skipped = [(a, b) for a in members for b in members
+                       if (a, b) not in counts]
+            assert all((Element(A, a) * Element(A, b)).is_zero()
+                       for a, b in skipped)
+            skipped_somewhere |= bool(skipped)
+    assert skipped_somewhere
 
 
 def test_lower_central_series_examples():

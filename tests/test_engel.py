@@ -165,9 +165,9 @@ def test_premises_read_closure_off_the_closure_table(monkeypatch,
     calls = []
     real = algebra_module._products_with
 
-    def counted(x, ys, right=False):
+    def counted(x, ys):
         calls.append(x)
-        return real(x, ys, right)
+        return real(x, ys)
 
     monkeypatch.setattr(algebra_module, "_products_with", counted)
     for A, closure in dense_f7_closures:

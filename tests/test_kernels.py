@@ -3,7 +3,9 @@
 Random sparse and dense inputs over Q, F_5 and F_7, with negative and
 fractional entries, all-zero rows and zero-row shapes; the batched
 products of one element with many are checked against the product of
-coordinate vectors on the small fuzz corpus, and the derivation and
+coordinate vectors on the small fuzz corpus, the Lie-set closure of random
+generators (repeats and squares among them) and its table against the
+pair-by-pair closure at random caps, and the derivation and
 automorphism checks against their per-pair loops. The sparse contraction
 that checks the defining identity and the operator pair identities is checked
 against the triple-by-triple and matrix-product oracles on random tensors,
@@ -27,18 +29,20 @@ from functools import partial
 import pytest
 
 from leibniz_engel.algebra import (Element, _add_combination, _products_with,
-                                   left_mult_matrix, mult_coords,
-                                   validate_leibniz,
+                                   left_mult_matrix, lie_set_closure,
+                                   mult_coords, validate_leibniz,
                                    verify_operator_identities)
 from leibniz_engel.bimodule import Bimodule, validate_bimodule
 from leibniz_engel.corollaries import is_automorphism, is_derivation
+from leibniz_engel.errors import CapExceeded
 from leibniz_engel.fields import GF, QQ, RationalField
 from leibniz_engel.linalg import (Matrix, Subspace, _annihilator, _echelon,
                                   _image, kernel_basis, rref)
 
 from oracles import (add_combination_per_scalar, apply_per_scalar,
                      automorphism_check_per_pair, derivation_check_per_pair,
-                     leibniz_triple_violations, matmul_per_scalar,
+                     leibniz_triple_violations, lie_set_closure_per_pair,
+                     matmul_per_scalar,
                      mult_coords_per_scalar, operator_pair_violations,
                      quotient_data_by_inverse, rref_per_scalar,
                      transpose_per_column, unchecked_algebra)
@@ -234,12 +238,55 @@ def test_batched_products_equal_mult_coords(small_corpus, data):
     x = data.draw(st.one_of(st.just((field.zero(),) * n), vectors(field, n)))
     ys = data.draw(matrices(field, cols=n))
     lefts = _products_with(Element(algebra, x), ys)
-    rights = _products_with(Element(algebra, x), ys, right=True)
+    # y x is the left product of y, taken against x as a one-row matrix
+    xs = Matrix(field, 1, n, (x,))
+    rights = [_products_with(Element(algebra, y), xs)[0] for y in ys.entries]
     assert len(lefts) == len(rights) == ys.rows
     for y, left, right in zip(ys.entries, lefts, rights):
         assert left == mult_coords(algebra, x, y)
         assert right == mult_coords(algebra, y, x)
         assert_canonical(field, left + right)
+
+
+@st.composite
+def generator_lists(draw, algebra):
+    """Nonzero elements of the algebra with repeats, among them squares
+    x x, which lie in the left annihilator: (xx)z = 0 for every z."""
+    field, n = algebra.field, algebra.dim
+    nonzero = vectors(field, n).map(
+        lambda x: x if any(x) else (field.one(),) + x[1:])
+    xs = draw(st.lists(nonzero, min_size=1, max_size=4))
+    squares = [s for s in (mult_coords(algebra, x, x) for x in xs) if any(s)]
+    out = xs + draw(st.lists(st.sampled_from(squares), max_size=3)
+                    if squares else st.just([]))
+    out += draw(st.lists(st.sampled_from(out), max_size=2))
+    return [Element(algebra, x) for x in draw(st.permutations(out))]
+
+
+@SETTINGS
+@given(st.data())
+def test_closure_of_generators_equals_per_pair_oracle(small_corpus, data):
+    """The closure of any nonzero generators, not only of a basis, adjoins
+    the members of the pair-by-pair closure in its order and stops at the
+    same cap; each table cell is the member index of x y, or -1."""
+    algebra, _ = data.draw(st.sampled_from(small_corpus))
+    gens = data.draw(generator_lists(algebra))
+    cap = data.draw(st.integers(1, 1000))
+    try:
+        closure = lie_set_closure(gens, cap=cap)
+    except CapExceeded as exc:
+        ours = ("cap", exc.cap, exc.members_so_far)
+    else:
+        ours = [x.coords for x in closure.members]
+        index = {x: i for i, x in enumerate(ours)}
+        products = [[mult_coords(algebra, x, y) for y in ours] for x in ours]
+        assert [list(row) for row in closure.table] == [
+            [index[p] if any(p) else -1 for p in row] for row in products]
+    try:
+        expected = [x.coords for x in lie_set_closure_per_pair(gens, cap)]
+    except CapExceeded as exc:
+        expected = ("cap", exc.cap, exc.members_so_far)
+    assert ours == expected
 
 
 @SETTINGS
