@@ -1,8 +1,8 @@
 """Leibniz algebras given by structure constants.
 
 An algebra is a tensor ``c`` with ``e_i * e_j = sum_k c[i][j][k] e_k`` over an
-exact field. :meth:`LeibnizAlgebra.create` is the only way in: it validates
-the defining identity
+exact field. :meth:`LeibnizAlgebra.create` is the only public way in: it
+validates the defining identity
 
     x(yz) = (xy)z + y(xz)
 
@@ -14,7 +14,7 @@ and the ideal test. An algebra's ``_cache`` holds its operators and, per
 carrier, the series and the ideal verdict, each computed once.
 
 The multiplication operators of the basis are read once per algebra off
-the tensor, by the validation in ``create``: row j of ``c[i]`` is e_i e_j,
+the tensor when first needed, as by ``create``: row j of ``c[i]`` is e_i e_j,
 so ``c[i]`` is L_{e_i}^T as it stands. Every product is taken from them,
 with ``_combination`` building the operator of any element: x y is L_x
 applied to y, the Lie sets take row y of Y @ L_x^T as x y (the closure
@@ -132,7 +132,8 @@ class LeibnizAlgebra:
 
     Instances are immutable. Construction goes through :meth:`create`, which
     validates the defining identity and raises :class:`InvalidAlgebra` with
-    the report when it fails.
+    the report when it fails; the family builders, valid by construction,
+    skip to :meth:`_from_canonical`.
     """
 
     field: Field
@@ -145,16 +146,25 @@ class LeibnizAlgebra:
     def create(field: Field, structure,
                basis_names: Sequence[str] | None = None) -> "LeibnizAlgebra":
         n = len(structure)
-        norm = tuple(tuple(tuple(map(field.normalize, cij)) for cij in ci)
-                     for ci in structure)
-        names = tuple(basis_names) if basis_names is not None else None
-        if names is not None and len(names) != n:
+        if basis_names is not None and len(basis_names) != n:
             raise ShapeMismatch("basis_names length differs from dimension")
-        algebra = LeibnizAlgebra(field, n, norm, names)
-        report = validate_leibniz(norm, field, n, algebra._operators)
+        algebra = LeibnizAlgebra._from_canonical(field, [
+            [tuple(map(field.normalize, cij)) for cij in ci]
+            for ci in structure], basis_names)
+        report = validate_leibniz(algebra.structure, field, n,
+                                  algebra._operators)
         if not report.ok:
             raise InvalidAlgebra(report)
         return algebra
+
+    @staticmethod
+    def _from_canonical(field: Field, structure,
+                        names: Sequence | None = None) -> "LeibnizAlgebra":
+        """The algebra on a canonical tensor, with no ``normalize`` and no
+        check: the caller vouches for both, as ``create`` does."""
+        return LeibnizAlgebra(field, len(structure), tuple(
+            tuple(map(tuple, ci)) for ci in structure),
+            tuple(names) if names is not None else None)
 
     # -- elements ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Deterministic generators of validated algebras and bimodules.
+"""Deterministic generators of algebras and bimodules.
 
 Families: cyclic(n) (one generator, products walk up the basis), the
 3-dimensional Heisenberg algebra, abelian(n), the 2-dimensional solvable
@@ -6,7 +6,10 @@ non-nilpotent control, direct sums, and seeded basis changes (conjugation by
 a unimodular matrix built from elementary row operations, so constants stay
 small and inverses are exact). Random structure constants are never drawn
 directly: random tensors essentially never satisfy the defining identity, so
-randomness enters only through basis changes and family mixing.
+randomness enters only through basis changes and family mixing. Each
+builder's tensor is canonical (its fixed entries are ``field.zero/one/neg``)
+and satisfies the defining identity by construction, as its docstring says,
+so it skips the check of ``LeibnizAlgebra.create``, the one public way in.
 
 One table, :data:`FAMILIES`, gives each family name its argument kinds and
 its builder: ``parse_family_spec`` reads a spec by it, refusing nesting
@@ -40,46 +43,53 @@ class FamilySpec:
 
 def cyclic(n: int, field: Field = QQ) -> LeibnizAlgebra:
     """Basis e1..en with e1 e_i = e_{i+1}; nilpotent of class n, non-Lie
-    for n >= 2 (the square of e1 is nonzero)."""
+    for n >= 2 (the square of e1 is nonzero). Valid: all products lie in
+    span(e2..en), which multiplies nothing, so the identity reads
+    x(yz) = y(xz), zero unless x = y. Entries are ``field.zero/one``."""
     if not 1 <= n <= MAX_DIM:
         raise InvalidSpec(f"cyclic needs 1 <= n <= {MAX_DIM}, got {n}")
     z, o = field.zero(), field.one()
     structure = [[[z] * n for _ in range(n)] for _ in range(n)]
     for i in range(n - 1):
         structure[0][i][i + 1] = o
-    return LeibnizAlgebra.create(field, structure,
-                                 [f"e{i+1}" for i in range(n)])
+    return LeibnizAlgebra._from_canonical(field, structure,
+                                          [f"e{i+1}" for i in range(n)])
 
 
 def heisenberg3(field: Field = QQ) -> LeibnizAlgebra:
-    """e1 e2 = e3 = -e2 e1; a Lie algebra, nilpotent of class 2."""
+    """e1 e2 = e3 = -e2 e1; a Lie algebra, nilpotent of class 2. Valid:
+    every product lies in span(e3), which multiplies nothing."""
     z, o = field.zero(), field.one()
     structure = [[[z] * 3 for _ in range(3)] for _ in range(3)]
     structure[0][1][2] = o
     structure[1][0][2] = field.neg(o)
-    return LeibnizAlgebra.create(field, structure, ["e1", "e2", "e3"])
+    return LeibnizAlgebra._from_canonical(field, structure, ["e1", "e2", "e3"])
 
 
 def abelian(n: int, field: Field = QQ) -> LeibnizAlgebra:
+    """The zero product on e1..en; valid, both sides being zero."""
     if not 1 <= n <= MAX_DIM:
         raise InvalidSpec(f"abelian needs 1 <= n <= {MAX_DIM}, got {n}")
     z = field.zero()
     structure = [[[z] * n for _ in range(n)] for _ in range(n)]
-    return LeibnizAlgebra.create(field, structure,
-                                 [f"e{i+1}" for i in range(n)])
+    return LeibnizAlgebra._from_canonical(field, structure,
+                                          [f"e{i+1}" for i in range(n)])
 
 
 def sol2(field: Field = QQ) -> LeibnizAlgebra:
-    """e1 e2 = e2, e2 e1 = -e2: solvable but not nilpotent (the control)."""
+    """e1 e2 = e2, e2 e1 = -e2: solvable but not nilpotent (the control).
+    Valid: a Lie algebra, where the identity is the Jacobi identity."""
     z, o = field.zero(), field.one()
     structure = [[[z] * 2 for _ in range(2)] for _ in range(2)]
     structure[0][1][1] = o
     structure[1][0][1] = field.neg(o)
-    return LeibnizAlgebra.create(field, structure, ["e1", "e2"])
+    return LeibnizAlgebra._from_canonical(field, structure, ["e1", "e2"])
 
 
 def direct_sum(left: LeibnizAlgebra, right: LeibnizAlgebra) -> LeibnizAlgebra:
-    """Block-diagonal structure constants; cross products vanish."""
+    """Block-diagonal structure constants; cross products vanish. Valid
+    and canonical: each block copies a valid algebra's entries, and a basis
+    triple across blocks has both sides zero."""
     if left.field != right.field:
         raise FieldMismatch("direct sum needs one common field")
     field = left.field
@@ -97,7 +107,7 @@ def direct_sum(left: LeibnizAlgebra, right: LeibnizAlgebra) -> LeibnizAlgebra:
         for j in range(b):
             for k in range(b):
                 structure[a + i][a + j][a + k] = right.structure[i][j][k]
-    return LeibnizAlgebra.create(field, structure)
+    return LeibnizAlgebra._from_canonical(field, structure)
 
 
 def _unimodular(field: Field, n: int, rng: random.Random) -> Matrix:
@@ -130,8 +140,9 @@ def basis_change(base: LeibnizAlgebra, seed: int) -> LeibnizAlgebra:
 
     The new basis is the columns P e_i, with left multiplications
     L'_i = P^-1 L_{P e_i} P; row j of L'_i^T = P^T L_{P e_i}^T P^-T is the
-    new product e'_i e'_j. The result is isomorphic to the input, so
-    validation and the nilpotency class are preserved.
+    new product e'_i e'_j. Conjugation is an isomorphism, so the result is
+    valid and keeps the nilpotency class; its entries are ``reduce_row``'d
+    rows of ``Matrix.@``, so canonical.
     """
     n, field = base.dim, base.field
     p = _unimodular(field, n, random.Random(seed))
@@ -141,7 +152,7 @@ def basis_change(base: LeibnizAlgebra, seed: int) -> LeibnizAlgebra:
     lts = base._operators()[0]
     structure = [(pt @ _combination(field, n, pe, lts) @ p_inv_t).entries
                  for pe in pt.entries]
-    return LeibnizAlgebra.create(field, structure)
+    return LeibnizAlgebra._from_canonical(field, structure)
 
 
 # Family name -> (argument kinds, builder), a kind being FamilySpec for a
@@ -283,7 +294,7 @@ def fuzz_corpus(seed: int, count: int, max_dim: int) -> list:
 
     Mixes all families across Q, F_5 and F_7, regular bimodules and
     quotients of the regular bimodule (by a lower-central-series term or a
-    spun submodule); every algebra is validated at construction and the
+    spun submodule); every algebra is valid by construction and the
     rotation guarantees a non-nilpotent control for count >= 4.
     """
     if count < 1 or not 1 <= max_dim <= MAX_DIM:

@@ -1,12 +1,17 @@
+import hashlib
+
 import pytest
 
+import leibniz_engel.algebra as algebra_module
 from leibniz_engel import (abelian, basis_change, build, cyclic, direct_sum,
                            fuzz_corpus, heisenberg3, is_nilpotent_algebra,
                            lower_central_series, parse_family_spec, sol2,
                            validate_bimodule, validate_leibniz,
                            verify_operator_identities)
+from leibniz_engel.algebra import LeibnizAlgebra
 from leibniz_engel.errors import FieldMismatch, InvalidSpec
 from leibniz_engel.fields import GF, QQ
+from leibniz_engel.formats import load_algebra, save_algebra
 
 
 def _satisfies_identity(algebra):
@@ -128,3 +133,50 @@ def test_fuzz_corpus_rejects_bad_arguments():
         fuzz_corpus(1, 3, 0)
     with pytest.raises(InvalidSpec):
         fuzz_corpus(1, 3, 10**9)
+
+
+# Eight nested basis changes around cyclic(32) over F7, as deep as a spec
+# may nest, and the sha256 of its saved file as written when every level of
+# the spec was still validated at construction.
+DEEP_SPEC = "basis_change(" * 8 + "cyclic(32)" + "".join(
+    f",{seed})" for seed in range(1, 9))
+DEEP_SPEC_SHA256 = \
+    "3293bdbb92644747334bf8843c7b1b301bbed1d8b8200a04664fed47485592e2"
+
+
+def test_deep_spec_takes_no_contraction_and_saves_the_same_file(
+        monkeypatch, tmp_path):
+    calls = []
+    contract = algebra_module._pair_identity_violations
+
+    def counted(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(algebra_module, "_pair_identity_violations", counted)
+    algebra = build(parse_family_spec(DEEP_SPEC, GF(7)))
+    assert algebra.dim == 32 and calls == []
+    path = tmp_path / "deep.json"
+    save_algebra(algebra, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEEP_SPEC_SHA256
+    # positive control: the counter sees the contraction that create runs
+    LeibnizAlgebra.create(GF(7), cyclic(3, GF(7)).structure)
+    assert len(calls) == 1
+
+
+def test_builders_skip_validation_and_create_and_loaders_keep_it(
+        monkeypatch, tmp_path):
+    path = tmp_path / "algebra.json"
+    save_algebra(basis_change(cyclic(3), 5), path)
+
+    def refuse(*args):
+        raise AssertionError("the pair contraction ran")
+
+    monkeypatch.setattr(algebra_module, "_pair_identity_violations", refuse)
+    spec = "basis_change(direct_sum(heisenberg3,basis_change(cyclic(3),5)),7)"
+    assert build(parse_family_spec(spec, GF(5))).dim == 6
+    assert len(fuzz_corpus(2024, 200, 8)) == 200
+    with pytest.raises(AssertionError, match="pair contraction"):
+        LeibnizAlgebra.create(QQ, cyclic(3).structure)
+    with pytest.raises(AssertionError, match="pair contraction"):
+        load_algebra(path)

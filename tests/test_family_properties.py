@@ -8,6 +8,9 @@ and optionally with basis names. Files written by ``dump_algebra`` and
 the nilpotency verdict and class and the operator identities and equals
 the basis change taken one product per pair. Random family specs drawn
 from the table build what direct calls of the family functions build.
+The builders skip validation, so every algebra they build, from these
+draws, from random specs nested up to ``MAX_SPEC_DEPTH`` deep and from the
+fuzz corpora, is validated again here and must come back unchanged.
 Skipped when hypothesis is not installed.
 """
 
@@ -22,16 +25,17 @@ from leibniz_engel import (abelian, basis_change, cyclic, direct_sum,
                            heisenberg3, is_nilpotent_algebra, sol2,
                            verify_operator_identities)
 from leibniz_engel.algebra import LeibnizAlgebra
-from leibniz_engel.families import (FAMILIES, FamilySpec, _unimodular, build,
+from leibniz_engel.families import (FAMILIES, MAX_SPEC_DEPTH, FamilySpec,
+                                    _unimodular, build, fuzz_corpus,
                                     parse_family_spec)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.formats import (dump_algebra, load_algebra,
                                    load_algebra_dict, save_algebra)
 
-from oracles import basis_change_per_pair
+from oracles import basis_change_per_pair, leibniz_triple_violations
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -144,3 +148,63 @@ def test_family_specs_build_what_direct_calls_build(data):
     built = build(parse_family_spec(text, field))
     assert built.field == field
     assert built.structure == algebra.structure
+
+
+def _assert_valid_and_canonical(algebra):
+    """``create`` revalidates the tensor and gives back the same algebra,
+    scalar for scalar and type for type: over Q an integral Fraction equals
+    its int, but only the int is canonical. The triple oracle agrees."""
+    f, c, n = algebra.field, algebra.structure, algebra.dim
+    fresh = LeibnizAlgebra.create(f, c, algebra.basis_names)
+    assert fresh == algebra
+    assert [type(x) for ci in fresh.structure for cij in ci for x in cij] \
+        == [type(x) for ci in c for cij in ci for x in cij]
+    assert leibniz_triple_violations(c, f, n) == []
+
+
+@SETTINGS
+@given(family_algebras())
+def test_family_algebras_are_valid_and_canonical(algebra):
+    _assert_valid_and_canonical(algebra)
+
+
+@st.composite
+def nested_specs(draw, depth=0, budget=6):
+    """Spec text of a family nested at most ``MAX_SPEC_DEPTH`` deep, of
+    dimension at most ``budget``: a direct sum splits the budget between
+    its parts, and a basis change takes any seed."""
+    names = ["abelian", "cyclic"] + ["sol2"] * (budget >= 2) \
+        + ["heisenberg3"] * (budget >= 3)
+    if depth < MAX_SPEC_DEPTH:
+        names += ["basis_change"] * 3 + ["direct_sum"] * (budget >= 2)
+    name = draw(st.sampled_from(names))
+    if name == "basis_change":
+        inner = draw(nested_specs(depth + 1, budget))
+        return f"basis_change({inner},{draw(st.integers(-10**6, 10**6))})"
+    if name == "direct_sum":
+        left = draw(st.integers(1, budget - 1))
+        return (f"direct_sum({draw(nested_specs(depth + 1, left))},"
+                f"{draw(nested_specs(depth + 1, budget - left))})")
+    if name in ("abelian", "cyclic"):
+        return f"{name}({draw(st.integers(1, budget))})"
+    return name
+
+
+DEEPEST = ("basis_change(" * MAX_SPEC_DEPTH + "cyclic(4)"
+           + ",1)" * MAX_SPEC_DEPTH)
+
+
+@SETTINGS
+@given(st.sampled_from((QQ, GF(5), GF(7))), nested_specs())
+@example(GF(7), DEEPEST)
+@example(QQ, DEEPEST)
+def test_nested_specs_build_valid_canonical_algebras(field, text):
+    algebra = build(parse_family_spec(text, field))
+    assert algebra.field == field
+    _assert_valid_and_canonical(algebra)
+
+
+@pytest.mark.parametrize("seed", [2024, 323, 331])
+def test_corpus_algebras_are_valid_and_canonical(seed):
+    for algebra, _ in fuzz_corpus(seed, 200, 8):
+        _assert_valid_and_canonical(algebra)
