@@ -11,7 +11,8 @@ on all basis triples (bilinearity makes that sufficient) and raises
 operators and the operator identities they satisfy, element powers,
 generated subalgebras, Lie sets, the lower central series of a subspace
 and the ideal test. An algebra's ``_cache`` holds its operators and, per
-carrier, the series and the ideal verdict, each computed once.
+carrier, the series and the ideal verdict, each computed once, and
+``create`` marks there that the defining identity holds.
 
 The multiplication operators of the basis are read once per algebra off
 the tensor when first needed, as by ``create``: row j of ``c[i]`` is e_i e_j,
@@ -50,6 +51,9 @@ DEFAULT_CLOSURE_CAP = 1000
 # Largest dimension taken from input files or family specs, checked before
 # anything of that size (a structure tensor holds dim**3 scalars) is built.
 MAX_DIM = 64
+
+# Largest ``fuzz --count``, checked before any corpus item is built.
+MAX_FUZZ_COUNT = 10_000
 
 
 @dataclass
@@ -155,6 +159,9 @@ class LeibnizAlgebra:
                                   algebra._operators)
         if not report.ok:
             raise InvalidAlgebra(report)
+        # the identity just checked is left_mult_of_product on the cached
+        # operators, so the identity suite need not sum it again
+        algebra._cache["left_mult_of_product"] = True
         return algebra
 
     @staticmethod
@@ -288,7 +295,8 @@ class IdentityReport:
 
 def _pair_identity_violations(field: Field, L: Sequence[Matrix],
                                lefts: Sequence[Matrix],
-                               rights: Sequence[Matrix], size: int) -> list:
+                               rights: Sequence[Matrix], size: int,
+                               tt: bool = True) -> list:
     """The four pair identities of :func:`verify_operator_identities` with
     L, R replaced by an action family T, S of size x size matrices, one per
     basis element, the constants of the products read off the left
@@ -312,7 +320,9 @@ def _pair_identity_violations(field: Field, L: Sequence[Matrix],
     each family are indexed by that shared index once per call, so only
     nonzero products touch a row, and at most 4 n size rows of length size
     are alive. With S = 0, or no S at all, only the third identity has
-    terms, and the loops that read S are skipped. An identity fails at
+    terms, and the loops that read S are skipped. With ``tt`` false the
+    three loops of T T terms, which only the third identity has, are
+    skipped: the caller knows that identity holds. An identity fails at
     (b, c) when one of its rows is nonzero after ``reduce_row``.
     """
     zero, reduce_row = field.zero(), field.reduce_row
@@ -342,22 +352,23 @@ def _pair_identity_violations(field: Field, L: Sequence[Matrix],
     for b in range(len(T)):
         # (c, identity, r) -> row r of that identity's residual at (b, c)
         res = defaultdict(lambda: [zero] * size)
-        for q, terms in T[b]:
-            for c, r, x in T_col[q]:  # T_c T_b
-                acc = res[c, 2, r]
-                for t, y in terms:
-                    acc[t] += x * y
-        for r, row in T[b]:
-            for q, x in row:
-                for c, terms in T_row[q]:  # T_b T_c
+        if tt:
+            for q, terms in T[b]:
+                for c, r, x in T_col[q]:  # T_c T_b
+                    acc = res[c, 2, r]
+                    for t, y in terms:
+                        acc[t] += x * y
+            for r, row in T[b]:
+                for q, x in row:
+                    for c, terms in T_row[q]:  # T_b T_c
+                        acc = res[c, 2, r]
+                        for t, y in terms:
+                            acc[t] -= x * y
+            for c, s, x in L_col[b]:  # T_{cb}
+                for r, terms in T[s]:
                     acc = res[c, 2, r]
                     for t, y in terms:
                         acc[t] -= x * y
-        for c, s, x in L_col[b]:  # T_{cb}
-            for r, terms in T[s]:
-                acc = res[c, 2, r]
-                for t, y in terms:
-                    acc[t] -= x * y
         if any(S):  # the other three identities vanish with S = 0
             for q, terms in S[b]:
                 for c, r, x in S_col[q]:  # S_c S_b
@@ -403,6 +414,10 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     After a failure at k = 2 the walk goes on, for the later witnesses,
     until R_a^k = 0 with the identity holding at k (both sides 0 from then).
 
+    ``left_mult_of_product`` is the defining identity itself, so on an
+    algebra that ``create`` validated, which marks its cache, that identity
+    is not summed a second time; every other algebra gets all four.
+
     Violations indicate an implementation bug on a validated algebra; they
     are collected, not raised.
     """
@@ -413,7 +428,8 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
              "left_mult_of_product", "right_right_reduction")
     violations = [IdentityViolation(names[t], {"pair": (b + 1, c + 1)})
                   for b, c, t, _ in _pair_identity_violations(
-                      A.field, lefts, lefts, rights, n)]
+                      A.field, lefts, lefts, rights, n,
+                      tt="left_mult_of_product" not in A._cache)]
 
     for i in range(n):
         a = A.basis_element(i)

@@ -249,26 +249,33 @@ def _cmd_generate(args):
 
 
 def _cmd_fuzz(args):
+    """Each distinct algebra and module of the corpus, which hands out
+    equal items as one object, is verified once: the dicts below, alive for
+    this call only, keep an algebra's basis closure (None past the cap) and
+    its own verdicts, and a module's theorem 2 verdict, for its repeats."""
     corpus = fuzz_corpus(args.seed, args.count, args.max_dim)
+    closures, algebra_verdicts, module_verdicts = {}, {}, {}
     items = []
     violations = []
     premises_failed = 0
     passes = 0
     for idx, (algebra, module) in enumerate(corpus):
-        try:
-            closure = _default_lie_set(algebra)
-        except CapExceeded:
+        if algebra not in closures:
+            try:
+                closures[algebra] = _default_lie_set(algebra)
+            except CapExceeded:
+                closures[algebra] = None
+        closure = closures[algebra]
+        if closure is None:
             premises_failed += 1
             items.append({"index": idx, "verdict": "premises_failed",
                           "note": "basis closure exceeded the closure cap"})
             continue
-        verdicts = [theorem2_verify(module, closure).verdict]
-        series = lower_central_series(algebra)
-        if series_nilpotency(series)[0]:
-            verdicts.append(corollary3_check(algebra, closure).verdict)
-            for first, second in zip(series, series[1:]):
-                verdicts.append(
-                    sum_of_nilpotent_ideals(algebra, first, second).verdict)
+        if module not in module_verdicts:
+            module_verdicts[module] = theorem2_verify(module, closure).verdict
+        if algebra not in algebra_verdicts:
+            algebra_verdicts[algebra] = _algebra_verdicts(algebra, closure)
+        verdicts = [module_verdicts[module], *algebra_verdicts[algebra]]
         if THEOREM_VIOLATION in verdicts:
             violations.append(idx)
             items.append({"index": idx, "verdict": THEOREM_VIOLATION})
@@ -286,6 +293,17 @@ def _cmd_fuzz(args):
             "premises_failed": premises_failed,
             "violations": violations}
     return Report(premises=[], conclusions=conclusions, data=data)
+
+
+def _algebra_verdicts(algebra: LeibnizAlgebra, closure: LieSet) -> tuple:
+    """Corollary 3 and the corollary-6 sum of each pair of consecutive
+    series terms, for a nilpotent algebra; nothing otherwise."""
+    series = lower_central_series(algebra)
+    if not series_nilpotency(series)[0]:
+        return ()
+    return (corollary3_check(algebra, closure).verdict, *(
+        sum_of_nilpotent_ideals(algebra, first, second).verdict
+        for first, second in zip(series, series[1:])))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .algebra import (MAX_DIM, LeibnizAlgebra, _combination,
+from .algebra import (MAX_DIM, MAX_FUZZ_COUNT, LeibnizAlgebra, _combination,
                       lower_central_series)
 from .bimodule import (Bimodule, quotient_bimodule, regular_bimodule,
                        submodule_generated)
@@ -296,14 +296,25 @@ def fuzz_corpus(seed: int, count: int, max_dim: int) -> list:
     quotients of the regular bimodule (by a lower-central-series term or a
     spun submodule); every algebra is valid by construction and the
     rotation guarantees a non-nilpotent control for count >= 4.
+
+    Equal items are one object within a call: an algebra equal (same
+    field, tensor and names) to one built earlier in the call is replaced
+    by that object, before its bimodule is built on it, and an equal
+    bimodule likewise. So whatever an algebra caches is shared by its
+    repeats, and a caller can key its own work by item. Nothing is kept
+    from one call to the next.
     """
-    if count < 1 or not 1 <= max_dim <= MAX_DIM:
-        raise InvalidSpec(f"count must be at least 1 and max_dim in "
-                          f"[1, {MAX_DIM}]")
+    if not 1 <= count <= MAX_FUZZ_COUNT:
+        raise InvalidSpec(f"fuzz count must be in [1, {MAX_FUZZ_COUNT}], "
+                          f"got {count}")
+    if not 1 <= max_dim <= MAX_DIM:
+        raise InvalidSpec(f"fuzz max_dim must be in [1, {MAX_DIM}], "
+                          f"got {max_dim}")
     rng = random.Random(seed)
-    corpus = []
+    algebras, modules, corpus = {}, {}, []
     for idx in range(count):
         algebra = _corpus_algebra(idx, rng, max_dim)
+        algebra = algebras.setdefault(algebra, algebra)
         module = _corpus_bimodule(algebra, rng)
-        corpus.append((algebra, module))
+        corpus.append((algebra, modules.setdefault(module, module)))
     return corpus

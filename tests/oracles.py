@@ -31,7 +31,9 @@ carrier takes span(S T + T S) one product of basis vectors per pair, as it
 did before each step became one image under the multiplication operators
 of the carrier's basis, and the flag stacks the projected actions level
 by level, as it did before it became the annihilator of the dual image
-walk.
+walk. ``fuzz_data_per_item`` runs the checks of ``fuzz`` on every
+corpus item from scratch, as ``fuzz`` did before it verified each
+distinct algebra and module once per call.
 
 ``unchecked_algebra`` builds the non-Leibniz tensors the validators are
 tested on, which ``LeibnizAlgebra.create`` refuses.
@@ -41,9 +43,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from leibniz_engel.algebra import LeibnizAlgebra, mult_coords
+from leibniz_engel.algebra import (LeibnizAlgebra, lower_central_series,
+                                   mult_coords, series_nilpotency)
 from leibniz_engel.bimodule import s_matrix, t_matrix
-from leibniz_engel.engel import Flag
+from leibniz_engel.corollaries import corollary3_check, sum_of_nilpotent_ideals
+from leibniz_engel.engel import Flag, theorem2_verify
+from leibniz_engel.reports import PASS, THEOREM_VIOLATION
 from leibniz_engel.errors import CapExceeded, FlagStalled
 from leibniz_engel.linalg import Matrix, Subspace, invert, kernel_basis
 
@@ -575,3 +580,40 @@ def invariant_per_action(module, carrier: Subspace) -> bool:
         if not carrier.contains_subspace(image):
             return False
     return True
+
+
+def fuzz_data_per_item(corpus, close) -> dict:
+    """The ``items``, ``passes``, ``premises_failed`` and ``violations`` of
+    a ``fuzz`` report on the corpus, every item checked on its own: its
+    basis closure ``close(algebra)`` (an item whose closure raises
+    CapExceeded fails its premises, with a note), theorem 2 on its module,
+    and for a nilpotent algebra corollary 3 and the corollary-6 sum of each
+    pair of consecutive series terms."""
+    items, violations = [], []
+    premises_failed = passes = 0
+    for idx, (algebra, module) in enumerate(corpus):
+        try:
+            closure = close(algebra)
+        except CapExceeded:
+            premises_failed += 1
+            items.append({"index": idx, "verdict": "premises_failed",
+                          "note": "basis closure exceeded the closure cap"})
+            continue
+        verdicts = [theorem2_verify(module, closure).verdict]
+        series = lower_central_series(algebra)
+        if series_nilpotency(series)[0]:
+            verdicts.append(corollary3_check(algebra, closure).verdict)
+            for first, second in zip(series, series[1:]):
+                verdicts.append(
+                    sum_of_nilpotent_ideals(algebra, first, second).verdict)
+        if THEOREM_VIOLATION in verdicts:
+            violations.append(idx)
+            items.append({"index": idx, "verdict": THEOREM_VIOLATION})
+        elif all(v == PASS for v in verdicts):
+            passes += 1
+            items.append({"index": idx, "verdict": PASS})
+        else:
+            premises_failed += 1
+            items.append({"index": idx, "verdict": "premises_failed"})
+    return {"items": items, "passes": passes,
+            "premises_failed": premises_failed, "violations": violations}

@@ -4,13 +4,20 @@ import os
 
 import pytest
 
+import leibniz_engel.algebra as algebra_module
 import leibniz_engel.cli as cli_module
-from leibniz_engel.algebra import DEFAULT_CLOSURE_CAP
+import leibniz_engel.families as families_module
+from leibniz_engel import (abelian, basis_change, cyclic, direct_sum,
+                           fuzz_corpus, heisenberg3, is_nilpotent_algebra,
+                           lie_set_closure, verify_operator_identities)
+from leibniz_engel.algebra import DEFAULT_CLOSURE_CAP, MAX_FUZZ_COUNT
 from leibniz_engel.cli import _build_parser, main
 from leibniz_engel.errors import CapExceeded
 from leibniz_engel.families import MAX_SPEC_DEPTH
-from leibniz_engel.formats import MAX_FILE_BYTES
+from leibniz_engel.fields import GF
+from leibniz_engel.formats import MAX_FILE_BYTES, save_algebra
 from leibniz_engel.reports import EXIT_CODES
+from oracles import fuzz_data_per_item
 
 
 def _write(tmp_path, name, payload):
@@ -256,6 +263,118 @@ def test_fuzz_closes_each_item_within_the_default_cap(monkeypatch,
     assert [(item["verdict"], item["note"]) for item in data["items"]] == \
         [("premises_failed", "basis closure exceeded the closure cap")] * 3
     assert (data["passes"], data["premises_failed"]) == (0, 3)
+
+
+def _fuzz_data(tmp_path, seed, count, max_dim) -> dict:
+    report_path = tmp_path / f"fuzz-{seed}.json"
+    main(["fuzz", "--seed", str(seed), "--count", str(count), "--max-dim",
+          str(max_dim), "--quiet", "--json", str(report_path)])
+    data = json.loads(report_path.read_text())["data"]
+    return {key: data[key]
+            for key in ("items", "passes", "premises_failed", "violations")}
+
+
+@pytest.mark.parametrize("seed", [2024, 323, 331, 31337])
+def test_fuzz_report_equals_the_per_item_oracle(seed, tmp_path):
+    """Verifying each distinct algebra and module once gives the report of
+    checking every item from scratch."""
+    expected = fuzz_data_per_item(fuzz_corpus(seed, 200, 8),
+                                  lambda a: lie_set_closure(a.basis()))
+    assert _fuzz_data(tmp_path, seed, 200, 8) == expected
+
+
+def test_fuzz_repeats_a_capped_closure_with_its_note(monkeypatch, tmp_path):
+    corpus = fuzz_corpus(11, 16, 4)
+    repeated = next(a for a, _ in corpus
+                    if sum(b is a for b, _ in corpus) > 1)
+    close = lie_set_closure
+
+    def capped(elements, cap=DEFAULT_CLOSURE_CAP):
+        if elements[0].algebra == repeated:
+            raise CapExceeded(cap, cap + 1)
+        return close(elements, cap)
+
+    monkeypatch.setattr(cli_module, "lie_set_closure", capped)
+    data = _fuzz_data(tmp_path, 11, 16, 4)
+    assert data == fuzz_data_per_item(corpus, lambda a: capped(a.basis()))
+    notes = [item["index"] for item in data["items"] if "note" in item]
+    assert notes == [i for i, (a, _) in enumerate(corpus) if a == repeated]
+    assert len(notes) > 1
+
+
+def test_fuzz_verifies_each_distinct_item_once_per_call(monkeypatch,
+                                                        tmp_path):
+    corpus = fuzz_corpus(2024, 200, 8)
+    algebras = set(a for a, _ in corpus)
+    modules = set(m for _, m in corpus)
+    nilpotent = [a for a in algebras if is_nilpotent_algebra(a)[0]]
+    assert len(algebras) < 150 and len(modules) < 150
+    calls = {"lie_set_closure": 0, "corollary3_check": 0,
+             "theorem2_verify": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(cli_module, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(cli_module, name, counted)
+    for _ in range(2):  # no call keeps anything for the next
+        for name in calls:
+            calls[name] = 0
+        assert main(["fuzz", "--seed", "2024", "--count", "200",
+                     "--max-dim", "8", "--quiet"]) == 0
+        assert calls == {"lie_set_closure": len(algebras),
+                         "corollary3_check": len(nilpotent),
+                         "theorem2_verify": len(modules)}
+
+
+def test_fuzz_corpus_interns_equal_items_and_keeps_the_field():
+    corpus = fuzz_corpus(10, 24, 4)
+    for (a, m), (b, n) in itertools.combinations(corpus, 2):
+        assert (a == b) == (a is b)
+        assert (m == n) == (m is n)
+    # abelian(3) over F5 and over F7 share an all-zero tensor, yet are two
+    f5, f7 = (next(a for a, _ in corpus if a == abelian(3, GF(p)))
+              for p in (5, 7))
+    assert f5.structure == f7.structure and f5 is not f7
+    assert (f5.field, f7.field) == (GF(5), GF(7))
+
+
+def test_fuzz_count_past_the_bound_exits_2_before_building(monkeypatch,
+                                                            tmp_path):
+    def refuse(*args):
+        raise AssertionError("a corpus item was built")
+
+    monkeypatch.setattr(families_module, "_corpus_algebra", refuse)
+    report_path = tmp_path / "fuzz.json"
+    for count in (MAX_FUZZ_COUNT + 1, 10**8):
+        assert main(["fuzz", "--seed", "1", "--count", str(count),
+                     "--max-dim", "8", "--quiet",
+                     "--json", str(report_path)]) == 2
+        error = json.loads(report_path.read_text())["data"]["error"]
+        assert error == (f"InvalidSpec: fuzz count must be in "
+                         f"[1, {MAX_FUZZ_COUNT}], got {count}")
+    with pytest.raises(AssertionError, match="corpus item"):
+        fuzz_corpus(1, MAX_FUZZ_COUNT, 8)
+
+
+def test_validate_sums_left_mult_of_product_once(monkeypatch, tmp_path):
+    """create checks the defining identity, the pair identity
+    left_mult_of_product, on the cached operators; the identity suite of
+    validate then skips its T T loops, and only for that algebra."""
+    path = tmp_path / "algebra.json"
+    save_algebra(basis_change(direct_sum(heisenberg3(), cyclic(5)), 3), path)
+    runs = []
+    contract = algebra_module._pair_identity_violations
+
+    def counted(*args, tt=True):
+        runs.append(tt)
+        return contract(*args, tt=tt)
+
+    monkeypatch.setattr(algebra_module, "_pair_identity_violations", counted)
+    assert main(["validate", str(path), "--quiet"]) == 0
+    assert runs == [True, False]
+    runs.clear()
+    assert verify_operator_identities(cyclic(4)).ok
+    assert runs == [True]
 
 
 def test_reports_carry_conventions(c2_file, tmp_path):
