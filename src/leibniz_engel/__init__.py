@@ -11,13 +11,12 @@ tolerance.
 from .algebra import (DEFAULT_CLOSURE_CAP, Element, LeibnizAlgebra,
                       LieSet, is_ideal, is_lie_set, is_nilpotent_algebra,
                       left_mult_matrix, lie_set_closure, lower_central_series,
-                      power, right_mult_matrix,
-                      subalgebra_generated, validate_leibniz,
+                      right_mult_matrix, subalgebra_generated, validate_leibniz,
                       verify_operator_identities)
 from .bimodule import (Bimodule, annihilator_ideal, quotient_bimodule,
                        regular_bimodule, s_matrix, submodule_generated,
                        t_matrix, validate_bimodule)
-from .corollaries import (LinearSelfMap, corollary3_check, corollary4_check,
+from .corollaries import (corollary3_check, corollary4_check,
                           corollary5_check, is_automorphism, is_derivation,
                           nilradical_from_family, sum_of_nilpotent_ideals)
 from .engel import (Flag, ImageFiltration, check_engel_premises, engel_flag,

@@ -8,8 +8,8 @@ validates the defining identity
 
 on all basis triples (bilinearity makes that sufficient) and raises
 :class:`InvalidAlgebra` when it fails. On top of that sit multiplication
-operators and the operator identities they satisfy, element powers,
-generated subalgebras, Lie sets, the lower central series of a subspace
+operators and the operator identities they satisfy, generated
+subalgebras, Lie sets, the lower central series of a subspace
 and the ideal test. An algebra's ``_cache`` holds its operators and, per
 carrier, the series and the ideal verdict, each computed once, and
 ``create`` marks there that the defining identity holds.
@@ -42,7 +42,7 @@ from itertools import compress, count
 from typing import Callable, Sequence
 
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
-                     InvalidExponent, ShapeMismatch)
+                     ShapeMismatch)
 from .fields import Field
 from .linalg import Matrix, Subspace, _image, _spin, _walk
 
@@ -234,19 +234,6 @@ class Element:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        f = self.algebra.field
-        return Element(self.algebra,
-                       tuple(f.add(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def __neg__(self) -> "Element":
-        f = self.algebra.field
-        return Element(self.algebra, tuple(f.neg(a) for a in self.coords))
-
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
         return Element(self.algebra,
@@ -267,16 +254,6 @@ def right_mult_matrix(a: Element) -> Matrix:
     """Matrix of x -> x a."""
     A = a.algebra
     return _combination(A.field, A.dim, a.coords, A._operators()[3])
-
-
-def power(a: Element, k: int) -> Element:
-    """a^1 = a and a^(k+1) = a * a^k."""
-    if k < 1:
-        raise InvalidExponent(f"powers start at 1, got {k}")
-    result = a
-    for _ in range(k - 1):
-        result = a * result
-    return result
 
 
 @dataclass

@@ -145,8 +145,9 @@ def quotient_bimodule(module: Bimodule, sub: Subspace) -> Bimodule:
     if not is_submodule(module, sub):
         raise ShapeMismatch("subspace is not invariant under the actions")
     q, lifts = sub.quotient_data()
-    lift_mat = Matrix.from_columns(field, lifts) if lifts else \
-        Matrix.zero(field, module.module_dim, 0)
+    # the lifts are the columns of the lift matrix
+    lift_mat = Matrix(field, len(lifts), module.module_dim,
+                      tuple(lifts)).transpose()
     left = [q @ (m @ lift_mat) for m in module.left_actions]
     right = [q @ (m @ lift_mat) for m in module.right_actions]
     return Bimodule.create(module.algebra, module.module_dim - sub.dim,

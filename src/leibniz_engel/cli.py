@@ -23,9 +23,7 @@ from .corollaries import (corollary3_check, corollary4_check,
                           corollary5_check, nilradical_from_family,
                           sum_of_nilpotent_ideals)
 from .engel import lemma_word_bound_check, theorem2_verify
-from .errors import (CapExceeded, FormatError, InvalidAlgebra, LeibnizError,
-                     NotAnIdealError, NotNilpotentError,
-                     NotNilpotentIdealError, TheoremViolation)
+from .errors import CapExceeded, FormatError, InvalidAlgebra, LeibnizError
 from .families import build, fuzz_corpus, parse_family_spec
 from .formats import (load_algebra, load_bimodule, load_elements, load_ideals,
                       load_map, parse_field_name, save_algebra)
@@ -191,14 +189,7 @@ def _cmd_lemma_bound(args):
     if len(coords) != algebra.dim:
         raise FormatError(f"--element needs {algebra.dim} coordinates")
     element = algebra.element([algebra.field.parse(c) for c in coords])
-    try:
-        report = lemma_word_bound_check(module, element)
-    except NotNilpotentError as exc:
-        report = Report(
-            premises=[Check("left_action_nilpotent", False,
-                            witness=exc.witness)],
-            conclusions=[])
-    return report
+    return lemma_word_bound_check(module, element)
 
 
 def _cmd_corollary(args):
@@ -208,34 +199,18 @@ def _cmd_corollary(args):
     if args.which == 4:
         if not args.map_path or args.order is None:
             raise FormatError("corollary 4 needs --map and --order")
-        self_map = load_map(args.map_path, algebra)
-        return corollary4_check(algebra, self_map.matrix, args.order)
+        return corollary4_check(algebra, load_map(args.map_path, algebra),
+                                args.order)
     if args.which == 5:
         if not args.map_path:
             raise FormatError("corollary 5 needs --map")
-        self_map = load_map(args.map_path, algebra)
-        return corollary5_check(algebra, self_map.matrix)
+        return corollary5_check(algebra, load_map(args.map_path, algebra))
     if not args.ideals:
         raise FormatError("corollary 6 needs --ideals")
     ideals = load_ideals(args.ideals, algebra)
-    try:
-        if len(ideals) == 2:
-            report = sum_of_nilpotent_ideals(algebra, ideals[0], ideals[1])
-        else:
-            report = nilradical_from_family(algebra, ideals)
-    except NotAnIdealError as exc:
-        report = Report(premises=[Check("family_members_are_ideals", False,
-                                        witness={"index": exc.which})],
-                        conclusions=[])
-    except NotNilpotentIdealError as exc:
-        report = Report(premises=[Check("family_members_are_nilpotent", False,
-                                        witness={"index": exc.which})],
-                        conclusions=[])
-    except TheoremViolation as exc:
-        report = Report(premises=[], conclusions=[],
-                        data={"violation": str(exc)},
-                        forced_verdict=THEOREM_VIOLATION)
-    return report
+    if len(ideals) == 2:
+        return sum_of_nilpotent_ideals(algebra, ideals[0], ideals[1])
+    return nilradical_from_family(algebra, ideals)
 
 
 def _cmd_generate(args):

@@ -20,22 +20,10 @@ from .algebra import (LeibnizAlgebra, LieSet, _add_combination,
                       lower_central_series, series_nilpotency)
 from .bimodule import regular_bimodule
 from .engel import check_engel_premises
-from .errors import (NotAnIdealError, NotNilpotentIdealError, ShapeMismatch,
-                     TheoremViolation)
+from .errors import ShapeMismatch
 from .fields import RationalField
 from .linalg import Matrix, Subspace, kernel_basis, matrix_rank
-from .reports import PASS, Check, Report
-
-
-@dataclass(frozen=True)
-class LinearSelfMap:
-    """A candidate derivation or automorphism, held as a matrix."""
-
-    algebra: LeibnizAlgebra
-    matrix: Matrix
-
-    def __post_init__(self):
-        _check_map_shape(self.algebra, self.matrix)
+from .reports import PASS, THEOREM_VIOLATION, Check, Report
 
 
 @dataclass
@@ -245,22 +233,30 @@ def nilradical_from_family(algebra: LeibnizAlgebra,
                            ideals: Sequence[Subspace]) -> Report:
     """Fold the pairwise sum over a family of nilpotent ideals.
 
-    Every input must pass the nilpotent-ideal premises (NotAnIdealError /
-    NotNilpotentIdealError name the offender's index otherwise). The result
-    is a nilpotent ideal containing every input, maximal only relative to
-    the supplied family.
+    Every input must be an ideal and nilpotent. The first member that is
+    not fails the premise ``family_members_are_ideals`` or
+    ``family_members_are_nilpotent``, with its 0-based index as witness. A
+    fold step that fails under passing premises gives a THEOREM_VIOLATION
+    report naming the member. The result is a nilpotent ideal containing
+    every input, maximal only relative to the supplied family.
     """
     for idx, carrier in enumerate(ideals):
         if not is_ideal(algebra, carrier):
-            raise NotAnIdealError(idx)
-        if not carrier_nilpotency(algebra, carrier)[0]:
-            raise NotNilpotentIdealError(idx)
+            failed = "family_members_are_ideals"
+        elif not carrier_nilpotency(algebra, carrier)[0]:
+            failed = "family_members_are_nilpotent"
+        else:
+            continue
+        return Report(premises=[Check(failed, False, witness={"index": idx})],
+                      conclusions=[])
     total = Subspace.zero(algebra.field, algebra.dim)
     for idx, carrier in enumerate(ideals):
         step = sum_of_nilpotent_ideals(algebra, total, carrier)
         if step.verdict != PASS:
-            raise TheoremViolation(
-                f"sum with family member {idx} failed", witness=step)
+            return Report(premises=[], conclusions=[],
+                          data={"violation":
+                                f"sum with family member {idx} failed"},
+                          forced_verdict=THEOREM_VIOLATION)
         total = total + carrier
     nil, cls = carrier_nilpotency(algebra, total)
     contains_all = all(total.contains_subspace(c) for c in ideals)

@@ -23,7 +23,7 @@ from .algebra import (Element, LieSet, LieSetCheck, is_lie_set,
                       subalgebra_generated)
 from .bimodule import Bimodule, s_matrix, t_matrix
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
-                     FlagStalled, NoAnnihilator, NotNilpotentError)
+                     FlagStalled, NoAnnihilator)
 from .linalg import (Matrix, Subspace, _annihilator, _walk,
                      is_nilpotent_matrix, kernel_basis)
 from .reports import Check, Report
@@ -90,14 +90,17 @@ def lemma_word_bound_check(module: Bimodule, a: Element) -> Report:
     With e the least exponent killing the left action of ``a`` and
     n = e + 1, the right action must satisfy S^n = 0 and every product of
     2n - 1 factors drawn from the two actions must vanish (equivalently the
-    generated operator algebra has index at most 2n - 1).
+    generated operator algebra has index at most 2n - 1). A left action
+    that is not nilpotent fails the premise ``left_action_nilpotent``, with
+    the element as witness and no conclusion attempted.
     """
     T = t_matrix(module, a)
     S = s_matrix(module, a)
     t_nil = is_nilpotent_matrix(T)
     if not t_nil.verdict:
-        raise NotNilpotentError("left action of the element is not nilpotent",
-                                witness=a.to_str())
+        return Report(premises=[Check("left_action_nilpotent", False,
+                                      witness=a.to_str())],
+                      conclusions=[])
     e = t_nil.index
     n = e + 1
     s_ok = (S ** n).is_zero()

@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Checker functions (theorem and corollary verifiers) report failures through
-report objects, not exceptions; the classes here cover precondition
-violations and process failures that make a result impossible to produce.
+Checker functions (theorem, lemma and corollary verifiers) return every
+failed premise, and every failed conclusion, in their report: no exception
+here carries a verdict. Each class means that a function cannot return its
+value at all: operands that do not fit together, an invalid algebra, a
+malformed spec or file, a closure past its cap, a flag that stalls, or a
+module with no annihilator vector.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ class InvalidAlgebra(LeibnizError):
                          f"({len(report.violations)} violating triples)")
 
 
-class InvalidExponent(LeibnizError):
-    """Element powers start at exponent 1."""
-
-
 class InvalidSpec(LeibnizError):
     """Malformed family specification."""
 
@@ -59,17 +58,6 @@ class CapExceeded(LeibnizError):
         self.cap = cap
         self.members_so_far = members_so_far
         super().__init__(f"closure exceeded cap of {cap} members")
-
-
-class NotNilpotentError(LeibnizError):
-    """An operator required to be nilpotent is not.
-
-    ``.witness`` holds the offending element's coordinates when available.
-    """
-
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 class FlagStalled(LeibnizError):
@@ -85,30 +73,6 @@ class FlagStalled(LeibnizError):
 
 class NoAnnihilator(LeibnizError):
     """The module has no nonzero vector killed by all actions."""
-
-
-class NotAnIdealError(LeibnizError):
-    """A subspace required to be an ideal is not."""
-
-    def __init__(self, which):
-        self.which = which
-        super().__init__(f"subspace {which} is not an ideal")
-
-
-class NotNilpotentIdealError(LeibnizError):
-    """An ideal required to be nilpotent is not."""
-
-    def __init__(self, which):
-        self.which = which
-        super().__init__(f"ideal {which} is not nilpotent")
-
-
-class TheoremViolation(LeibnizError):
-    """Premises hold but a proved conclusion failed: an implementation bug."""
-
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 class FormatError(LeibnizError):

@@ -111,13 +111,14 @@ def direct_sum(left: LeibnizAlgebra, right: LeibnizAlgebra) -> LeibnizAlgebra:
 
 
 def _unimodular(field: Field, n: int, rng: random.Random) -> Matrix:
-    """Product of seeded elementary row operations on the identity."""
-    rows = [[field.one() if i == j else field.zero() for j in range(n)]
-            for i in range(n)]
+    """Product of seeded elementary row operations on the identity, each
+    changed row taken in raw arithmetic and passed through ``reduce_row``."""
+    reduce_row = field.reduce_row
+    rows = list(Matrix.identity(field, n).entries)
     if n == 1:
         if rng.random() < 0.5:
-            rows[0][0] = field.neg(rows[0][0])
-        return Matrix.from_rows(field, rows)
+            rows[0] = reduce_row([-x for x in rows[0]])
+        return Matrix(field, n, n, tuple(rows))
     for _ in range(2 * n + 2):
         op = rng.randrange(3)
         i = rng.randrange(n)
@@ -125,14 +126,14 @@ def _unimodular(field: Field, n: int, rng: random.Random) -> Matrix:
         if j >= i:
             j += 1
         if op == 0:
-            lam = field.from_int(rng.choice([-2, -1, 1, 2]))
-            rows[j] = [field.add(x, field.mul(lam, y))
-                       for x, y in zip(rows[j], rows[i])]
+            lam = rng.choice([-2, -1, 1, 2])
+            rows[j] = reduce_row([x + lam * y
+                                  for x, y in zip(rows[j], rows[i])])
         elif op == 1:
             rows[i], rows[j] = rows[j], rows[i]
         else:
-            rows[i] = [field.neg(x) for x in rows[i]]
-    return Matrix.from_rows(field, rows)
+            rows[i] = reduce_row([-x for x in rows[i]])
+    return Matrix(field, n, n, tuple(rows))
 
 
 def basis_change(base: LeibnizAlgebra, seed: int) -> LeibnizAlgebra:

@@ -15,9 +15,13 @@ combine entries with the raw operators ``+``, ``-`` and ``*``, which are
 exact on both ``Fraction`` and ``int``, and pass each finished row through
 the field's ``reduce_row`` once: ``% p`` over a prime field, and over the
 rationals a ``Fraction`` with denominator 1 becomes its numerator.
-``inv`` is the only field call they make, once per pivot. The per-scalar
-methods remain for parsing, element arithmetic and the family builders.
-Either way no code branches on the field kind.
+``inv`` is the only field call they make, once per pivot. The other
+per-scalar methods remain for parsing, for ``normalize`` (which divides over
+a prime field) and for the signs of the fixed family tensors (``neg``). No
+code in the package calls ``add`` or ``sub``; they stay, with the rest,
+because ``bench/tracing.py`` counts calls to each per-scalar method of the
+field classes (ROADMAP item 5). Either way no code branches on the field
+kind.
 """
 
 from __future__ import annotations

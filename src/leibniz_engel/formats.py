@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .algebra import MAX_DIM, Element, LeibnizAlgebra
 from .bimodule import Bimodule, validate_bimodule
-from .corollaries import LinearSelfMap
 from .errors import FormatError
 from .fields import GF, QQ, Field
 from .linalg import Matrix, Subspace
@@ -178,17 +177,17 @@ def load_elements(path, algebra: LeibnizAlgebra) -> list:
             for raw in data]
 
 
-def load_map(path, algebra: LeibnizAlgebra) -> LinearSelfMap:
+def load_map(path, algebra: LeibnizAlgebra) -> Matrix:
     """Map file: {"matrix": n x n entries, "kind": optional string}; a kind
-    other than derivation, automorphism or none is an error."""
+    other than derivation, automorphism or none is an error. Returns the
+    n x n matrix over the algebra's field."""
     data = _read_json(path)
     if not isinstance(data, dict) or "matrix" not in data:
         raise FormatError("map file must hold an object with a \"matrix\" key")
     kind = data.get("kind", "none")
     if kind not in ("derivation", "automorphism", "none"):
         raise FormatError(f"bad map kind {kind!r}")
-    matrix = _parse_matrix(algebra.field, data["matrix"], algebra.dim, "map")
-    return LinearSelfMap(algebra, matrix)
+    return _parse_matrix(algebra.field, data["matrix"], algebra.dim, "map")
 
 
 def load_ideals(path, algebra: LeibnizAlgebra) -> list:

@@ -12,7 +12,8 @@ zero row. A product walks only the nonzero rows of its right operand, read
 with their nonzero entries once per matrix (``Matrix._row_terms``), so an
 operator that is reused is scanned once.
 
-One reducer, ``_echelon``, serves ``rref``, the rank, every span and image.
+One reducer, ``_echelon``, serves ``rref``, the rank, every span and image;
+the inverse is ``rref`` of the rows [m | I].
 One image step, ``_image``, streams each g v into it without building a
 product matrix. It serves the ideal and invariance tests, the one spin
 ``_spin``, which adds images until the space is invariant (the spun
@@ -87,15 +88,6 @@ class Matrix:
                       tuple(tuple(o if i == j else z for j in range(n))
                             for i in range(n)))
 
-    @staticmethod
-    def from_columns(field: Field, columns: Sequence[Sequence]) -> "Matrix":
-        cols = [tuple(map(field.normalize, c)) for c in columns]
-        nrows = len(cols[0]) if cols else 0
-        if any(len(c) != nrows for c in cols):
-            raise DimensionMismatch("ragged columns")
-        return Matrix(field, nrows, len(cols),
-                      tuple(tuple(c[i] for c in cols) for i in range(nrows)))
-
     @property
     def _row_terms(self) -> tuple:
         """(k, ((j, x), ...)) for each nonzero row k, with its nonzero
@@ -154,12 +146,6 @@ class Matrix:
                       tuple(reduce_row([-a for a in row]) if any(row) else row
                             for row in self.entries))
 
-    def scale(self, c) -> "Matrix":
-        c = self.field.normalize(c)
-        mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(mul(c, a) for a in row) for row in self.entries))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.cols != other.rows:
@@ -213,14 +199,6 @@ class Matrix:
                     s += a * x
             out.append(s)
         return self.field.reduce_row(out)
-
-    def augment(self, other: "Matrix") -> "Matrix":
-        """Horizontal concatenation."""
-        self._check_field(other)
-        if self.rows != other.rows:
-            raise DimensionMismatch("augment needs equal row counts")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
 
 class RrefResult(NamedTuple):
@@ -332,11 +310,14 @@ def is_nilpotent_matrix(m: Matrix) -> Nilpotency:
 
 
 def invert(m: Matrix) -> Matrix | None:
-    """Exact inverse, or None when singular."""
+    """Exact inverse, or None when singular: the reduced rows [m | I] are
+    [I | m^-1] exactly when their first n pivots are the columns of m."""
     if not m.is_square():
         raise NonSquareError("inverse needs a square matrix")
     n = m.rows
-    red, _, pivots = rref(m.augment(Matrix.identity(m.field, n)))
+    rows = tuple(row + unit for row, unit in
+                 zip(m.entries, Matrix.identity(m.field, n).entries))
+    red, _, pivots = rref(Matrix(m.field, n, 2 * n, rows))
     if pivots[:n] != tuple(range(n)):
         return None
     return Matrix(m.field, n, n, tuple(row[n:] for row in red.entries))

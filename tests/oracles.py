@@ -239,11 +239,13 @@ def operator_pair_violations(structure, lefts: list, rights: list,
     field, size = lefts[0].field, lefts[0].rows
 
     def action(coords, mats):
-        out = Matrix.zero(field, size, size)
+        entries = [[field.zero()] * size for _ in range(size)]
         for coeff, m in zip(coords, mats):
-            if coeff != 0:
-                out = out + m.scale(coeff)
-        return out
+            for r, row in enumerate(m.entries):
+                for s, a in enumerate(row):
+                    entries[r][s] = field.add(entries[r][s],
+                                              field.mul(coeff, a))
+        return Matrix.from_rows(field, entries)
 
     T, S = lefts, rights
     violations = []
@@ -278,10 +280,12 @@ def power_identity_violations(algebra: LeibnizAlgebra) -> list:
              for i in range(n)]
 
     def left(x):
-        return Matrix.from_columns(f, [mult_coords(algebra, x, e) for e in units])
+        return Matrix.from_rows(
+            f, [mult_coords(algebra, x, e) for e in units]).transpose()
 
     def right(x):
-        return Matrix.from_columns(f, [mult_coords(algebra, e, x) for e in units])
+        return Matrix.from_rows(
+            f, [mult_coords(algebra, e, x) for e in units]).transpose()
 
     violations = []
     for i, a in enumerate(units):
@@ -552,8 +556,26 @@ def quotient_data_by_inverse(space: Subspace) -> tuple:
               for row in space.basis}
     lifts = [tuple(field.one() if i == f else field.zero() for i in range(n))
              for f in range(n) if f not in pivots]
-    b_inv = invert(Matrix.from_columns(field, list(space.basis) + lifts))
+    b_inv = invert(Matrix.from_rows(field,
+                                    list(space.basis) + lifts).transpose())
     return Matrix(field, len(lifts), n, b_inv.entries[space.dim:]), lifts
+
+
+def quotient_actions_per_scalar(module, sub: Subspace) -> tuple:
+    """(left, right) induced actions on module / sub: column c of the action
+    of g is q (g lift_c), one field call per scalar, with (q, lifts) read
+    off the inverse as in ``quotient_data_by_inverse``."""
+    field = module.algebra.field
+    q, lifts = quotient_data_by_inverse(sub)
+
+    def induced(g):
+        cols = [apply_per_scalar(q, apply_per_scalar(g, lift))
+                for lift in lifts]
+        return Matrix.from_rows(field, [[col[r] for col in cols]
+                                        for r in range(len(lifts))])
+
+    return ([induced(g) for g in module.left_actions],
+            [induced(g) for g in module.right_actions])
 
 
 def spin_per_vector(module, vector) -> Subspace:

@@ -12,7 +12,8 @@ from leibniz_engel.errors import AlgebraMismatch, ShapeMismatch
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 
-from oracles import invariant_per_action, spin_per_vector
+from oracles import (invariant_per_action, quotient_actions_per_scalar,
+                     spin_per_vector)
 
 
 def test_regular_cyclic2_actions():
@@ -121,6 +122,24 @@ def test_quotient_bimodule_validates():
     assert validate_bimodule(Q).all_ok()
     with pytest.raises(ShapeMismatch):
         quotient_bimodule(M, Subspace.span(QQ, 2, [(1, 0)]))  # not invariant
+
+
+def test_quotient_bimodule_matches_per_scalar_oracle(small_corpus):
+    # the zero submodule, the submodule generated by the last unit vector
+    # and the whole module, whose quotient is 0-dimensional
+    dims = set()
+    for _, module in small_corpus:
+        field, m = module.algebra.field, module.module_dim
+        last = Matrix.identity(field, m).entries[-1]
+        for sub in (Subspace.zero(field, m), submodule_generated(module, last),
+                    Subspace.full(field, m)):
+            quotient = quotient_bimodule(module, sub)
+            left, right = quotient_actions_per_scalar(module, sub)
+            assert quotient.module_dim == m - sub.dim
+            assert list(quotient.left_actions) == left
+            assert list(quotient.right_actions) == right
+            dims.add(quotient.module_dim)
+    assert 0 in dims and len(dims) > 3
 
 
 def test_spin_and_invariance_match_per_action_oracles(small_corpus,

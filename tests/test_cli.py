@@ -6,6 +6,7 @@ import pytest
 
 import leibniz_engel.algebra as algebra_module
 import leibniz_engel.cli as cli_module
+import leibniz_engel.corollaries as corollaries_module
 import leibniz_engel.families as families_module
 from leibniz_engel import (abelian, basis_change, cyclic, direct_sum,
                            fuzz_corpus, heisenberg3, is_nilpotent_algebra,
@@ -168,6 +169,78 @@ def test_corollary6_commands(tmp_path, sol2_file):
                  {"ideals": [[[0, 1]], [[1, 0]], [[0, 1]]]})
     assert main(["corollary", "6", sol2_file, "--ideals", bad,
                  "--quiet"]) == 1
+
+
+@pytest.fixture
+def h3_file(tmp_path):
+    return _write(tmp_path, "h3.json",
+                  {"field": "Q", "dim": 3,
+                   "products": [[1, 2, 3, 1], [2, 1, 3, -1]]})
+
+
+def _report_of(argv, report_path):
+    """Exit code and the report's verdict, checks, data and notes."""
+    code = main([*argv, "--quiet", "--json", str(report_path)])
+    report = json.loads(report_path.read_text())
+    return code, {key: report[key] for key in
+                  ("verdict", "premises", "conclusions", "data", "notes")}
+
+
+def _premise_failure(name, witness):
+    return {"verdict": "premises_failed",
+            "premises": [{"name": name, "pass": False, "witness": witness}],
+            "conclusions": [], "data": {}, "notes": []}
+
+
+def test_corollary6_family_with_a_non_ideal_member(h3_file, tmp_path):
+    # in heisenberg3, span{e1} is no ideal: e2 e1 = -e3
+    family = _write(tmp_path, "family.json",
+                    {"ideals": [[[0, 0, 1]], [[1, 0, 0]],
+                                [[0, 1, 0], [0, 0, 1]]]})
+    assert _report_of(["corollary", "6", h3_file, "--ideals", family],
+                      tmp_path / "r.json") == \
+        (1, _premise_failure("family_members_are_ideals", {"index": 1}))
+
+
+def test_corollary6_family_with_a_non_nilpotent_member(sol2_file, tmp_path):
+    # in sol2, span{e2} is a nilpotent ideal and the whole algebra an ideal
+    # that is not nilpotent
+    family = _write(tmp_path, "family.json",
+                    {"ideals": [[[0, 1]], [[1, 0], [0, 1]], [[0, 1]]]})
+    assert _report_of(["corollary", "6", sol2_file, "--ideals", family],
+                      tmp_path / "r.json") == \
+        (1, _premise_failure("family_members_are_nilpotent", {"index": 1}))
+
+
+def test_corollary6_failed_fold_step_exits_3(monkeypatch, h3_file, tmp_path):
+    real, calls = corollaries_module.sum_of_nilpotent_ideals, []
+
+    def fails_on_the_second_member(algebra, first, second):
+        calls.append(second)
+        report = real(algebra, first, second)
+        if len(calls) == 2:
+            report.conclusions[0].passed = False
+        return report
+
+    monkeypatch.setattr(corollaries_module, "sum_of_nilpotent_ideals",
+                        fails_on_the_second_member)
+    family = _write(tmp_path, "family.json",
+                    {"ideals": [[[0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
+                                [[0, 1, 0], [0, 0, 1]]]})
+    assert _report_of(["corollary", "6", h3_file, "--ideals", family],
+                      tmp_path / "r.json") == \
+        (3, {"verdict": "THEOREM_VIOLATION", "premises": [],
+             "conclusions": [],
+             "data": {"violation": "sum with family member 1 failed"},
+             "notes": []})
+    assert len(calls) == 2
+
+
+def test_lemma_bound_non_nilpotent_left_action(sol2_file, tmp_path):
+    # in sol2, L_{e1} fixes e2
+    assert _report_of(["lemma-bound", sol2_file, "--element", "1,0"],
+                      tmp_path / "r.json") == \
+        (1, _premise_failure("left_action_nilpotent", "(1, 0)"))
 
 
 def test_corollary_failure_reports_serialize(c2_file, tmp_path):

@@ -9,7 +9,6 @@ from leibniz_engel import (abelian, corollary3_check, corollary4_check,
                            sol2, sum_of_nilpotent_ideals)
 from leibniz_engel.algebra import mult_coords
 from leibniz_engel.corollaries import MAX_ORDER
-from leibniz_engel.errors import (NotAnIdealError, NotNilpotentIdealError)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 
@@ -238,16 +237,24 @@ def test_nilradical_containment_chain():
     assert report.data["radical_dim"] == 2
 
 
-def test_nilradical_raises_on_bad_member():
+def _failed_premises(report):
+    return [(c.name, c.passed, c.witness) for c in report.premises]
+
+
+def test_nilradical_reports_bad_member():
     A = sol2()
     good = Subspace.span(QQ, 2, [(0, 1)])
     bad = Subspace.span(QQ, 2, [(1, 0)])
-    with pytest.raises(NotAnIdealError) as info:
-        nilradical_from_family(A, [good, bad])
-    assert info.value.which == 1
-    with pytest.raises(NotNilpotentIdealError) as info:
-        nilradical_from_family(A, [Subspace.full(QQ, 2)])
-    assert info.value.which == 0
+    report = nilradical_from_family(A, [good, bad])
+    assert report.verdict == "premises_failed"
+    assert _failed_premises(report) == \
+        [("family_members_are_ideals", False, {"index": 1})]
+    assert report.conclusions == []
+    report = nilradical_from_family(A, [Subspace.full(QQ, 2)])
+    assert report.verdict == "premises_failed"
+    assert _failed_premises(report) == \
+        [("family_members_are_nilpotent", False, {"index": 0})]
+    assert report.conclusions == []
 
 
 def test_carrier_series_terminates_on_cycling_non_ideal():

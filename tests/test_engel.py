@@ -13,8 +13,7 @@ from leibniz_engel import (LieSet, abelian, check_engel_premises, cyclic,
 from leibniz_engel.bimodule import Bimodule
 from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   DimensionMismatch, FieldMismatch,
-                                  FlagStalled, NoAnnihilator,
-                                  NotNilpotentError)
+                                  FlagStalled, NoAnnihilator)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 import leibniz_engel.algebra as algebra_module
@@ -136,9 +135,13 @@ def test_lemma_bound_regular_cyclic3():
 
 
 def test_lemma_bound_rejects_non_nilpotent():
+    # in sol2, L_{e1} fixes e2: the premise fails and no conclusion is tried
     A = sol2()
-    with pytest.raises(NotNilpotentError):
-        lemma_word_bound_check(regular_bimodule(A), A.basis_element(0))
+    report = lemma_word_bound_check(regular_bimodule(A), A.basis_element(0))
+    assert report.verdict == "premises_failed"
+    assert [(c.name, c.passed, c.witness) for c in report.premises] == \
+        [("left_action_nilpotent", False, "(1, 0)")]
+    assert report.conclusions == []
 
 
 def test_premises_pass_on_cyclic2():

@@ -351,9 +351,9 @@ def test_operator_pair_identities_equal_product_oracle(data):
     field = data.draw(FIELDS)
     algebra = unchecked_algebra(field, data.draw(tensors(field)))
     c, n = algebra.structure, algebra.dim
-    lefts = [Matrix.from_columns(field, [c[i][j] for j in range(n)])
+    lefts = [Matrix.from_rows(field, [c[i][j] for j in range(n)]).transpose()
              for i in range(n)]
-    rights = [Matrix.from_columns(field, [c[j][i] for j in range(n)])
+    rights = [Matrix.from_rows(field, [c[j][i] for j in range(n)]).transpose()
               for i in range(n)]
     expected = operator_pair_violations(c, lefts, rights, MULT_IDENTITIES) \
         if n else []

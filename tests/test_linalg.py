@@ -189,10 +189,11 @@ def test_walk_ends_before_the_first_term_already_taken(monkeypatch):
 
 def test_invert_round_trip():
     rng = random.Random(31)
-    for field in (QQ, F5):
+    for field in (QQ, F5, GF(7)):
+        assert invert(Matrix.zero(field, 0, 0)) == Matrix.zero(field, 0, 0)
         found = 0
         while found < 10:
-            n = rng.randrange(1, 5)
+            n = rng.randrange(1, 9)
             m = _random_matrix(field, n, n, rng)
             inv = invert(m)
             if inv is None:
@@ -201,6 +202,26 @@ def test_invert_round_trip():
             assert inv @ m == Matrix.identity(field, n)
             assert m @ inv == Matrix.identity(field, n)
             found += 1
+
+
+def test_invert_refuses_a_dependent_last_column():
+    # the last column is a combination of the others, so [m | I] has its
+    # last pivot right of m and the left block of its echelon basis is not
+    # the identity
+    rng = random.Random(7)
+    for field in (QQ, F5, GF(7)):
+        for n in range(1, 9):
+            rows = [[field.from_int(rng.randrange(-4, 5)) for _ in range(n)]
+                    for _ in range(n)]
+            weights = [field.from_int(rng.randrange(-2, 3))
+                       for _ in range(n - 1)]
+            for row in rows:
+                row[-1] = field.zero()
+                for x, w in zip(row, weights):
+                    row[-1] = field.add(row[-1], field.mul(w, x))
+            m = Matrix.from_rows(field, rows)
+            assert matrix_rank(m) < n
+            assert invert(m) is None
 
 
 def test_matrix_pow_and_shape_errors():
