@@ -34,16 +34,14 @@ pair identity L_{xy} = L_x L_y - L_y L_x, on (L, 0).
 
 from __future__ import annotations
 
-import dataclasses
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import compress, count
 from typing import Callable, Sequence
 
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
                      ShapeMismatch)
-from .fields import Field
+from .fields import Field, Frozen
 from .linalg import Matrix, Subspace, _image, _spin, _walk
 
 DEFAULT_CLOSURE_CAP = 1000
@@ -56,7 +54,6 @@ MAX_DIM = 64
 MAX_FUZZ_COUNT = 10_000
 
 
-@dataclass
 class LeibnizValidation:
     """Outcome of the defining-identity check.
 
@@ -64,8 +61,24 @@ class LeibnizValidation:
     coordinates of both sides of the identity at that triple.
     """
 
+    __slots__ = ("ok", "violations")
     ok: bool
     violations: list
+
+    def __init__(self, ok: bool, violations: list):
+        self.ok = ok
+        self.violations = violations
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.violations) == (other.ok, other.violations)
+
+    def __repr__(self):
+        return (f"LeibnizValidation(ok={self.ok!r}, "
+                f"violations={self.violations!r})")
 
 
 def _add_combination(base: Matrix, coords: Sequence, mats: Sequence[Matrix]) -> Matrix:
@@ -130,21 +143,53 @@ def validate_leibniz(structure, field: Field, n: int,
     return LeibnizValidation(not violations, violations)
 
 
-@dataclass(frozen=True)
-class LeibnizAlgebra:
+class LeibnizAlgebra(Frozen):
     """Finite dimensional Leibniz algebra over an exact field.
 
     Instances are immutable. Construction goes through :meth:`create`, which
     validates the defining identity and raises :class:`InvalidAlgebra` with
     the report when it fails; the family builders, valid by construction,
-    skip to :meth:`_from_canonical`.
+    skip to :meth:`_from_canonical`. Equality, the hash (kept once
+    computed) and ``repr`` read the four fields, never ``_cache``.
     """
 
     field: Field
     dim: int
     structure: tuple  # normalized n x n x n tensor of scalars
-    basis_names: tuple | None = None
-    _cache: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+    basis_names: tuple | None
+
+    def __init__(self, field: Field, dim: int, structure: tuple,
+                 basis_names: tuple | None = None):
+        d = self.__dict__
+        d["field"] = field
+        d["dim"] = dim
+        d["structure"] = structure
+        d["basis_names"] = basis_names
+        d["_cache"] = {}
+
+    def __reduce__(self):
+        return LeibnizAlgebra, (self.field, self.dim, self.structure,
+                                self.basis_names)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.dim, self.structure, self.basis_names) == \
+            (other.field, other.dim, other.structure, other.basis_names)
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.field, self.dim, self.structure, self.basis_names))
+        return h
+
+    def __repr__(self):
+        return (f"LeibnizAlgebra(field={self.field!r}, dim={self.dim!r}, "
+                f"structure={self.structure!r}, "
+                f"basis_names={self.basis_names!r})")
 
     @staticmethod
     def create(field: Field, structure,
@@ -218,12 +263,32 @@ class LeibnizAlgebra:
         return Subspace.zero(self.field, self.dim)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """Algebra element held as a coordinate vector over the basis."""
 
+    __slots__ = ("algebra", "coords")
     algebra: LeibnizAlgebra
     coords: tuple
+
+    def __init__(self, algebra: LeibnizAlgebra, coords: tuple):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coords", coords)
+
+    def __reduce__(self):
+        return Element, (self.algebra, self.coords)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.coords) == (other.algebra, other.coords)
+
+    def __hash__(self):
+        return hash((self.algebra, self.coords))
+
+    def __repr__(self):
+        return f"Element(algebra={self.algebra!r}, coords={self.coords!r})"
 
     def _check(self, other: "Element") -> None:
         if self.algebra is other.algebra:
@@ -256,18 +321,48 @@ def right_mult_matrix(a: Element) -> Matrix:
     return _combination(A.field, A.dim, a.coords, A._operators()[3])
 
 
-@dataclass
 class IdentityViolation:
+    __slots__ = ("identity", "witness")
     identity: str
     witness: dict
 
+    def __init__(self, identity: str, witness: dict):
+        self.identity = identity
+        self.witness = witness
 
-@dataclass
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.identity, self.witness) == (other.identity, other.witness)
+
+    def __repr__(self):
+        return (f"IdentityViolation(identity={self.identity!r}, "
+                f"witness={self.witness!r})")
+
+
 class IdentityReport:
     """Outcome of the multiplication-operator identity suite."""
 
+    __slots__ = ("ok", "violations")
     ok: bool
     violations: list
+
+    def __init__(self, ok: bool, violations: list):
+        self.ok = ok
+        self.violations = violations
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.violations) == (other.ok, other.violations)
+
+    def __repr__(self):
+        return (f"IdentityReport(ok={self.ok!r}, "
+                f"violations={self.violations!r})")
 
 
 def _pair_identity_violations(field: Field, L: Sequence[Matrix],
@@ -465,8 +560,7 @@ def subalgebra_generated(elements: Sequence[Element]) -> Subspace:
                         for u in span.basis])
 
 
-@dataclass(frozen=True)
-class LieSet:
+class LieSet(Frozen):
     """Finite list of distinct nonzero elements closed under products.
 
     Members are compared by exact coordinates; closure is not enforced at
@@ -479,9 +573,33 @@ class LieSet:
     identity at x = y reads (yy)z = 0.
     """
 
+    __slots__ = ("algebra", "members", "table")
     algebra: LeibnizAlgebra
     members: tuple
-    table: tuple | None = dataclasses.field(default=None, compare=False)
+    table: tuple | None  # not compared
+
+    def __init__(self, algebra: LeibnizAlgebra, members: tuple,
+                 table: tuple | None = None):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "table", table)
+
+    def __reduce__(self):
+        return LieSet, (self.algebra, self.members, self.table)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.members) == (other.algebra, other.members)
+
+    def __hash__(self):
+        return hash((self.algebra, self.members))
+
+    def __repr__(self):
+        return (f"LieSet(algebra={self.algebra!r}, members={self.members!r}, "
+                f"table={self.table!r})")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -501,10 +619,24 @@ def _prepare_members(elements: Sequence[Element]):
     return A, list(seen.values())
 
 
-@dataclass
 class LieSetCheck:
+    __slots__ = ("ok", "witness")
     ok: bool
     witness: tuple | None  # (x, y) with x y neither zero nor a member
+
+    def __init__(self, ok: bool, witness: tuple | None):
+        self.ok = ok
+        self.witness = witness
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.witness) == (other.ok, other.witness)
+
+    def __repr__(self):
+        return f"LieSetCheck(ok={self.ok!r}, witness={self.witness!r})"
 
 
 def _products_with(x: Element, ys: Matrix) -> tuple:

@@ -10,33 +10,66 @@ consistency guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (Element, IdentityViolation, LeibnizAlgebra,
                       _combination, _pair_identity_violations, is_ideal)
 from .errors import AlgebraMismatch, ShapeMismatch
+from .fields import Frozen
 from .linalg import Matrix, Subspace, _image, _spin, kernel_basis
 
 
-@dataclass(frozen=True)
-class Bimodule:
-    """Immutable action-matrix realization of a bimodule."""
+class Bimodule(Frozen):
+    """Immutable action-matrix realization of a bimodule; its hash is kept
+    once computed."""
 
     algebra: LeibnizAlgebra
     module_dim: int
     left_actions: tuple   # T_i, one m x m matrix per basis element
     right_actions: tuple  # S_i
 
-    def __post_init__(self):
-        n, m = self.algebra.dim, self.module_dim
-        if len(self.left_actions) != n or len(self.right_actions) != n:
+    def __init__(self, algebra: LeibnizAlgebra, module_dim: int,
+                 left_actions: tuple, right_actions: tuple):
+        n, m = algebra.dim, module_dim
+        if len(left_actions) != n or len(right_actions) != n:
             raise ShapeMismatch("need one action matrix per basis element on each side")
-        for mat in list(self.left_actions) + list(self.right_actions):
+        for mat in list(left_actions) + list(right_actions):
             if mat.rows != m or mat.cols != m:
                 raise ShapeMismatch(f"action matrices must be {m}x{m}")
-            if mat.field != self.algebra.field:
+            if mat.field != algebra.field:
                 raise ShapeMismatch("action matrices over a different field")
+        d = self.__dict__
+        d["algebra"] = algebra
+        d["module_dim"] = module_dim
+        d["left_actions"] = left_actions
+        d["right_actions"] = right_actions
+
+    def __reduce__(self):
+        return Bimodule, (self.algebra, self.module_dim, self.left_actions,
+                          self.right_actions)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.module_dim, self.left_actions,
+                self.right_actions) == (other.algebra, other.module_dim,
+                                        other.left_actions, other.right_actions)
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.algebra, self.module_dim, self.left_actions,
+                 self.right_actions))
+        return h
+
+    def __repr__(self):
+        return (f"Bimodule(algebra={self.algebra!r}, "
+                f"module_dim={self.module_dim!r}, "
+                f"left_actions={self.left_actions!r}, "
+                f"right_actions={self.right_actions!r})")
 
     @staticmethod
     def create(algebra: LeibnizAlgebra, module_dim: int,
@@ -68,14 +101,37 @@ def s_matrix(module: Bimodule, a: Element) -> Matrix:
                         module.right_actions)
 
 
-@dataclass
 class BimoduleValidation:
     """Axioms and the derived identity are reported separately."""
 
+    __slots__ = ("ok", "violations", "derived_ok", "derived_violations")
     ok: bool                  # the three defining identities
     violations: list
     derived_ok: bool          # right-right reduction, a consequence
     derived_violations: list
+
+    def __init__(self, ok: bool, violations: list, derived_ok: bool,
+                 derived_violations: list):
+        self.ok = ok
+        self.violations = violations
+        self.derived_ok = derived_ok
+        self.derived_violations = derived_violations
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.violations, self.derived_ok,
+                self.derived_violations) == (other.ok, other.violations,
+                                             other.derived_ok,
+                                             other.derived_violations)
+
+    def __repr__(self):
+        return (f"BimoduleValidation(ok={self.ok!r}, "
+                f"violations={self.violations!r}, "
+                f"derived_ok={self.derived_ok!r}, "
+                f"derived_violations={self.derived_violations!r})")
 
     def all_ok(self) -> bool:
         return self.ok and self.derived_ok

@@ -12,7 +12,6 @@ the algebra's cached multiplication operators, not products pair by pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (LeibnizAlgebra, LieSet, _add_combination,
@@ -26,10 +25,24 @@ from .linalg import Matrix, Subspace, kernel_basis, matrix_rank
 from .reports import PASS, THEOREM_VIOLATION, Check, Report
 
 
-@dataclass
 class MapCheck:
+    __slots__ = ("ok", "witness")
     ok: bool
     witness: dict | None
+
+    def __init__(self, ok: bool, witness: dict | None):
+        self.ok = ok
+        self.witness = witness
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.witness) == (other.ok, other.witness)
+
+    def __repr__(self):
+        return f"MapCheck(ok={self.ok!r}, witness={self.witness!r})"
 
 
 def _check_map_shape(algebra: LeibnizAlgebra, m: Matrix) -> None:

@@ -16,7 +16,6 @@ by ``linalg._annihilator``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .algebra import (Element, LieSet, LieSetCheck, is_lie_set,
@@ -24,6 +23,7 @@ from .algebra import (Element, LieSet, LieSetCheck, is_lie_set,
 from .bimodule import Bimodule, s_matrix, t_matrix
 from .errors import (AlgebraMismatch, DimensionMismatch, FieldMismatch,
                      FlagStalled, NoAnnihilator)
+from .fields import Frozen
 from .linalg import (Matrix, Subspace, _annihilator, _walk,
                      is_nilpotent_matrix, kernel_basis)
 from .reports import Check, Report
@@ -165,11 +165,30 @@ def check_engel_premises(module: Bimodule, lie_set: LieSet) -> Report:
                   data={"members": len(members)})
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Frozen):
     """Strictly increasing chain of subspaces from zero to the full module."""
 
+    __slots__ = ("chain",)
     chain: tuple  # Subspaces, chain[0] = 0
+
+    def __init__(self, chain: tuple):
+        object.__setattr__(self, "chain", chain)
+
+    def __reduce__(self):
+        return Flag, (self.chain,)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.chain == other.chain
+
+    def __hash__(self):
+        return hash((self.chain,))
+
+    def __repr__(self):
+        return f"Flag(chain={self.chain!r})"
 
     @property
     def length(self) -> int:

@@ -20,25 +20,47 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 
 from .algebra import (MAX_DIM, MAX_FUZZ_COUNT, LeibnizAlgebra, _combination,
                       lower_central_series)
 from .bimodule import (Bimodule, quotient_bimodule, regular_bimodule,
                        submodule_generated)
 from .errors import FieldMismatch, InvalidSpec
-from .fields import GF, QQ, Field
+from .fields import GF, QQ, Field, Frozen
 from .linalg import Matrix, invert
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """Parsed family expression over a target field: a name of
     :data:`FAMILIES` and its arguments in the order of their kinds there."""
 
+    __slots__ = ("kind", "args", "field")
     kind: str
-    args: tuple = ()
-    field: Field = QQ
+    args: tuple
+    field: Field
+
+    def __init__(self, kind: str, args: tuple = (), field: Field = QQ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "field", field)
+
+    def __reduce__(self):
+        return FamilySpec, (self.kind, self.args, self.field)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.args, self.field) == \
+            (other.kind, other.args, other.field)
+
+    def __hash__(self):
+        return hash((self.kind, self.args, self.field))
+
+    def __repr__(self):
+        return (f"FamilySpec(kind={self.kind!r}, args={self.args!r}, "
+                f"field={self.field!r})")
 
 
 def cyclic(n: int, field: Field = QQ) -> LeibnizAlgebra:

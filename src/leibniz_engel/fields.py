@@ -27,7 +27,6 @@ kind.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -88,12 +87,53 @@ def _canonical(x: Scalar) -> Scalar:
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class RationalField:
+class Frozen:
+    """Base of the package's immutable value classes. Each class sets its
+    attributes once, in ``__init__``, past this guard (into ``__slots__``
+    through ``object.__setattr__``, or into the instance ``__dict__``
+    where the class keeps per-instance caches there); any later
+    assignment or deletion raises ``AttributeError``. Each class writes its
+    own ``__eq__``, ``__hash__`` and ``__repr__``, and a ``__reduce__``
+    that rebuilds a pickled copy through ``__init__``: plain unpickling
+    would assign slots through this guard, or carry caches along (a kept
+    hash of ``str`` basis names differs from process to process)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+
+class RationalField(Frozen):
     """The field of rational numbers; elements are ``int`` when integral,
     ``Fraction`` otherwise."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
+    characteristic: int
+
+    def __init__(self, characteristic: int = 0):
+        object.__setattr__(self, "characteristic", characteristic)
+
+    def __reduce__(self):
+        return RationalField, (self.characteristic,)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash((self.characteristic,))
+
+    def __repr__(self):
+        return f"RationalField(characteristic={self.characteristic!r})"
 
     def zero(self) -> int:
         return 0
@@ -160,19 +200,36 @@ class RationalField:
         return "Q"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Frozen):
     """Integers modulo a prime ``p``; elements are ints in ``[0, p)``."""
 
+    __slots__ = ("p",)
     p: int
 
-    def __post_init__(self):
+    def __init__(self, p: int):
         try:
-            prime = is_prime(self.p)
+            prime = is_prime(p)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
         if not prime:
-            raise FormatError(f"{self.p} is not prime")
+            raise FormatError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
+
+    def __reduce__(self):
+        return PrimeField, (self.p,)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __repr__(self):
+        return f"PrimeField(p={self.p!r})"
 
     @property
     def characteristic(self) -> int:

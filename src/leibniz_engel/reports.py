@@ -11,7 +11,6 @@ decisions in force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 PASS = "pass"
@@ -38,14 +37,33 @@ CONVENTIONS = {
 }
 
 
-@dataclass
 class Check:
     """One named check with an optional witness (on failure) and data."""
 
+    __slots__ = ("name", "passed", "witness", "data")
     name: str
     passed: bool
-    witness: Any = None
-    data: Any = None
+    witness: Any
+    data: Any
+
+    def __init__(self, name: str, passed: bool, witness: Any = None,
+                 data: Any = None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.data = data
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.passed, self.witness, self.data) == \
+            (other.name, other.passed, other.witness, other.data)
+
+    def __repr__(self):
+        return (f"Check(name={self.name!r}, passed={self.passed!r}, "
+                f"witness={self.witness!r}, data={self.data!r})")
 
     def to_json_dict(self) -> dict:
         out = {"name": self.name, "pass": self.passed}
@@ -56,13 +74,38 @@ class Check:
         return out
 
 
-@dataclass
 class Report:
+    __slots__ = ("premises", "conclusions", "data", "notes", "forced_verdict")
     premises: list
     conclusions: list
-    data: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-    forced_verdict: str | None = None
+    data: dict
+    notes: list
+    forced_verdict: str | None
+
+    def __init__(self, premises: list, conclusions: list,
+                 data: dict | None = None, notes: list | None = None,
+                 forced_verdict: str | None = None):
+        self.premises = premises
+        self.conclusions = conclusions
+        self.data = {} if data is None else data
+        self.notes = [] if notes is None else notes
+        self.forced_verdict = forced_verdict
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.premises, self.conclusions, self.data, self.notes,
+                self.forced_verdict) == (other.premises, other.conclusions,
+                                         other.data, other.notes,
+                                         other.forced_verdict)
+
+    def __repr__(self):
+        return (f"Report(premises={self.premises!r}, "
+                f"conclusions={self.conclusions!r}, data={self.data!r}, "
+                f"notes={self.notes!r}, "
+                f"forced_verdict={self.forced_verdict!r})")
 
     @property
     def verdict(self) -> str:

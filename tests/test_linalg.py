@@ -1,5 +1,5 @@
-import dataclasses
 import gc
+import inspect
 import pickle
 import random
 from collections import Counter
@@ -243,13 +243,13 @@ def _sample_matrices():
 def test_matrix_and_subspace_stay_frozen():
     m = Matrix.identity(QQ, 2)
     s = Subspace.full(QQ, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         m.rows = 3
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         s.basis = ()
-    assert [f.name for f in dataclasses.fields(Matrix)] == \
+    assert list(inspect.signature(Matrix).parameters) == \
         ["field", "rows", "cols", "entries"]
-    assert [f.name for f in dataclasses.fields(Subspace)] == \
+    assert list(inspect.signature(Subspace).parameters) == \
         ["field", "ambient_dim", "basis"]
 
 
@@ -271,12 +271,12 @@ def test_pickle_and_replace_round_trips():
         assert copy == m and hash(copy) == hash(m)
         assert copy.transpose() == m.transpose()
         assert copy.transpose().transpose() is copy
-        assert dataclasses.replace(m) == m
-        assert dataclasses.replace(m, entries=m.transpose().entries,
-                                   rows=m.cols, cols=m.rows) == m.transpose()
+        assert Matrix(m.field, m.rows, m.cols, m.entries) == m
+        assert Matrix(m.field, m.cols, m.rows,
+                      m.transpose().entries) == m.transpose()
     s = Subspace.span(QQ, 3, [(1, 2, 3)])
     assert pickle.loads(pickle.dumps(s)) == s
-    assert dataclasses.replace(s, basis=()) == Subspace.zero(QQ, 3)
+    assert Subspace(s.field, s.ambient_dim, ()) == Subspace.zero(QQ, 3)
 
 
 def test_transpose_is_built_once_and_links_back():

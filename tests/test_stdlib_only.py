@@ -1,17 +1,22 @@
 """Static guards over the package source: it imports nothing outside the
-standard library and itself, and every error class in ``errors.py`` is
-raised or subclassed somewhere, so none is left behind as dead code."""
+standard library and itself, every error class in ``errors.py`` is raised
+or subclassed somewhere, so none is left behind as dead code, and the cold
+start stays lean: no module imports ``dataclasses``, and importing the
+command line loads none of the introspection modules it would pull in."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "leibniz_engel"
+# modules that ``dataclasses`` loads and the package has no use for
+COLD_START_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
-def _foreign_imports(path: Path) -> list:
-    """Top-level names of the absolute imports in one module that are
-    neither standard library modules nor the package."""
+def _absolute_imports(path: Path) -> list:
+    """The module names of the absolute imports in one module."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     names = []
     for node in ast.walk(tree):
@@ -19,8 +24,15 @@ def _foreign_imports(path: Path) -> list:
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
+    return names
+
+
+def _foreign_imports(path: Path) -> list:
+    """Top-level names of the absolute imports in one module that are
+    neither standard library modules nor the package."""
     allowed = sys.stdlib_module_names | {PACKAGE.name}
-    return [name for name in names if name.split(".")[0] not in allowed]
+    return [name for name in _absolute_imports(path)
+            if name.split(".")[0] not in allowed]
 
 
 def test_package_is_stdlib_only():
@@ -75,3 +87,46 @@ def test_error_guard_reads_raises_and_bases(tmp_path):
                       "def h():\n    try:\n        f()\n"
                       "    except D:\n        raise\n")
     assert _raised_or_subclassed([module]) == {"Base", "B", "C"}
+
+
+def _imports_dataclasses(path: Path) -> bool:
+    return any(name.split(".")[0] == "dataclasses"
+               for name in _absolute_imports(path))
+
+
+def test_no_module_imports_dataclasses():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [p.name for p in modules if _imports_dataclasses(p)] == []
+
+
+def test_dataclasses_guard_flags_both_import_forms(tmp_path):
+    plain, named, other = (tmp_path / f"{n}.py" for n in "abc")
+    plain.write_text("import dataclasses\n")
+    named.write_text("from dataclasses import dataclass, field\n")
+    other.write_text("import dataclassy\nfrom .dataclasses import x\n")
+    assert [_imports_dataclasses(p) for p in (plain, named, other)] == \
+        [True, True, False]
+
+
+def _added_modules(statement: str) -> list:
+    """The modules of ``COLD_START_EXCLUDED`` that a fresh interpreter with
+    the package on its path loads while running ``statement``, beyond those
+    it had loaded at startup."""
+    probe = (f"import sys\nbefore = set(sys.modules)\n{statement}\n"
+             f"print(' '.join(m for m in {COLD_START_EXCLUDED!r}\n"
+             f"               if m in sys.modules and m not in before))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_introspection_modules():
+    assert _added_modules("import leibniz_engel.cli") == []
+
+
+def test_cold_start_guard_sees_an_import_of_dataclasses():
+    found = _added_modules("import dataclasses")
+    assert "dataclasses" in found and "inspect" in found
