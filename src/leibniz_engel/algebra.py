@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
                      ShapeMismatch)
-from .fields import Field, Frozen
+from .fields import Field, Frozen, Record
 from .linalg import Matrix, Subspace, _image, _spin, _walk
 
 DEFAULT_CLOSURE_CAP = 1000
@@ -54,7 +54,7 @@ MAX_DIM = 64
 MAX_FUZZ_COUNT = 10_000
 
 
-class LeibnizValidation:
+class LeibnizValidation(Record):
     """Outcome of the defining-identity check.
 
     ``violations`` holds 1-based triples ``(i, j, k)`` together with the
@@ -68,17 +68,6 @@ class LeibnizValidation:
     def __init__(self, ok: bool, violations: list):
         self.ok = ok
         self.violations = violations
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.violations) == (other.ok, other.violations)
-
-    def __repr__(self):
-        return (f"LeibnizValidation(ok={self.ok!r}, "
-                f"violations={self.violations!r})")
 
 
 def _add_combination(base: Matrix, coords: Sequence, mats: Sequence[Matrix]) -> Matrix:
@@ -153,6 +142,8 @@ class LeibnizAlgebra(Frozen):
     computed) and ``repr`` read the four fields, never ``_cache``.
     """
 
+    _fields = ("field", "dim", "structure", "basis_names")
+    _keeps_hash = True
     field: Field
     dim: int
     structure: tuple  # normalized n x n x n tensor of scalars
@@ -166,30 +157,6 @@ class LeibnizAlgebra(Frozen):
         d["structure"] = structure
         d["basis_names"] = basis_names
         d["_cache"] = {}
-
-    def __reduce__(self):
-        return LeibnizAlgebra, (self.field, self.dim, self.structure,
-                                self.basis_names)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.dim, self.structure, self.basis_names) == \
-            (other.field, other.dim, other.structure, other.basis_names)
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(
-                (self.field, self.dim, self.structure, self.basis_names))
-        return h
-
-    def __repr__(self):
-        return (f"LeibnizAlgebra(field={self.field!r}, dim={self.dim!r}, "
-                f"structure={self.structure!r}, "
-                f"basis_names={self.basis_names!r})")
 
     @staticmethod
     def create(field: Field, structure,
@@ -274,22 +241,6 @@ class Element(Frozen):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coords", coords)
 
-    def __reduce__(self):
-        return Element, (self.algebra, self.coords)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.coords) == (other.algebra, other.coords)
-
-    def __hash__(self):
-        return hash((self.algebra, self.coords))
-
-    def __repr__(self):
-        return f"Element(algebra={self.algebra!r}, coords={self.coords!r})"
-
     def _check(self, other: "Element") -> None:
         if self.algebra is other.algebra:
             return
@@ -321,7 +272,7 @@ def right_mult_matrix(a: Element) -> Matrix:
     return _combination(A.field, A.dim, a.coords, A._operators()[3])
 
 
-class IdentityViolation:
+class IdentityViolation(Record):
     __slots__ = ("identity", "witness")
     identity: str
     witness: dict
@@ -330,19 +281,8 @@ class IdentityViolation:
         self.identity = identity
         self.witness = witness
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.identity, self.witness) == (other.identity, other.witness)
 
-    def __repr__(self):
-        return (f"IdentityViolation(identity={self.identity!r}, "
-                f"witness={self.witness!r})")
-
-
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of the multiplication-operator identity suite."""
 
     __slots__ = ("ok", "violations")
@@ -352,17 +292,6 @@ class IdentityReport:
     def __init__(self, ok: bool, violations: list):
         self.ok = ok
         self.violations = violations
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.violations) == (other.ok, other.violations)
-
-    def __repr__(self):
-        return (f"IdentityReport(ok={self.ok!r}, "
-                f"violations={self.violations!r})")
 
 
 def _pair_identity_violations(field: Field, L: Sequence[Matrix],
@@ -574,6 +503,7 @@ class LieSet(Frozen):
     """
 
     __slots__ = ("algebra", "members", "table")
+    _compared = ("algebra", "members")
     algebra: LeibnizAlgebra
     members: tuple
     table: tuple | None  # not compared
@@ -583,23 +513,6 @@ class LieSet(Frozen):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "table", table)
-
-    def __reduce__(self):
-        return LieSet, (self.algebra, self.members, self.table)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.members) == (other.algebra, other.members)
-
-    def __hash__(self):
-        return hash((self.algebra, self.members))
-
-    def __repr__(self):
-        return (f"LieSet(algebra={self.algebra!r}, members={self.members!r}, "
-                f"table={self.table!r})")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -619,7 +532,7 @@ def _prepare_members(elements: Sequence[Element]):
     return A, list(seen.values())
 
 
-class LieSetCheck:
+class LieSetCheck(Record):
     __slots__ = ("ok", "witness")
     ok: bool
     witness: tuple | None  # (x, y) with x y neither zero nor a member
@@ -627,16 +540,6 @@ class LieSetCheck:
     def __init__(self, ok: bool, witness: tuple | None):
         self.ok = ok
         self.witness = witness
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.witness) == (other.ok, other.witness)
-
-    def __repr__(self):
-        return f"LieSetCheck(ok={self.ok!r}, witness={self.witness!r})"
 
 
 def _products_with(x: Element, ys: Matrix) -> tuple:

@@ -15,7 +15,7 @@ from typing import Sequence
 from .algebra import (Element, IdentityViolation, LeibnizAlgebra,
                       _combination, _pair_identity_violations, is_ideal)
 from .errors import AlgebraMismatch, ShapeMismatch
-from .fields import Frozen
+from .fields import Frozen, Record
 from .linalg import Matrix, Subspace, _image, _spin, kernel_basis
 
 
@@ -23,6 +23,8 @@ class Bimodule(Frozen):
     """Immutable action-matrix realization of a bimodule; its hash is kept
     once computed."""
 
+    _fields = ("algebra", "module_dim", "left_actions", "right_actions")
+    _keeps_hash = True
     algebra: LeibnizAlgebra
     module_dim: int
     left_actions: tuple   # T_i, one m x m matrix per basis element
@@ -43,33 +45,6 @@ class Bimodule(Frozen):
         d["module_dim"] = module_dim
         d["left_actions"] = left_actions
         d["right_actions"] = right_actions
-
-    def __reduce__(self):
-        return Bimodule, (self.algebra, self.module_dim, self.left_actions,
-                          self.right_actions)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.module_dim, self.left_actions,
-                self.right_actions) == (other.algebra, other.module_dim,
-                                        other.left_actions, other.right_actions)
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(
-                (self.algebra, self.module_dim, self.left_actions,
-                 self.right_actions))
-        return h
-
-    def __repr__(self):
-        return (f"Bimodule(algebra={self.algebra!r}, "
-                f"module_dim={self.module_dim!r}, "
-                f"left_actions={self.left_actions!r}, "
-                f"right_actions={self.right_actions!r})")
 
     @staticmethod
     def create(algebra: LeibnizAlgebra, module_dim: int,
@@ -101,7 +76,7 @@ def s_matrix(module: Bimodule, a: Element) -> Matrix:
                         module.right_actions)
 
 
-class BimoduleValidation:
+class BimoduleValidation(Record):
     """Axioms and the derived identity are reported separately."""
 
     __slots__ = ("ok", "violations", "derived_ok", "derived_violations")
@@ -116,22 +91,6 @@ class BimoduleValidation:
         self.violations = violations
         self.derived_ok = derived_ok
         self.derived_violations = derived_violations
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.violations, self.derived_ok,
-                self.derived_violations) == (other.ok, other.violations,
-                                             other.derived_ok,
-                                             other.derived_violations)
-
-    def __repr__(self):
-        return (f"BimoduleValidation(ok={self.ok!r}, "
-                f"violations={self.violations!r}, "
-                f"derived_ok={self.derived_ok!r}, "
-                f"derived_violations={self.derived_violations!r})")
 
     def all_ok(self) -> bool:
         return self.ok and self.derived_ok

@@ -20,12 +20,12 @@ from .algebra import (LeibnizAlgebra, LieSet, _add_combination,
 from .bimodule import regular_bimodule
 from .engel import check_engel_premises
 from .errors import ShapeMismatch
-from .fields import RationalField
+from .fields import RationalField, Record
 from .linalg import Matrix, Subspace, kernel_basis, matrix_rank
 from .reports import PASS, THEOREM_VIOLATION, Check, Report
 
 
-class MapCheck:
+class MapCheck(Record):
     __slots__ = ("ok", "witness")
     ok: bool
     witness: dict | None
@@ -33,16 +33,6 @@ class MapCheck:
     def __init__(self, ok: bool, witness: dict | None):
         self.ok = ok
         self.witness = witness
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.witness) == (other.ok, other.witness)
-
-    def __repr__(self):
-        return f"MapCheck(ok={self.ok!r}, witness={self.witness!r})"
 
 
 def _check_map_shape(algebra: LeibnizAlgebra, m: Matrix) -> None:

@@ -174,22 +174,6 @@ class Flag(Frozen):
     def __init__(self, chain: tuple):
         object.__setattr__(self, "chain", chain)
 
-    def __reduce__(self):
-        return Flag, (self.chain,)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.chain == other.chain
-
-    def __hash__(self):
-        return hash((self.chain,))
-
-    def __repr__(self):
-        return f"Flag(chain={self.chain!r})"
-
     @property
     def length(self) -> int:
         return len(self.chain) - 1

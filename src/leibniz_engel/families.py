@@ -44,24 +44,6 @@ class FamilySpec(Frozen):
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "field", field)
 
-    def __reduce__(self):
-        return FamilySpec, (self.kind, self.args, self.field)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.args, self.field) == \
-            (other.kind, other.args, other.field)
-
-    def __hash__(self):
-        return hash((self.kind, self.args, self.field))
-
-    def __repr__(self):
-        return (f"FamilySpec(kind={self.kind!r}, args={self.args!r}, "
-                f"field={self.field!r})")
-
 
 def cyclic(n: int, field: Field = QQ) -> LeibnizAlgebra:
     """Basis e1..en with e1 e_i = e_{i+1}; nilpotent of class n, non-Lie

@@ -22,12 +22,17 @@ code in the package calls ``add`` or ``sub``; they stay, with the rest,
 because ``bench/tracing.py`` counts calls to each per-scalar method of the
 field classes (ROADMAP item 5). Either way no code branches on the field
 kind.
+
+The two field classes derive from ``Frozen``, so the bases of the
+package's value classes live here: ``Record`` for the result records and
+``Frozen`` for the immutable values.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 from .errors import FormatError
@@ -87,18 +92,70 @@ def _canonical(x: Scalar) -> Scalar:
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-class Frozen:
-    """Base of the package's immutable value classes. Each class sets its
-    attributes once, in ``__init__``, past this guard (into ``__slots__``
-    through ``object.__setattr__``, or into the instance ``__dict__``
-    where the class keeps per-instance caches there); any later
-    assignment or deletion raises ``AttributeError``. Each class writes its
-    own ``__eq__``, ``__hash__`` and ``__repr__``, and a ``__reduce__``
-    that rebuilds a pickled copy through ``__init__``: plain unpickling
-    would assign slots through this guard, or carry caches along (a kept
-    hash of ``str`` basis names differs from process to process)."""
+def _tuple_getter(names: tuple):
+    """A callable that returns the tuple of the named attributes of its
+    argument. ``attrgetter`` returns a bare value for one name, which is
+    wrapped here."""
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
+
+
+class Record:
+    """Base of the package's value classes. The result records derive from
+    it directly and stay mutable and unhashable; ``Frozen`` below adds
+    immutability, a hash and pickling.
+
+    A class names its fields once, in the order of its ``__init__``
+    parameters: as its ``__slots__``, or as ``_fields`` where instances
+    keep caches in a ``__dict__``. ``_compared`` names the fields that
+    equality reads, where that is not all of them. When the class is
+    created, this base builds its getters of the compared fields and of
+    all fields, and its repr template, once, so no call loops over names.
+    ``__eq__`` checks identity first, then the class, then the compared
+    fields; ``__repr__`` shows every field."""
 
     __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = cls.__dict__.get("_fields", cls.__dict__.get("__slots__"))
+        if not fields:  # Frozen itself names none
+            return
+        compared = cls.__dict__.get("_compared", fields)
+        cls._key = staticmethod(_tuple_getter(compared))
+        cls._values = staticmethod(_tuple_getter(fields))
+        cls._template = f"{cls.__name__}(" + ", ".join(
+            f"{name}=%r" for name in fields) + ")"
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __repr__(self):
+        return self._template % self._values(self)
+
+
+class Frozen(Record):
+    """Base of the package's immutable value classes.
+
+    Each class sets its attributes once, in ``__init__``, past this guard
+    (into ``__slots__`` through ``object.__setattr__``, or into the
+    instance ``__dict__``); any later assignment or deletion raises
+    ``AttributeError``. On top of ``Record``'s equality and repr, the hash
+    is that of the tuple of the compared fields, kept in the ``__dict__``
+    once computed where the class sets ``_keeps_hash``, and ``__reduce__``
+    rebuilds a pickled copy through ``__init__`` from all fields: plain
+    unpickling would assign slots through this guard, or carry caches
+    along (a kept hash of ``str`` basis names differs from process to
+    process)."""
+
+    __slots__ = ()
+    _keeps_hash = False
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: "
@@ -107,6 +164,17 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: "
                              f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        if not self._keeps_hash:
+            return hash(self._key(self))
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._key(self))
+        return h
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
 
 class RationalField(Frozen):
@@ -118,22 +186,6 @@ class RationalField(Frozen):
 
     def __init__(self, characteristic: int = 0):
         object.__setattr__(self, "characteristic", characteristic)
-
-    def __reduce__(self):
-        return RationalField, (self.characteristic,)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.characteristic == other.characteristic
-
-    def __hash__(self):
-        return hash((self.characteristic,))
-
-    def __repr__(self):
-        return f"RationalField(characteristic={self.characteristic!r})"
 
     def zero(self) -> int:
         return 0
@@ -214,22 +266,6 @@ class PrimeField(Frozen):
         if not prime:
             raise FormatError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
-
-    def __reduce__(self):
-        return PrimeField, (self.p,)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p,))
-
-    def __repr__(self):
-        return f"PrimeField(p={self.p!r})"
 
     @property
     def characteristic(self) -> int:

@@ -25,19 +25,20 @@ the quotient projection and each flag level.
 ``Subspace.span`` normalises what it is handed; the kernels span their own
 canonical results through ``Subspace._span``, which skips that pass.
 
-``Matrix`` and ``Subspace`` are immutable value classes (see
-``fields.Frozen``) whose ``__init__`` fills the instance ``__dict__``
-directly, so creating one costs about what its tuple does. Equality
-compares the fields, identity first; ``repr`` shows them. A subspace keeps
-its hash in that ``__dict__`` once computed. A matrix keeps its row terms
-and its transpose there once read, but not its hash: only the hash of a
-bimodule, itself kept, reads it, and one more key in the ``__dict__`` of
-every hashed matrix costs more memory than the hashing it would save. A
-transpose links back to its matrix through a weak reference, so the pair
-is no reference cycle and reference counting frees it. A pickled matrix or
-subspace carries its fields only. ``Matrix.zero`` shares one zero row
-among its rows, and ``Matrix.identity`` is one shared object per
-(field, n) from a bounded cache.
+``Matrix`` and ``Subspace`` are immutable value classes whose ``__init__``
+fills the instance ``__dict__`` directly, so creating one costs about what
+its tuple does. Each names its fields once, in ``_fields``, and the base
+``fields.Frozen`` compares them, identity first, hashes, shows and pickles
+them. A subspace keeps its hash in that ``__dict__`` once computed
+(``_keeps_hash``). A matrix keeps its row terms and its transpose there
+once read, but not its hash: only the hash of a bimodule, itself kept,
+reads it, and one more key in the ``__dict__`` of every hashed matrix
+costs more memory than the hashing it would save. A transpose links back
+to its matrix through a weak reference, so the pair is no reference cycle
+and reference counting frees it. A pickled matrix or subspace carries its
+fields only. ``Matrix.zero`` shares one zero row among its rows, and
+``Matrix.identity`` is one shared object per (field, n) from a bounded
+cache.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ Vector = tuple  # tuple of scalars over one field
 class Matrix(Frozen):
     """Immutable dense matrix over one exact field."""
 
+    _fields = ("field", "rows", "cols", "entries")
     field: Field
     rows: int
     cols: int
@@ -67,26 +69,6 @@ class Matrix(Frozen):
         d["rows"] = rows
         d["cols"] = cols
         d["entries"] = entries
-
-    def __reduce__(self):
-        # the cached row terms and transpose stay behind (a weak link
-        # cannot be pickled); the copy rebuilds them when read
-        return Matrix, (self.field, self.rows, self.cols, self.entries)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.rows, self.cols, self.entries) == \
-            (other.field, other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return (f"Matrix(field={self.field!r}, rows={self.rows!r}, "
-                f"cols={self.cols!r}, entries={self.entries!r})")
 
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Iterable]) -> "Matrix":
@@ -351,6 +333,8 @@ class Subspace(Frozen):
     mathematical and structural equality.
     """
 
+    _fields = ("field", "ambient_dim", "basis")
+    _keeps_hash = True
     field: Field
     ambient_dim: int
     basis: tuple  # tuple of row vectors, RREF, no zero rows
@@ -360,28 +344,6 @@ class Subspace(Frozen):
         d["field"] = field
         d["ambient_dim"] = ambient_dim
         d["basis"] = basis
-
-    def __reduce__(self):
-        return Subspace, (self.field, self.ambient_dim, self.basis)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.ambient_dim, self.basis) == \
-            (other.field, other.ambient_dim, other.basis)
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(
-                (self.field, self.ambient_dim, self.basis))
-        return h
-
-    def __repr__(self):
-        return (f"Subspace(field={self.field!r}, "
-                f"ambient_dim={self.ambient_dim!r}, basis={self.basis!r})")
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":

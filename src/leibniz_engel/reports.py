@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from .fields import Record
+
 PASS = "pass"
 PREMISES_FAILED = "premises_failed"
 THEOREM_VIOLATION = "THEOREM_VIOLATION"
@@ -37,7 +39,7 @@ CONVENTIONS = {
 }
 
 
-class Check:
+class Check(Record):
     """One named check with an optional witness (on failure) and data."""
 
     __slots__ = ("name", "passed", "witness", "data")
@@ -53,18 +55,6 @@ class Check:
         self.witness = witness
         self.data = data
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.passed, self.witness, self.data) == \
-            (other.name, other.passed, other.witness, other.data)
-
-    def __repr__(self):
-        return (f"Check(name={self.name!r}, passed={self.passed!r}, "
-                f"witness={self.witness!r}, data={self.data!r})")
-
     def to_json_dict(self) -> dict:
         out = {"name": self.name, "pass": self.passed}
         if self.witness is not None:
@@ -74,7 +64,7 @@ class Check:
         return out
 
 
-class Report:
+class Report(Record):
     __slots__ = ("premises", "conclusions", "data", "notes", "forced_verdict")
     premises: list
     conclusions: list
@@ -90,22 +80,6 @@ class Report:
         self.data = {} if data is None else data
         self.notes = [] if notes is None else notes
         self.forced_verdict = forced_verdict
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.premises, self.conclusions, self.data, self.notes,
-                self.forced_verdict) == (other.premises, other.conclusions,
-                                         other.data, other.notes,
-                                         other.forced_verdict)
-
-    def __repr__(self):
-        return (f"Report(premises={self.premises!r}, "
-                f"conclusions={self.conclusions!r}, data={self.data!r}, "
-                f"notes={self.notes!r}, "
-                f"forced_verdict={self.forced_verdict!r})")
 
     @property
     def verdict(self) -> str:

@@ -1,8 +1,10 @@
 """Static guards over the package source: it imports nothing outside the
 standard library and itself, every error class in ``errors.py`` is raised
-or subclassed somewhere, so none is left behind as dead code, and the cold
+or subclassed somewhere, so none is left behind as dead code, the cold
 start stays lean: no module imports ``dataclasses``, and importing the
-command line loads none of the introspection modules it would pull in."""
+command line loads none of the introspection modules it would pull in,
+and equality, hash, repr and pickling are written once, in the two
+value-class bases of ``fields.py``."""
 
 import ast
 import os
@@ -130,3 +132,60 @@ def test_cli_import_loads_no_introspection_modules():
 def test_cold_start_guard_sees_an_import_of_dataclasses():
     found = _added_modules("import dataclasses")
     assert "dataclasses" in found and "inspect" in found
+
+
+VALUE_METHODS = {"__eq__", "__hash__", "__repr__", "__reduce__"}
+VALUE_BASES = {("fields.py", "Record"), ("fields.py", "Frozen")}
+
+
+def _value_methods_outside_bases(paths) -> list:
+    """(module, class, name) for each class other than the two value-class
+    bases that defines one of ``VALUE_METHODS``, by ``def`` or by
+    assignment."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or \
+                    (path.name, node.name) in VALUE_BASES:
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) \
+                        else [item.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [(path.name, node.name, name) for name in names
+                          if name in VALUE_METHODS]
+    return found
+
+
+def test_only_the_value_bases_define_eq_hash_repr_and_reduce():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert _value_methods_outside_bases(modules) == []
+
+
+def test_value_method_guard_flags_defs_and_assignments(tmp_path):
+    fields, other = tmp_path / "fields.py", tmp_path / "other.py"
+    fields.write_text("class Record:\n    __hash__ = None\n"
+                      "    def __eq__(self, other):\n        return True\n"
+                      "class Frozen(Record):\n"
+                      "    def __reduce__(self):\n        return ()\n"
+                      "class Matrix(Frozen):\n"
+                      "    def __repr__(self):\n        return ''\n")
+    other.write_text("class Frozen:\n    __hash__ = object.__hash__\n"
+                     "class Check:\n    __eq__: object = None\n"
+                     "    def __str__(self):\n        return ''\n"
+                     "    def helper(self):\n"
+                     "        class Inner:\n"
+                     "            def __reduce__(self):\n"
+                     "                return ()\n")
+    assert _value_methods_outside_bases([fields, other]) == [
+        ("fields.py", "Matrix", "__repr__"),
+        ("other.py", "Frozen", "__hash__"),
+        ("other.py", "Check", "__eq__"),
+        ("other.py", "Inner", "__reduce__")]

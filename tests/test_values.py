@@ -3,9 +3,9 @@
 Equality reads the fields and nothing cached (``LeibnizAlgebra._cache``,
 ``LieSet.table``, the kept hashes, row terms and transposes), equal objects
 hash alike before and after their caches fill, assignment raises
-``AttributeError``, the reprs are the literal strings below, and the
-matrix, subspace and field classes survive a pickle round trip. The report
-classes stay mutable and unhashable.
+``AttributeError``, the reprs are the literal strings below, and every
+frozen class survives a pickle round trip. The result records stay
+mutable and unhashable.
 """
 
 import pickle
@@ -18,6 +18,10 @@ from leibniz_engel import (Bimodule, Element, FamilySpec, Flag,
                            LeibnizAlgebra, LieSet, cyclic, engel_flag,
                            heisenberg3, is_ideal, lie_set_closure,
                            lower_central_series, regular_bimodule)
+from leibniz_engel.algebra import (IdentityReport, IdentityViolation,
+                                   LeibnizValidation, LieSetCheck)
+from leibniz_engel.bimodule import BimoduleValidation
+from leibniz_engel.corollaries import MapCheck
 from leibniz_engel.fields import GF, QQ, PrimeField, RationalField
 from leibniz_engel.linalg import Matrix, Subspace
 from leibniz_engel.reports import Check, Report
@@ -116,6 +120,9 @@ def test_each_compared_field_tells_objects_apart():
     assert Element(A, (1, 0)) != Element(A, (0, 1))
     assert FamilySpec("cyclic", (2,)) != FamilySpec("cyclic", (2,), GF(5))
     assert Matrix.zero(QQ, 1, 1) != Subspace.zero(QQ, 1)
+    # records of two classes with equal fields differ by their class
+    assert LieSetCheck(True, None) != MapCheck(True, None)
+    assert IdentityReport(True, []) != LeibnizValidation(True, [])
 
 
 def _frozen_objects() -> list:
@@ -135,6 +142,14 @@ def test_assignment_and_deletion_raise_attribute_error():
             del obj.field
 
 
+def _records() -> list:
+    """One object of each result record class."""
+    return [Check("x", True), Report([], []), LeibnizValidation(True, []),
+            IdentityViolation("right_right", {"pair": [2, 1]}),
+            IdentityReport(True, []), LieSetCheck(True, None),
+            BimoduleValidation(True, [], True, []), MapCheck(True, None)]
+
+
 def test_report_classes_stay_mutable_and_unhashable():
     check = Check("x", True)
     report = Report([check], [])
@@ -149,18 +164,43 @@ def test_report_classes_stay_mutable_and_unhashable():
     assert report == Report([Check("x", True)], [], {}, [], "error")
     assert Report([], []).data == {} and Report([], []).notes == []
     assert Report([], []).data is not Report([], []).data
+    records, others = _records(), _records()
+    assert len({type(r) for r in records}) == 8
+    for record, other in zip(records, others):
+        with pytest.raises(TypeError):
+            hash(record)
+        assert record == other
+        for name in record.__slots__:
+            setattr(record, name, "changed")
+            assert getattr(record, name) == "changed"
+            assert record != other
+            setattr(other, name, "changed")
+            assert record == other
 
 
 def test_matrices_subspaces_and_fields_survive_pickle():
+    """Every frozen class, with its caches filled before the round trip."""
+    A = heisenberg3()
+    _fill_caches(A)
     m = Matrix.from_rows(GF(7), [[1, 2], [3, 4]])
     hash(m), m._row_terms, m.transpose()
     s = Subspace.span(QQ, 3, [(1, HALF, 3)])
     hash(s)
-    for obj in (m, s, QQ, GF(7)):
+    module = regular_bimodule(A)
+    hash(module)
+    closure = lie_set_closure(A.basis())
+    objects = [m, s, QQ, GF(7), A, module, A.basis_element(1), closure,
+               engel_flag(module, A.basis()), FamilySpec("cyclic", (3,), GF(5))]
+    assert len({type(obj) for obj in objects}) == 10
+    for obj in objects:
         copy = pickle.loads(pickle.dumps(obj))
+        assert type(copy) is type(obj)
         assert copy == obj and hash(copy) == hash(obj)
         assert repr(copy) == repr(obj)
     assert weakref.ref(m)() is m
+    copy = pickle.loads(pickle.dumps(closure))
+    assert closure.table is not None and copy.table == closure.table
+    assert not pickle.loads(pickle.dumps(A))._cache
 
 
 def test_reprs_are_unchanged():
@@ -194,3 +234,37 @@ def test_reprs_are_unchanged():
         "Report(premises=[Check(name='x', passed=True, witness=None, "
         "data=None)], conclusions=[], data={}, notes=[], "
         "forced_verdict=None)")
+    assert repr(Check("c", False, witness={"x": HALF}, data=[1])) == (
+        "Check(name='c', passed=False, witness={'x': Fraction(1, 2)}, "
+        "data=[1])")
+    assert repr(Report([], [Check("y", True)], {"k": 1}, ["n"], "error")) == (
+        "Report(premises=[], conclusions=[Check(name='y', passed=True, "
+        "witness=None, data=None)], data={'k': 1}, notes=['n'], "
+        "forced_verdict='error')")
+    assert repr(LeibnizValidation(False, [(1, 1, 2, ("1",), ("0",))])) == (
+        "LeibnizValidation(ok=False, violations=[(1, 1, 2, ('1',), "
+        "('0',))])")
+    violation = IdentityViolation("right_right", {"pair": [2, 1]})
+    assert repr(violation) == (
+        "IdentityViolation(identity='right_right', witness={'pair': [2, 1]})")
+    assert repr(IdentityReport(True, [])) == \
+        "IdentityReport(ok=True, violations=[])"
+    x = A.basis_element(0)
+    assert repr(x) == f"Element(algebra={A!r}, coords=(1, 0))"
+    assert repr(LieSetCheck(False, (x, x))) == \
+        f"LieSetCheck(ok=False, witness=({x!r}, {x!r}))"
+    assert repr(BimoduleValidation(True, [], False, [violation])) == (
+        "BimoduleValidation(ok=True, violations=[], derived_ok=False, "
+        f"derived_violations=[{violation!r}])")
+    assert repr(MapCheck(False, {"pair": [1, 2]})) == \
+        "MapCheck(ok=False, witness={'pair': [1, 2]})"
+    y = A.basis_element(1)
+    assert repr(lie_set_closure(A.basis())) == (
+        f"LieSet(algebra={A!r}, members=({x!r}, {y!r}), "
+        "table=(array('i', [1, -1]), array('i', [-1, -1])))")
+    assert repr(LieSet(A, (x,))) == \
+        f"LieSet(algebra={A!r}, members=({x!r},), table=None)"
+    assert repr(Flag((Subspace.zero(QQ, 1), Subspace.full(QQ, 1)))) == (
+        "Flag(chain=(Subspace(field=RationalField(characteristic=0), "
+        "ambient_dim=1, basis=()), Subspace(field=RationalField("
+        "characteristic=0), ambient_dim=1, basis=((1,),))))")
