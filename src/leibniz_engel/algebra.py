@@ -2,7 +2,9 @@
 
 An algebra is a tensor ``c`` with ``e_i * e_j = sum_k c[i][j][k] e_k`` over an
 exact field. :meth:`LeibnizAlgebra.create` is the only public way in: it
-validates the defining identity
+normalises the tensor for the one validating constructor ``_validated``,
+which the file loaders, whose parsed scalars are canonical, call directly.
+That checks the defining identity
 
     x(yz) = (xy)z + y(xz)
 
@@ -12,10 +14,10 @@ operators and the operator identities they satisfy, generated
 subalgebras, Lie sets, the lower central series of a subspace
 and the ideal test. An algebra's ``_cache`` holds its operators and, per
 carrier, the series and the ideal verdict, each computed once, and
-``create`` marks there that the defining identity holds.
+``_validated`` marks there that the defining identity holds.
 
 The multiplication operators of the basis are read once per algebra off
-the tensor when first needed, as by ``create``: row j of ``c[i]`` is e_i e_j,
+the tensor when first needed, as by validation: row j of ``c[i]`` is e_i e_j,
 so ``c[i]`` is L_{e_i}^T as it stands. Every product is taken from them,
 with ``_combination`` building the operator of any element: x y is L_x
 applied to y, the Lie sets take row y of Y @ L_x^T as x y (the closure
@@ -113,7 +115,7 @@ def validate_leibniz(structure, field: Field, n: int,
     after ``reduce_row`` is a violating triple, and only that triple has
     its two sides built.
 
-    ``create`` passes its new algebra's ``_operators`` as ``operators``,
+    ``_validated`` passes its new algebra's ``_operators`` as ``operators``,
     called after the shape check, so they are read once, into its cache.
     """
     if len(structure) != n or any(
@@ -135,11 +137,12 @@ def validate_leibniz(structure, field: Field, n: int,
 class LeibnizAlgebra(Frozen):
     """Finite dimensional Leibniz algebra over an exact field.
 
-    Instances are immutable. Construction goes through :meth:`create`, which
-    validates the defining identity and raises :class:`InvalidAlgebra` with
-    the report when it fails; the family builders, valid by construction,
-    skip to :meth:`_from_canonical`. Equality, the hash (kept once
-    computed) and ``repr`` read the four fields, never ``_cache``.
+    Instances are immutable. Construction goes through :meth:`_validated`,
+    by way of :meth:`create` or a file loader, which validates the defining
+    identity and raises :class:`InvalidAlgebra` with the report when it
+    fails; the family builders, valid by construction, skip to
+    :meth:`_from_canonical`. Equality, the hash (kept once computed) and
+    ``repr`` read the four fields, never ``_cache``.
     """
 
     _fields = ("field", "dim", "structure", "basis_names")
@@ -161,13 +164,20 @@ class LeibnizAlgebra(Frozen):
     @staticmethod
     def create(field: Field, structure,
                basis_names: Sequence[str] | None = None) -> "LeibnizAlgebra":
-        n = len(structure)
-        if basis_names is not None and len(basis_names) != n:
+        """The validated algebra on a tensor of any scalars."""
+        if basis_names is not None and len(basis_names) != len(structure):
             raise ShapeMismatch("basis_names length differs from dimension")
-        algebra = LeibnizAlgebra._from_canonical(field, [
+        return LeibnizAlgebra._validated(field, [
             [tuple(map(field.normalize, cij)) for cij in ci]
             for ci in structure], basis_names)
-        report = validate_leibniz(algebra.structure, field, n,
+
+    @staticmethod
+    def _validated(field: Field, structure,
+                   names: Sequence | None = None) -> "LeibnizAlgebra":
+        """The algebra on a canonical tensor, not normalised again but
+        checked against the defining identity."""
+        algebra = LeibnizAlgebra._from_canonical(field, structure, names)
+        report = validate_leibniz(algebra.structure, field, algebra.dim,
                                   algebra._operators)
         if not report.ok:
             raise InvalidAlgebra(report)
@@ -180,7 +190,7 @@ class LeibnizAlgebra(Frozen):
     def _from_canonical(field: Field, structure,
                         names: Sequence | None = None) -> "LeibnizAlgebra":
         """The algebra on a canonical tensor, with no ``normalize`` and no
-        check: the caller vouches for both, as ``create`` does."""
+        check: the caller vouches for both, as ``_validated`` does."""
         return LeibnizAlgebra(field, len(structure), tuple(
             tuple(map(tuple, ci)) for ci in structure),
             tuple(names) if names is not None else None)
@@ -231,7 +241,8 @@ class LeibnizAlgebra(Frozen):
 
 
 class Element(Frozen):
-    """Algebra element held as a coordinate vector over the basis."""
+    """Algebra element held as a coordinate vector over the basis, of
+    canonical scalars; :meth:`LeibnizAlgebra.element` normalises them."""
 
     __slots__ = ("algebra", "coords")
     algebra: LeibnizAlgebra
@@ -416,7 +427,7 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     until R_a^k = 0 with the identity holding at k (both sides 0 from then).
 
     ``left_mult_of_product`` is the defining identity itself, so on an
-    algebra that ``create`` validated, which marks its cache, that identity
+    algebra that ``_validated`` built, which marks its cache, that identity
     is not summed a second time; every other algebra gets all four.
 
     Violations indicate an implementation bug on a validated algebra; they
@@ -481,7 +492,7 @@ def subalgebra_generated(elements: Sequence[Element]) -> Subspace:
     for x in elements[1:]:
         if x.algebra != A:
             raise AlgebraMismatch("generators from different algebras")
-    span = Subspace.span(A.field, A.dim, [x.coords for x in elements])
+    span = Subspace._span(A.field, A.dim, [x.coords for x in elements])
     if span.is_full():  # closed already: no operator needs building
         return span
     lts = A._operators()[0]

@@ -140,7 +140,7 @@ def submodule_generated(module: Bimodule, vector: Sequence) -> Subspace:
     v = tuple(field.normalize(x) for x in vector)
     if len(v) != module.module_dim:
         raise ShapeMismatch("vector length differs from module dimension")
-    return _spin(Subspace.span(field, module.module_dim, [v]),
+    return _spin(Subspace._span(field, module.module_dim, [v]),
                  [m.transpose()
                   for m in module.left_actions + module.right_actions])
 

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import (DEFAULT_CLOSURE_CAP, LeibnizAlgebra, LieSet,
+from .algebra import (DEFAULT_CLOSURE_CAP, Element, LeibnizAlgebra, LieSet,
                       lie_set_closure, lower_central_series,
                       series_nilpotency, verify_operator_identities)
 from .bimodule import annihilator_ideal, regular_bimodule
@@ -188,7 +188,7 @@ def _cmd_lemma_bound(args):
     coords = [part.strip() for part in args.element.split(",")]
     if len(coords) != algebra.dim:
         raise FormatError(f"--element needs {algebra.dim} coordinates")
-    element = algebra.element([algebra.field.parse(c) for c in coords])
+    element = Element(algebra, tuple(map(algebra.field.parse, coords)))
     return lemma_word_bound_check(module, element)
 
 

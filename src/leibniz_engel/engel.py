@@ -206,7 +206,7 @@ def engel_flag(module: Bimodule, generators: Sequence) -> Flag:
     m = module.module_dim
     if any(c.algebra != A for c in generators):
         raise AlgebraMismatch("element does not belong to the module's algebra")
-    span = Subspace.span(field, A.dim, [c.coords for c in generators])
+    span = Subspace._span(field, A.dim, [c.coords for c in generators])
     basis = [Element(A, v) for v in span.basis]
     actions = [g for c in basis
                for g in (t_matrix(module, c), s_matrix(module, c))]

@@ -31,6 +31,7 @@ package's value classes live here: ``Record`` for the result records and
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from operator import attrgetter
 from typing import Union
@@ -39,14 +40,29 @@ from .errors import FormatError
 
 Scalar = Union[Fraction, int]
 
-_LITERAL = re.compile(r"[+-]?\d+(/[+-]?\d+)?\Z")
+_LITERAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
+
+
+def _check_digits(literal: str) -> None:
+    """FormatError for an integer or num/den literal with a part of more
+    digits than Python converts to ``int`` (``sys.get_int_max_str_digits``,
+    0 for no limit), which would raise a ValueError that names a setting
+    instead of the input."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(literal) > limit:
+        digits = max(len(part.lstrip("+-")) for part in literal.split("/"))
+        if digits > limit:
+            raise FormatError(f"integer literal of {digits} digits exceeds "
+                              f"the limit of {limit} digits")
 
 
 def _fraction_from_literal(text: str) -> Fraction:
-    """Integers and num/den strings only; decimal notation is rejected."""
+    """Integers and num/den strings only, signed on the numerator alone;
+    decimal notation is rejected."""
     text = text.strip()
     if not _LITERAL.match(text):
         raise FormatError(f"bad scalar literal {text!r} (want int or num/den)")
+    _check_digits(text)
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:

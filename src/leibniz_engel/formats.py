@@ -3,6 +3,9 @@
 Indices in files are 1-based to mirror the usual e_1, e_2, ... notation;
 everything internal is 0-based. Coefficients are JSON integers or strings
 like ``"3"`` and ``"-2/5"``; rationals are never written as floats.
+``field.parse`` returns canonical scalars, so the loaders normalise
+nothing again: an algebra is built and validated by
+``LeibnizAlgebra._validated``, a matrix by the ``Matrix`` constructor.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from pathlib import Path
 from .algebra import MAX_DIM, Element, LeibnizAlgebra
 from .bimodule import Bimodule, validate_bimodule
 from .errors import FormatError
-from .fields import GF, QQ, Field
+from .fields import GF, QQ, Field, _check_digits
 from .linalg import Matrix, Subspace
 
 MAX_FILE_BYTES = 2 * MAX_DIM ** 3 * 64  # 32 MiB; see _read_json
@@ -91,7 +94,7 @@ def load_algebra_dict(data: dict) -> LeibnizAlgebra:
             raise FormatError(f"duplicate product entry ({i}, {j}, {k})")
         seen.add((i, j, k))
         structure[i - 1][j - 1][k - 1] = field.parse(coeff)
-    return LeibnizAlgebra.create(field, structure, names)
+    return LeibnizAlgebra._validated(field, structure, names)
 
 
 def load_algebra(path) -> LeibnizAlgebra:
@@ -125,8 +128,8 @@ def _parse_matrix(field: Field, rows, size: int, what: str) -> Matrix:
     if (not isinstance(rows, list) or len(rows) != size
             or any(not isinstance(r, list) or len(r) != size for r in rows)):
         raise FormatError(f"{what} must be a {size}x{size} matrix")
-    return Matrix.from_rows(field, [[field.parse(x) for x in row]
-                                    for row in rows])
+    return Matrix(field, size, size,
+                  tuple(tuple(map(field.parse, row)) for row in rows))
 
 
 def load_bimodule(path, algebra: LeibnizAlgebra) -> Bimodule:
@@ -202,7 +205,7 @@ def load_ideals(path, algebra: LeibnizAlgebra) -> list:
             raise FormatError("each ideal is a list of spanning vectors")
         vecs = [parse_coords(algebra.field, raw, algebra.dim)
                 for raw in spanning]
-        out.append(Subspace.span(algebra.field, algebra.dim, vecs))
+        out.append(Subspace._span(algebra.field, algebra.dim, vecs))
     return out
 
 
@@ -236,3 +239,12 @@ def _read_json(path):
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError(f"{path} nests JSON too deeply to parse") from exc
+    except ValueError:
+        # an integer past the int-conversion limit: parse again, checking
+        # each integer's digits first, so that the error names the input
+        return json.loads(text, parse_int=_checked_int)
+
+
+def _checked_int(literal: str) -> int:
+    _check_digits(literal)
+    return int(literal)

@@ -22,8 +22,10 @@ images, ``_walk``, which is the image filtration, a carrier's lower
 central series and the dual walk of the flag. One read-off,
 ``_annihilator``, gives the annihilator of an echelon basis: the kernel,
 the quotient projection and each flag level.
-``Subspace.span`` normalises what it is handed; the kernels span their own
-canonical results through ``Subspace._span``, which skips that pass.
+``Subspace.span`` and ``Matrix.from_rows`` normalise what they are handed,
+for callers outside the package; inside it every scalar is canonical (kernel
+results, parsed files, element coordinates) and goes through
+``Subspace._span`` or the ``Matrix`` constructor, which skip that pass.
 
 ``Matrix`` and ``Subspace`` are immutable value classes whose ``__init__``
 fills the instance ``__dict__`` directly, so creating one costs about what

@@ -31,7 +31,7 @@ def test_tracer_reads_every_per_layer_metric(tmp_path):
     algebra = tmp_path / "c2.json"
     save_algebra(cyclic(2), algebra)
     # e1 e1 = e1 breaks the defining identity: loading it sends an
-    # InvalidAlgebra out through the traced algebra.create span
+    # InvalidAlgebra out through the traced formats.load_algebra span
     corrupted = tmp_path / "square.json"
     corrupted.write_text(json.dumps({"field": "Q", "dim": 2,
                                      "products": [[1, 1, 1, 1]]}))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import sys
 
 import pytest
 
@@ -430,7 +431,7 @@ def test_fuzz_count_past_the_bound_exits_2_before_building(monkeypatch,
 
 
 def test_validate_sums_left_mult_of_product_once(monkeypatch, tmp_path):
-    """create checks the defining identity, the pair identity
+    """Loading checks the defining identity, the pair identity
     left_mult_of_product, on the cached operators; the identity suite of
     validate then skips its T T loops, and only for that algebra."""
     path = tmp_path / "algebra.json"
@@ -606,6 +607,44 @@ def test_deeply_nested_json_exits_2(tmp_path):
                  "--json", str(report_path)]) == 2
     error = json.loads(report_path.read_text())["data"]["error"]
     assert error == f"{deep} nests JSON too deeply to parse"
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's int-conversion limit, pinned to its default for the test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_literal_past_the_int_digit_limit_exits_2(tmp_path, int_digit_limit):
+    # a string literal that Fraction would refuse with a ValueError naming
+    # sys.set_int_max_str_digits, in a file and on the command line
+    digits = int_digit_limit + 1
+    message = (f"integer literal of {digits} digits exceeds the limit of "
+               f"{int_digit_limit} digits")
+    huge = _write(tmp_path, "huge.json",
+                  {"field": "Q", "dim": 1,
+                   "products": [[1, 1, 1, "-1/" + "3" * digits]]})
+    assert _error_of(["validate", huge], tmp_path / "r.json") == \
+        (2, "error", message)
+    abelian1 = _write(tmp_path, "ab1.json", {"field": {"Fp": 5}, "dim": 1})
+    assert _error_of(["lemma-bound", abelian1, "--element", "7" * digits],
+                     tmp_path / "r.json") == (2, "error", message)
+
+
+def test_json_integer_past_the_int_digit_limit_exits_2(tmp_path,
+                                                       int_digit_limit):
+    # json.loads refuses it with a ValueError naming the setting; written
+    # by hand, since json.dumps refuses to write it
+    digits = int_digit_limit + 1
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"field": "Q", "dim": 1, "products": [[1, 1, 1, '
+                    + "7" * digits + "]]}")
+    assert _error_of(["analyze", str(huge)], tmp_path / "r.json") == \
+        (2, "error", f"integer literal of {digits} digits exceeds the limit "
+                     f"of {int_digit_limit} digits")
 
 
 def test_oversized_file_exits_2_before_reading(tmp_path):

@@ -1,4 +1,5 @@
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 import leibniz_engel.algebra as algebra_module
 import leibniz_engel.engel as engel_module
+from leibniz_engel.cli import main
 import leibniz_engel.linalg as linalg_module
 
 from oracles import (engel_flag_all_members, min_vanishing_word_length,
@@ -479,3 +481,36 @@ def test_flag_over_span_basis_matches_all_members(small_corpus, corpus2024,
 def test_engel_flag_rejects_foreign_generators():
     with pytest.raises(AlgebraMismatch):
         engel_flag(regular_bimodule(cyclic(2)), cyclic(2, GF(5)).basis())
+
+
+def test_generators_reach_the_spans_in_canonical_form(monkeypatch, tmp_path):
+    """``engel_flag`` and ``subalgebra_generated`` span the coordinates of
+    their generators without normalising them (``Subspace._span``), since
+    element coordinates are canonical. Over the seed-2024 fuzz corpus and
+    the engel-q and engel-fp bench inputs, every generator that reaches
+    either span equals its normalised coordinates, scalar types included."""
+    reached = {"engel_flag": 0, "subalgebra_generated": 0}
+
+    def checked(name):
+        original = getattr(engel_module, name)
+
+        def wrapper(*args):
+            for x in args[-1]:
+                want = tuple(map(x.algebra.field.normalize, x.coords))
+                assert x.coords == want
+                assert list(map(type, x.coords)) == list(map(type, want))
+                reached[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in reached:  # theorem2_verify calls both through this module
+        monkeypatch.setattr(engel_module, name, checked(name))
+    assert main(["fuzz", "--seed", "2024", "--count", "200",
+                 "--max-dim", "8", "--quiet"]) == 0
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "bench"))
+    import workloads
+    for make in (workloads.engel_q, workloads.engel_fp):
+        for request in make(tmp_path, workloads.DEFAULT_SEED):
+            assert main([*request.argv, "--quiet"]) == request.exit_code
+    assert all(reached.values()), reached

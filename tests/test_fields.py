@@ -15,6 +15,8 @@ def test_rational_parse_and_reduce():
         QQ.parse("1.5")
     with pytest.raises(FormatError):
         QQ.parse("1/0")
+    with pytest.raises(FormatError, match="bad scalar literal"):
+        QQ.parse("1/-2")  # a sign goes on the numerator only
 
 
 def test_rational_arithmetic_is_exact():
@@ -50,6 +52,47 @@ def test_prime_field_residues():
     assert f5.characteristic == 5
     with pytest.raises(FormatError):
         f5.parse("1/5")
+
+
+def test_parse_is_normalize_of_the_value_it_reads():
+    """``parse`` returns canonical scalars, so the file loaders build from
+    them without normalising again: over Q, F5 and F7, parse of an int, of
+    ``"a/b"`` and ``"-a/b"``, of an integral ``"6/3"`` and of a literal
+    padded with spaces equals normalize of the value, with the same type."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(field=st.sampled_from([QQ, GF(5), GF(7)]),
+                      num=st.integers() | st.integers(-10**40, 10**40),
+                      den=st.integers(1, 10**20),
+                      form=st.sampled_from(["int", "str", "a/b", "-a/b",
+                                            "integral"]),
+                      pad=st.sampled_from(["", " ", "\t ", " \n "]))
+    @hypothesis.example(QQ, 6, 3, "integral", "")
+    @hypothesis.example(GF(5), -12, 2, "int", "")
+    @hypothesis.example(GF(7), 3, 2, "-a/b", " ")
+    def check(field, num, den, form, pad):
+        if form == "int":
+            literal, value = num, num
+        elif form == "str":
+            literal, value = f"{pad}{num}{pad}", num
+        else:
+            if form == "-a/b":
+                num = -abs(num)
+            elif form == "integral":
+                num *= den
+            literal, value = f"{pad}{num}/{den}{pad}", Fraction(num, den)
+        try:
+            want = field.normalize(value)
+        except FormatError:  # a denominator divisible by p
+            with pytest.raises(FormatError, match="no meaning"):
+                field.parse(literal)
+            return
+        got = field.parse(literal)
+        assert got == want and type(got) is type(want)
+
+    check()
 
 
 def test_prime_field_normalize_rejects_denominator_divisible_by_p():
