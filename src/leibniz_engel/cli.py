@@ -18,7 +18,7 @@ from pathlib import Path
 from .algebra import (DEFAULT_CLOSURE_CAP, Element, LeibnizAlgebra, LieSet,
                       lie_set_closure, lower_central_series,
                       series_nilpotency, verify_operator_identities)
-from .bimodule import annihilator_ideal, regular_bimodule
+from .bimodule import annihilator_ideal, regular_bimodule, submodule_generated
 from .corollaries import (corollary3_check, corollary4_check,
                           corollary5_check, nilradical_from_family,
                           sum_of_nilpotent_ideals)
@@ -271,14 +271,15 @@ def _cmd_fuzz(args):
 
 
 def _algebra_verdicts(algebra: LeibnizAlgebra, closure: LieSet) -> tuple:
-    """Corollary 3 and the corollary-6 sum of each pair of consecutive
-    series terms, for a nilpotent algebra; nothing otherwise."""
-    series = lower_central_series(algebra)
-    if not series_nilpotency(series)[0]:
+    """Corollary 3, and corollary 6 on the ideals generated by e_1 and by
+    e_n (their submodules of the regular bimodule), for a nilpotent
+    algebra; nothing otherwise."""
+    if not series_nilpotency(lower_central_series(algebra))[0]:
         return ()
-    return (corollary3_check(algebra, closure).verdict, *(
-        sum_of_nilpotent_ideals(algebra, first, second).verdict
-        for first, second in zip(series, series[1:])))
+    regular, basis = regular_bimodule(algebra), algebra.basis()
+    ideals = [submodule_generated(regular, basis[i].coords) for i in (0, -1)]
+    return (corollary3_check(algebra, closure).verdict,
+            nilradical_from_family(algebra, ideals).verdict)
 
 
 if __name__ == "__main__":

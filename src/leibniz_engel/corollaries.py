@@ -5,7 +5,8 @@ left multiplications, fixed-point-free automorphisms of finite order,
 non-singular derivations in characteristic zero, and sums of nilpotent
 ideals (with a family-relative nilradical fold on top). Each returns a
 premise/conclusion report; a conclusion failing under passing premises is an
-implementation bug surfaced as a THEOREM_VIOLATION verdict. The derivation
+implementation bug surfaced as a THEOREM_VIOLATION verdict. The first three
+share one premise gate, ``_nilpotency_report``. The derivation
 and automorphism tests compare two operators per basis element, built from
 the algebra's cached multiplication operators, not products pair by pair.
 """
@@ -22,7 +23,7 @@ from .engel import check_engel_premises
 from .errors import ShapeMismatch
 from .fields import RationalField, Record
 from .linalg import Matrix, Subspace, kernel_basis, matrix_rank
-from .reports import PASS, THEOREM_VIOLATION, Check, Report
+from .reports import THEOREM_VIOLATION, Check, Report
 
 
 class MapCheck(Record):
@@ -86,24 +87,26 @@ def is_automorphism(algebra: LeibnizAlgebra, t: Matrix) -> MapCheck:
         tt @ _combination(algebra.field, algebra.dim, tt.entries[i], lts)))
 
 
-def _nilpotency_conclusion(algebra: LeibnizAlgebra) -> tuple:
+def _nilpotency_report(algebra: LeibnizAlgebra, premises: list,
+                       notes: list | None = None) -> Report:
+    """The premises alone if one fails, else with the conclusion that the
+    algebra is nilpotent; its class and series dims are also the data."""
+    if not all(c.passed for c in premises):
+        return Report(premises=premises, conclusions=[], notes=notes)
     series = lower_central_series(algebra)
     verdict, cls = series_nilpotency(series)
-    check = Check("algebra_nilpotent", verdict,
-                  data={"class": cls, "series_dims": [s.dim for s in series]})
-    return check, cls, [s.dim for s in series]
+    data = {"class": cls, "series_dims": [s.dim for s in series]}
+    return Report(premises=premises,
+                  conclusions=[Check("algebra_nilpotent", verdict, data=data)],
+                  data=data, notes=notes)
 
 
 def corollary3_check(algebra: LeibnizAlgebra, lie_set: LieSet) -> Report:
     """Generating Lie set with nilpotent left multiplications forces the
     whole algebra nilpotent; premises are checked on the regular bimodule,
     where the left action of an element is its left multiplication."""
-    premises = check_engel_premises(regular_bimodule(algebra), lie_set).premises
-    if not all(c.passed for c in premises):
-        return Report(premises=premises, conclusions=[])
-    conclusion, cls, dims = _nilpotency_conclusion(algebra)
-    return Report(premises=premises, conclusions=[conclusion],
-                  data={"class": cls, "series_dims": dims})
+    return _nilpotency_report(algebra, check_engel_premises(
+        regular_bimodule(algebra), lie_set).premises)
 
 
 # Largest order corollary 4 accepts. Trial division factors every order up
@@ -168,32 +171,23 @@ def corollary4_check(algebra: LeibnizAlgebra, t: Matrix, p: int) -> Report:
               witness=None if fixed_free else
               [algebra.field.to_str(x) for x in fixed.basis[0]]),
     ]
-    notes = [] if primes == [p] else [f"order {p} is composite (NotPrime)"]
-    if not all(c.passed for c in premises):
-        return Report(premises=premises, conclusions=[], notes=notes)
-    conclusion, cls, dims = _nilpotency_conclusion(algebra)
-    return Report(premises=premises, conclusions=[conclusion],
-                  data={"class": cls, "series_dims": dims}, notes=notes)
+    return _nilpotency_report(algebra, premises, None if primes == [p] else
+                              [f"order {p} is composite (NotPrime)"])
 
 
 def corollary5_check(algebra: LeibnizAlgebra, d: Matrix) -> Report:
     """Non-singular derivation in characteristic zero forces nilpotency."""
     char_zero = isinstance(algebra.field, RationalField)
     deriv = is_derivation(algebra, d)
-    nonsingular = matrix_rank(d) == algebra.dim
-    premises = [
+    rank = matrix_rank(d)
+    return _nilpotency_report(algebra, [
         Check("characteristic_zero", char_zero,
               witness=None if char_zero else
               {"characteristic": algebra.field.characteristic}),
         Check("is_derivation", deriv.ok, witness=deriv.witness),
-        Check("nonsingular", nonsingular,
-              witness=None if nonsingular else {"rank": matrix_rank(d)}),
-    ]
-    if not all(c.passed for c in premises):
-        return Report(premises=premises, conclusions=[])
-    conclusion, cls, dims = _nilpotency_conclusion(algebra)
-    return Report(premises=premises, conclusions=[conclusion],
-                  data={"class": cls, "series_dims": dims})
+        Check("nonsingular", rank == algebra.dim,
+              witness=None if rank == algebra.dim else {"rank": rank}),
+    ])
 
 
 def carrier_nilpotency(algebra: LeibnizAlgebra, carrier: Subspace) -> tuple:
@@ -204,9 +198,6 @@ def carrier_nilpotency(algebra: LeibnizAlgebra, carrier: Subspace) -> tuple:
 def sum_of_nilpotent_ideals(algebra: LeibnizAlgebra, first: Subspace,
                             second: Subspace) -> Report:
     """Check both carriers are nilpotent ideals; then so must be their sum."""
-    for carrier in (first, second):
-        if carrier.ambient_dim != algebra.dim or carrier.field != algebra.field:
-            raise ShapeMismatch("ideal carrier does not sit inside the algebra")
     checks = []
     for label, carrier in (("first", first), ("second", second)):
         ideal_ok = is_ideal(algebra, carrier)
@@ -234,14 +225,15 @@ def sum_of_nilpotent_ideals(algebra: LeibnizAlgebra, first: Subspace,
 
 def nilradical_from_family(algebra: LeibnizAlgebra,
                            ideals: Sequence[Subspace]) -> Report:
-    """Fold the pairwise sum over a family of nilpotent ideals.
+    """Fold the sum over a family of nilpotent ideals.
 
     Every input must be an ideal and nilpotent. The first member that is
     not fails the premise ``family_members_are_ideals`` or
-    ``family_members_are_nilpotent``, with its 0-based index as witness. A
-    fold step that fails under passing premises gives a THEOREM_VIOLATION
-    report naming the member. The result is a nilpotent ideal containing
-    every input, maximal only relative to the supplied family.
+    ``family_members_are_nilpotent``, with its 0-based index as witness.
+    A partial sum that is not a nilpotent ideal under passing premises
+    gives a THEOREM_VIOLATION report naming the member just added. The
+    last one is a nilpotent ideal containing every input, maximal only
+    relative to the supplied family.
     """
     for idx, carrier in enumerate(ideals):
         if not is_ideal(algebra, carrier):
@@ -252,23 +244,24 @@ def nilradical_from_family(algebra: LeibnizAlgebra,
             continue
         return Report(premises=[Check(failed, False, witness={"index": idx})],
                       conclusions=[])
-    total = Subspace.zero(algebra.field, algebra.dim)
+    total = Subspace.zero(algebra.field, algebra.dim)  # the empty sum
+    ideal, (nil, cls) = True, carrier_nilpotency(algebra, total)
     for idx, carrier in enumerate(ideals):
-        step = sum_of_nilpotent_ideals(algebra, total, carrier)
-        if step.verdict != PASS:
+        total = total + carrier
+        ideal = is_ideal(algebra, total)
+        nil, cls = carrier_nilpotency(algebra, total)
+        if not (ideal and nil):
             return Report(premises=[], conclusions=[],
                           data={"violation":
                                 f"sum with family member {idx} failed"},
                           forced_verdict=THEOREM_VIOLATION)
-        total = total + carrier
-    nil, cls = carrier_nilpotency(algebra, total)
-    contains_all = all(total.contains_subspace(c) for c in ideals)
     premises = [Check("family_members_are_nilpotent_ideals", True,
                       data={"count": len(ideals)})]
     conclusions = [
-        Check("radical_is_ideal", is_ideal(algebra, total)),
+        Check("radical_is_ideal", ideal),
         Check("radical_is_nilpotent", nil, data={"class": cls}),
-        Check("radical_contains_family", contains_all),
+        Check("radical_contains_family",
+              all(total.contains_subspace(c) for c in ideals)),
     ]
     return Report(premises=premises, conclusions=conclusions,
                   data={"radical_dim": total.dim, "radical_class": cls,

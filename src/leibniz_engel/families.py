@@ -26,7 +26,7 @@ from .algebra import (MAX_DIM, MAX_FUZZ_COUNT, LeibnizAlgebra, _combination,
 from .bimodule import (Bimodule, quotient_bimodule, regular_bimodule,
                        submodule_generated)
 from .errors import FieldMismatch, InvalidSpec
-from .fields import GF, QQ, Field, Frozen
+from .fields import GF, QQ, Field, Frozen, _checked_int
 from .linalg import Matrix, invert
 
 
@@ -219,7 +219,7 @@ def parse_family_spec(text: str, field: Field = QQ) -> FamilySpec:
         for i, kind in enumerate(kinds):
             take("','" if i else "'('", ("," if i else "(").__eq__)
             args.append(read(depth + 1) if kind is FamilySpec
-                        else int(take("an integer", _INT.fullmatch)))
+                        else _checked_int(take("an integer", _INT.fullmatch)))
         if kinds:
             take("')'", ")".__eq__)
         return FamilySpec(name, tuple(args), field)

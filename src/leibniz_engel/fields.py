@@ -56,6 +56,12 @@ def _check_digits(literal: str) -> None:
                               f"the limit of {limit} digits")
 
 
+def _checked_int(literal: str) -> int:
+    """``int`` of a string of digits, after :func:`_check_digits`."""
+    _check_digits(literal)
+    return int(literal)
+
+
 def _fraction_from_literal(text: str) -> Fraction:
     """Integers and num/den strings only, signed on the numerator alone;
     decimal notation is rejected."""

@@ -16,7 +16,7 @@ from pathlib import Path
 from .algebra import MAX_DIM, Element, LeibnizAlgebra
 from .bimodule import Bimodule, validate_bimodule
 from .errors import FormatError
-from .fields import GF, QQ, Field, _check_digits
+from .fields import GF, QQ, Field, _checked_int
 from .linalg import Matrix, Subspace
 
 MAX_FILE_BYTES = 2 * MAX_DIM ** 3 * 64  # 32 MiB; see _read_json
@@ -45,7 +45,7 @@ def parse_field_name(name: str) -> Field:
     if name in ("Q", "q"):
         return QQ
     if name.upper().startswith("F") and name[1:].isdigit():
-        return GF(int(name[1:]))
+        return GF(_checked_int(name[1:]))
     raise FormatError(f"bad field name {name!r} (want Q or F<p>)")
 
 
@@ -243,8 +243,3 @@ def _read_json(path):
         # an integer past the int-conversion limit: parse again, checking
         # each integer's digits first, so that the error names the input
         return json.loads(text, parse_int=_checked_int)
-
-
-def _checked_int(literal: str) -> int:
-    _check_digits(literal)
-    return int(literal)

@@ -45,8 +45,9 @@ from typing import NamedTuple
 
 from leibniz_engel.algebra import (LeibnizAlgebra, lower_central_series,
                                    mult_coords, series_nilpotency)
-from leibniz_engel.bimodule import s_matrix, t_matrix
-from leibniz_engel.corollaries import corollary3_check, sum_of_nilpotent_ideals
+from leibniz_engel.bimodule import (regular_bimodule, s_matrix,
+                                    submodule_generated, t_matrix)
+from leibniz_engel.corollaries import corollary3_check, nilradical_from_family
 from leibniz_engel.engel import Flag, theorem2_verify
 from leibniz_engel.reports import PASS, THEOREM_VIOLATION
 from leibniz_engel.errors import CapExceeded, FlagStalled
@@ -609,8 +610,9 @@ def fuzz_data_per_item(corpus, close) -> dict:
     a ``fuzz`` report on the corpus, every item checked on its own: its
     basis closure ``close(algebra)`` (an item whose closure raises
     CapExceeded fails its premises, with a note), theorem 2 on its module,
-    and for a nilpotent algebra corollary 3 and the corollary-6 sum of each
-    pair of consecutive series terms."""
+    and for a nilpotent algebra corollary 3 and corollary 6 on the family
+    of the ideals generated by e_1 and by e_n, the submodules they generate
+    in the regular bimodule."""
     items, violations = [], []
     premises_failed = passes = 0
     for idx, (algebra, module) in enumerate(corpus):
@@ -622,12 +624,12 @@ def fuzz_data_per_item(corpus, close) -> dict:
                           "note": "basis closure exceeded the closure cap"})
             continue
         verdicts = [theorem2_verify(module, closure).verdict]
-        series = lower_central_series(algebra)
-        if series_nilpotency(series)[0]:
+        if series_nilpotency(lower_central_series(algebra))[0]:
+            regular, basis = regular_bimodule(algebra), algebra.basis()
+            ideals = [submodule_generated(regular, basis[0].coords),
+                      submodule_generated(regular, basis[-1].coords)]
             verdicts.append(corollary3_check(algebra, closure).verdict)
-            for first, second in zip(series, series[1:]):
-                verdicts.append(
-                    sum_of_nilpotent_ideals(algebra, first, second).verdict)
+            verdicts.append(nilradical_from_family(algebra, ideals).verdict)
         if THEOREM_VIOLATION in verdicts:
             violations.append(idx)
             items.append({"index": idx, "verdict": THEOREM_VIOLATION})

@@ -11,6 +11,7 @@ from leibniz_engel import (cyclic, heisenberg3, sol2, abelian, fuzz_corpus,
                            left_mult_matrix, lie_set_closure,
                            lower_central_series, regular_bimodule,
                            right_mult_matrix, subalgebra_generated,
+                           submodule_generated,
                            validate_bimodule, validate_leibniz,
                            direct_sum, verify_operator_identities)
 from leibniz_engel.algebra import (Element, LeibnizAlgebra, LieSet,
@@ -757,16 +758,20 @@ def test_lower_central_series_is_the_carrier_series_of_the_algebra(
 def test_carrier_series_matches_per_pair_oracle(corpus2024):
     """Each series step is one image under the carrier's multiplication
     operators; the oracle multiplies basis pairs. Carriers: the series
-    terms of every seed-2024 corpus algebra, the sums of consecutive terms
-    that the corollary 6 check takes, 3 seeded random subspaces per algebra
-    and their sums with the second term."""
+    terms of every seed-2024 corpus algebra, the ideals generated by e_1
+    and by e_n and their sum, which the corollary 6 check of ``fuzz``
+    takes, 3 seeded random subspaces per algebra and their sums with the
+    second term."""
     rng = random.Random(1101_2438)
     ideals = non_ideals = 0
     for A, _ in corpus2024:
         f, n = A.field, A.dim
         series = lower_central_series(A)
         assert series == carrier_series_per_pair(A, A.full_space())
-        carriers = series + [a + b for a, b in zip(series, series[1:])]
+        regular, basis = regular_bimodule(A), A.basis()
+        first, last = (submodule_generated(regular, basis[i].coords)
+                       for i in (0, -1))
+        carriers = series + [first, last, first + last]
         for _ in range(3):
             vecs = [[f.from_int(rng.randrange(-2, 3)) for _ in range(n)]
                     for _ in range(rng.randint(1, n))]

@@ -214,17 +214,18 @@ def test_corollary6_family_with_a_non_nilpotent_member(sol2_file, tmp_path):
 
 
 def test_corollary6_failed_fold_step_exits_3(monkeypatch, h3_file, tmp_path):
-    real, calls = corollaries_module.sum_of_nilpotent_ideals, []
+    # the partial sums are <e3>, <e1, e3> and the whole space; only the
+    # last, reached at the third member, is made to fail its ideal check
+    real, full_checks = corollaries_module.is_ideal, []
 
-    def fails_on_the_second_member(algebra, first, second):
-        calls.append(second)
-        report = real(algebra, first, second)
-        if len(calls) == 2:
-            report.conclusions[0].passed = False
-        return report
+    def fails_on_the_full_space(algebra, carrier):
+        if carrier.is_full():
+            full_checks.append(carrier)
+            return False
+        return real(algebra, carrier)
 
-    monkeypatch.setattr(corollaries_module, "sum_of_nilpotent_ideals",
-                        fails_on_the_second_member)
+    monkeypatch.setattr(corollaries_module, "is_ideal",
+                        fails_on_the_full_space)
     family = _write(tmp_path, "family.json",
                     {"ideals": [[[0, 0, 1]], [[1, 0, 0], [0, 0, 1]],
                                 [[0, 1, 0], [0, 0, 1]]]})
@@ -232,9 +233,9 @@ def test_corollary6_failed_fold_step_exits_3(monkeypatch, h3_file, tmp_path):
                       tmp_path / "r.json") == \
         (3, {"verdict": "THEOREM_VIOLATION", "premises": [],
              "conclusions": [],
-             "data": {"violation": "sum with family member 1 failed"},
+             "data": {"violation": "sum with family member 2 failed"},
              "notes": []})
-    assert len(calls) == 2
+    assert len(full_checks) == 1
 
 
 def test_lemma_bound_non_nilpotent_left_action(sol2_file, tmp_path):
@@ -384,7 +385,7 @@ def test_fuzz_verifies_each_distinct_item_once_per_call(monkeypatch,
     nilpotent = [a for a in algebras if is_nilpotent_algebra(a)[0]]
     assert len(algebras) < 150 and len(modules) < 150
     calls = {"lie_set_closure": 0, "corollary3_check": 0,
-             "theorem2_verify": 0}
+             "nilradical_from_family": 0, "theorem2_verify": 0}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(cli_module, name)):
             calls[_name] += 1
@@ -397,7 +398,33 @@ def test_fuzz_verifies_each_distinct_item_once_per_call(monkeypatch,
                      "--max-dim", "8", "--quiet"]) == 0
         assert calls == {"lie_set_closure": len(algebras),
                          "corollary3_check": len(nilpotent),
+                         "nilradical_from_family": len(nilpotent),
                          "theorem2_verify": len(modules)}
+
+
+def test_fuzz_sums_non_nested_ideals_in_the_fold(monkeypatch):
+    """The corollary-6 family of each nilpotent algebra, the ideals
+    generated by e_1 and by e_n, is not always nested, so its sum is more
+    than one of its members; the fold adds it up with no two-ideal
+    report."""
+    real, families = cli_module.nilradical_from_family, []
+
+    def recorded(algebra, ideals):
+        families.append(ideals)
+        return real(algebra, ideals)
+
+    def refuse(*args):
+        raise AssertionError("sum_of_nilpotent_ideals was called")
+
+    monkeypatch.setattr(cli_module, "nilradical_from_family", recorded)
+    monkeypatch.setattr(cli_module, "sum_of_nilpotent_ideals", refuse)
+    monkeypatch.setattr(corollaries_module, "sum_of_nilpotent_ideals", refuse)
+    assert main(["fuzz", "--seed", "2024", "--count", "200", "--max-dim",
+                 "8", "--quiet"]) == 0
+    assert all(len(ideals) == 2 for ideals in families)
+    nested = [a.contains_subspace(b) or b.contains_subspace(a)
+              for a, b in families]
+    assert 0 < nested.count(False) < len(nested)
 
 
 def test_fuzz_corpus_interns_equal_items_and_keeps_the_field():
@@ -619,8 +646,8 @@ def int_digit_limit():
 
 
 def test_literal_past_the_int_digit_limit_exits_2(tmp_path, int_digit_limit):
-    # a string literal that Fraction would refuse with a ValueError naming
-    # sys.set_int_max_str_digits, in a file and on the command line
+    # a string literal that Fraction or int would refuse with a ValueError
+    # naming sys.set_int_max_str_digits, in a file and on the command line
     digits = int_digit_limit + 1
     message = (f"integer literal of {digits} digits exceeds the limit of "
                f"{int_digit_limit} digits")
@@ -632,6 +659,12 @@ def test_literal_past_the_int_digit_limit_exits_2(tmp_path, int_digit_limit):
     abelian1 = _write(tmp_path, "ab1.json", {"field": {"Fp": 5}, "dim": 1})
     assert _error_of(["lemma-bound", abelian1, "--element", "7" * digits],
                      tmp_path / "r.json") == (2, "error", message)
+    out = str(tmp_path / "a.json")
+    for family, field in (("cyclic(3)", "F" + "7" * digits),
+                          (f"basis_change(cyclic(3),{'7' * digits})", "Q")):
+        assert _error_of(["generate", "--family", family, "--field", field,
+                          "--out", out], tmp_path / "r.json") == \
+            (2, "error", message)
 
 
 def test_json_integer_past_the_int_digit_limit_exits_2(tmp_path,

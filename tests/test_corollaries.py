@@ -220,6 +220,12 @@ def test_nilradical_heisenberg_family():
     report = nilradical_from_family(H, family)
     assert report.verdict == "pass"
     assert report.data["radical_dim"] == 3
+    # each member is abelian; their sum, the whole algebra, has class 2
+    assert report.data["radical_class"] == 2
+    assert [(c.name, c.passed, c.data) for c in report.conclusions] == [
+        ("radical_is_ideal", True, None),
+        ("radical_is_nilpotent", True, {"class": 2}),
+        ("radical_contains_family", True, None)]
 
 
 def test_nilradical_empty_family_is_zero():
