@@ -19,10 +19,11 @@ from .algebra import (DEFAULT_CLOSURE_CAP, Element, LeibnizAlgebra, LieSet,
                       lie_set_closure, lower_central_series,
                       series_nilpotency, verify_operator_identities)
 from .bimodule import annihilator_ideal, regular_bimodule, submodule_generated
-from .corollaries import (corollary3_check, corollary4_check,
-                          corollary5_check, nilradical_from_family,
-                          sum_of_nilpotent_ideals)
-from .engel import lemma_word_bound_check, theorem2_verify
+from .corollaries import (_nilpotency_report, corollary3_check,
+                          corollary4_check, corollary5_check,
+                          nilradical_from_family, sum_of_nilpotent_ideals)
+from .engel import (check_engel_premises, lemma_word_bound_check,
+                    theorem2_verify)
 from .errors import CapExceeded, FormatError, InvalidAlgebra, LeibnizError
 from .families import build, fuzz_corpus, parse_family_spec
 from .formats import (load_algebra, load_bimodule, load_elements, load_ideals,
@@ -225,31 +226,41 @@ def _cmd_generate(args):
 
 def _cmd_fuzz(args):
     """Each distinct algebra and module of the corpus, which hands out
-    equal items as one object, is verified once: the dicts below, alive for
-    this call only, keep an algebra's basis closure (None past the cap) and
-    its own verdicts, and a module's theorem 2 verdict, for its repeats."""
+    equal items as one object, is verified once. Pass 1 closes each basis
+    (None past the cap) and runs theorem 2 once per module, keeping the
+    verdict, and the premises when the module is the regular one: corollary
+    3 is theorem 2 there. Pass 2 decides each algebra's own verdicts once
+    and assembles the items. The dicts live for this call only."""
     corpus = fuzz_corpus(args.seed, args.count, args.max_dim)
-    closures, algebra_verdicts, module_verdicts = {}, {}, {}
-    items = []
-    violations = []
-    premises_failed = 0
-    passes = 0
-    for idx, (algebra, module) in enumerate(corpus):
+    closures, module_verdicts, regular_premises = {}, {}, {}
+    for algebra, module in corpus:
         if algebra not in closures:
             try:
                 closures[algebra] = _default_lie_set(algebra)
             except CapExceeded:
                 closures[algebra] = None
         closure = closures[algebra]
+        if closure is None or module in module_verdicts:
+            continue
+        report = theorem2_verify(module, closure)
+        module_verdicts[module] = report.verdict
+        if module == regular_bimodule(algebra):
+            regular_premises[algebra] = report.premises
+    algebra_verdicts = {}
+    items = []
+    violations = []
+    premises_failed = 0
+    passes = 0
+    for idx, (algebra, module) in enumerate(corpus):
+        closure = closures[algebra]
         if closure is None:
             premises_failed += 1
             items.append({"index": idx, "verdict": "premises_failed",
                           "note": "basis closure exceeded the closure cap"})
             continue
-        if module not in module_verdicts:
-            module_verdicts[module] = theorem2_verify(module, closure).verdict
         if algebra not in algebra_verdicts:
-            algebra_verdicts[algebra] = _algebra_verdicts(algebra, closure)
+            algebra_verdicts[algebra] = _algebra_verdicts(
+                algebra, closure, regular_premises.get(algebra))
         verdicts = [module_verdicts[module], *algebra_verdicts[algebra]]
         if THEOREM_VIOLATION in verdicts:
             violations.append(idx)
@@ -270,15 +281,19 @@ def _cmd_fuzz(args):
     return Report(premises=[], conclusions=conclusions, data=data)
 
 
-def _algebra_verdicts(algebra: LeibnizAlgebra, closure: LieSet) -> tuple:
-    """Corollary 3, and corollary 6 on the ideals generated by e_1 and by
-    e_n (their submodules of the regular bimodule), for a nilpotent
-    algebra; nothing otherwise."""
+def _algebra_verdicts(algebra: LeibnizAlgebra, closure: LieSet,
+                      premises: list | None) -> tuple:
+    """Corollary 3, on theorem 2's premises for the regular bimodule
+    (checked here when not given), and corollary 6 on the ideals generated
+    by e_1 and by e_n (their submodules of the regular bimodule), for a
+    nilpotent algebra; nothing otherwise."""
     if not series_nilpotency(lower_central_series(algebra))[0]:
         return ()
     regular, basis = regular_bimodule(algebra), algebra.basis()
+    if premises is None:
+        premises = check_engel_premises(regular, closure).premises
     ideals = [submodule_generated(regular, basis[i].coords) for i in (0, -1)]
-    return (corollary3_check(algebra, closure).verdict,
+    return (_nilpotency_report(algebra, premises).verdict,
             nilradical_from_family(algebra, ideals).verdict)
 
 

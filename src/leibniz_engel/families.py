@@ -27,7 +27,7 @@ from .bimodule import (Bimodule, quotient_bimodule, regular_bimodule,
                        submodule_generated)
 from .errors import FieldMismatch, InvalidSpec
 from .fields import GF, QQ, Field, Frozen, _checked_int
-from .linalg import Matrix, invert
+from .linalg import Matrix, Subspace, invert
 
 
 class FamilySpec(Frozen):
@@ -233,65 +233,70 @@ def parse_family_spec(text: str, field: Field = QQ) -> FamilySpec:
 _FIELDS = (QQ, GF(5), GF(7))
 
 
-def _corpus_algebra(idx: int, rng: random.Random, max_dim: int) -> LeibnizAlgebra:
+def _corpus_spec(idx: int, rng: random.Random, max_dim: int) -> FamilySpec:
+    """The spec of item ``idx``, the family rotating with ``idx % 8``."""
     field = _FIELDS[rng.randrange(len(_FIELDS))]
     prime_field = field if field != QQ else _FIELDS[1 + rng.randrange(2)]
+
+    def spec(kind, *args, over=field):
+        return FamilySpec(kind, args, over)
+
     menu = idx % 8
     if menu == 0:
-        return cyclic(rng.randint(2, max_dim), field) if max_dim >= 2 \
-            else abelian(1, field)
+        return spec("cyclic", rng.randint(2, max_dim)) if max_dim >= 2 \
+            else spec("abelian", 1)
     if menu == 1:
-        return abelian(rng.randint(1, max_dim), field)
+        return spec("abelian", rng.randint(1, max_dim))
     if menu == 2:
-        return heisenberg3(field) if max_dim >= 3 else abelian(max_dim, field)
+        return spec("heisenberg3") if max_dim >= 3 \
+            else spec("abelian", max_dim)
     if menu == 3:
         # the non-nilpotent control
-        return sol2(field) if max_dim >= 2 else abelian(1, field)
+        return spec("sol2") if max_dim >= 2 else spec("abelian", 1)
     if menu == 4:
         if max_dim >= 3:
             a = rng.randint(2, max_dim - 1)
             b = rng.randint(1, max_dim - a)
-            return direct_sum(cyclic(a, field), abelian(b, field))
-        return cyclic(max(1, max_dim), field)
+            return spec("direct_sum", spec("cyclic", a), spec("abelian", b))
+        return spec("cyclic", max(1, max_dim))
     if menu == 5:
         # conjugated cyclic families stay over prime fields: over Q a
         # conjugated basis of cyclic(n >= 3) generates an infinite Lie set
         if max_dim < 2:
-            return abelian(1, field)
+            return spec("abelian", 1)
         k = rng.randint(2, min(4, max_dim))
-        return basis_change(cyclic(k, prime_field), rng.randrange(2 ** 30))
+        return spec("basis_change", spec("cyclic", k, over=prime_field),
+                    rng.randrange(2 ** 30), over=prime_field)
     if menu == 6:
         # closure-safe conjugations over any field, including Q
         pick = rng.randrange(3)
         seed = rng.randrange(2 ** 30)
         if pick == 0 and max_dim >= 3:
-            return basis_change(heisenberg3(field), seed)
+            return spec("basis_change", spec("heisenberg3"), seed)
         if pick == 1:
-            return basis_change(abelian(rng.randint(1, max_dim), field), seed)
-        return basis_change(cyclic(2, field) if max_dim >= 2
-                            else abelian(1, field), seed)
+            return spec("basis_change",
+                        spec("abelian", rng.randint(1, max_dim)), seed)
+        return spec("basis_change", spec("cyclic", 2) if max_dim >= 2
+                    else spec("abelian", 1), seed)
     if max_dim >= 5:
         k = rng.randint(2, max_dim - 3)
-        return direct_sum(heisenberg3(field), cyclic(k, field))
-    return abelian(rng.randint(1, max_dim), field)
+        return spec("direct_sum", spec("heisenberg3"), spec("cyclic", k))
+    return spec("abelian", rng.randint(1, max_dim))
 
 
-def _corpus_bimodule(algebra: LeibnizAlgebra, rng: random.Random) -> Bimodule:
-    regular = regular_bimodule(algebra)
-    choice = rng.randrange(3)
-    if choice == 0 or algebra.dim == 0:
-        return regular
-    if choice == 1:
-        series = lower_central_series(algebra)
-        sub = series[1] if len(series) > 1 else algebra.zero_space()
-        return quotient_bimodule(regular, sub)
-    v = [algebra.field.from_int(rng.randrange(-2, 3))
-         for _ in range(algebra.dim)]
-    sub = submodule_generated(regular, v)
-    if sub.is_full():
-        series = lower_central_series(algebra)
-        sub = series[1] if len(series) > 1 else algebra.zero_space()
-    return quotient_bimodule(regular, sub)
+def _corpus_submodule(algebra: LeibnizAlgebra, draw) -> Subspace:
+    """The submodule of the regular bimodule that an item's bimodule is
+    the quotient by: zero for draw 0 (the regular bimodule itself), the
+    second series term for 1, else the spin of the drawn coordinates (the
+    series term when that is the whole module)."""
+    if draw == 0:
+        return algebra.zero_space()
+    if draw != 1:
+        sub = submodule_generated(regular_bimodule(algebra), draw)
+        if not sub.is_full():
+            return sub
+    series = lower_central_series(algebra)
+    return series[1] if len(series) > 1 else algebra.zero_space()
 
 
 def fuzz_corpus(seed: int, count: int, max_dim: int) -> list:
@@ -302,12 +307,16 @@ def fuzz_corpus(seed: int, count: int, max_dim: int) -> list:
     spun submodule); every algebra is valid by construction and the
     rotation guarantees a non-nilpotent control for count >= 4.
 
-    Equal items are one object within a call: an algebra equal (same
-    field, tensor and names) to one built earlier in the call is replaced
-    by that object, before its bimodule is built on it, and an equal
-    bimodule likewise. So whatever an algebra caches is shared by its
-    repeats, and a caller can key its own work by item. Nothing is kept
-    from one call to the next.
+    Each item is drawn first as a family spec, then, once its algebra is
+    at hand, as a bimodule draw (see :func:`_corpus_submodule`). Within a
+    call each distinct spec is built once, and each bimodule once per
+    algebra and submodule divided out.
+    Equal items are one object: an algebra with the field and tensor of
+    one built earlier in the call is replaced by that object (so it keeps
+    that object's basis names, which no verdict reads), and a bimodule
+    equal to an earlier one likewise. So whatever an algebra caches is
+    shared by its repeats, and a caller can key its own work by item.
+    Nothing is kept from one call to the next.
     """
     if not 1 <= count <= MAX_FUZZ_COUNT:
         raise InvalidSpec(f"fuzz count must be in [1, {MAX_FUZZ_COUNT}], "
@@ -316,10 +325,23 @@ def fuzz_corpus(seed: int, count: int, max_dim: int) -> list:
         raise InvalidSpec(f"fuzz max_dim must be in [1, {MAX_DIM}], "
                           f"got {max_dim}")
     rng = random.Random(seed)
-    algebras, modules, corpus = {}, {}, []
+    by_spec, by_tensor, by_sub, modules, corpus = {}, {}, {}, {}, []
     for idx in range(count):
-        algebra = _corpus_algebra(idx, rng, max_dim)
-        algebra = algebras.setdefault(algebra, algebra)
-        module = _corpus_bimodule(algebra, rng)
-        corpus.append((algebra, modules.setdefault(module, module)))
+        spec = _corpus_spec(idx, rng, max_dim)
+        algebra = by_spec.get(spec)
+        if algebra is None:
+            algebra = build(spec)
+            algebra = by_spec[spec] = by_tensor.setdefault(
+                (algebra.field, algebra.structure), algebra)
+        draw = rng.randrange(3)  # a vector's length is the algebra's dim
+        if draw == 2:
+            draw = tuple(rng.randrange(-2, 3) for _ in range(algebra.dim))
+        sub = _corpus_submodule(algebra, draw)
+        module = by_sub.get((algebra, sub))
+        if module is None:
+            regular = regular_bimodule(algebra)
+            module = regular if sub.is_zero() else \
+                quotient_bimodule(regular, sub)
+            module = by_sub[algebra, sub] = modules.setdefault(module, module)
+        corpus.append((algebra, module))
     return corpus

@@ -33,7 +33,9 @@ of the carrier's basis, and the flag stacks the projected actions level
 by level, as it did before it became the annihilator of the dual image
 walk. ``fuzz_data_per_item`` runs the checks of ``fuzz`` on every
 corpus item from scratch, as ``fuzz`` did before it verified each
-distinct algebra and module once per call.
+distinct algebra and module once per call, and ``fuzz_corpus_per_item``
+builds every corpus item in full, as the corpus did before it was drawn
+as specs and built once per distinct spec and draw.
 
 ``unchecked_algebra`` builds the non-Leibniz tensors the validators are
 tested on, which ``LeibnizAlgebra.create`` refuses.
@@ -41,16 +43,20 @@ tested on, which ``LeibnizAlgebra.create`` refuses.
 
 from __future__ import annotations
 
+import random
 from typing import NamedTuple
 
 from leibniz_engel.algebra import (LeibnizAlgebra, lower_central_series,
                                    mult_coords, series_nilpotency)
-from leibniz_engel.bimodule import (regular_bimodule, s_matrix,
-                                    submodule_generated, t_matrix)
+from leibniz_engel.bimodule import (quotient_bimodule, regular_bimodule,
+                                    s_matrix, submodule_generated, t_matrix)
 from leibniz_engel.corollaries import corollary3_check, nilradical_from_family
 from leibniz_engel.engel import Flag, theorem2_verify
 from leibniz_engel.reports import PASS, THEOREM_VIOLATION
 from leibniz_engel.errors import CapExceeded, FlagStalled
+from leibniz_engel.families import (abelian, basis_change, cyclic,
+                                    direct_sum, heisenberg3, sol2)
+from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace, invert, kernel_basis
 
 
@@ -641,3 +647,75 @@ def fuzz_data_per_item(corpus, close) -> dict:
             items.append({"index": idx, "verdict": "premises_failed"})
     return {"items": items, "passes": passes,
             "premises_failed": premises_failed, "violations": violations}
+
+
+_FIELDS = (QQ, GF(5), GF(7))
+
+
+def _corpus_algebra(idx: int, rng: random.Random, max_dim: int):
+    field = _FIELDS[rng.randrange(len(_FIELDS))]
+    prime_field = field if field != QQ else _FIELDS[1 + rng.randrange(2)]
+    menu = idx % 8
+    if menu == 0:
+        return cyclic(rng.randint(2, max_dim), field) if max_dim >= 2 \
+            else abelian(1, field)
+    if menu == 1:
+        return abelian(rng.randint(1, max_dim), field)
+    if menu == 2:
+        return heisenberg3(field) if max_dim >= 3 else abelian(max_dim, field)
+    if menu == 3:
+        return sol2(field) if max_dim >= 2 else abelian(1, field)
+    if menu == 4:
+        if max_dim >= 3:
+            a = rng.randint(2, max_dim - 1)
+            b = rng.randint(1, max_dim - a)
+            return direct_sum(cyclic(a, field), abelian(b, field))
+        return cyclic(max(1, max_dim), field)
+    if menu == 5:
+        if max_dim < 2:
+            return abelian(1, field)
+        k = rng.randint(2, min(4, max_dim))
+        return basis_change(cyclic(k, prime_field), rng.randrange(2 ** 30))
+    if menu == 6:
+        pick = rng.randrange(3)
+        seed = rng.randrange(2 ** 30)
+        if pick == 0 and max_dim >= 3:
+            return basis_change(heisenberg3(field), seed)
+        if pick == 1:
+            return basis_change(abelian(rng.randint(1, max_dim), field), seed)
+        return basis_change(cyclic(2, field) if max_dim >= 2
+                            else abelian(1, field), seed)
+    if max_dim >= 5:
+        k = rng.randint(2, max_dim - 3)
+        return direct_sum(heisenberg3(field), cyclic(k, field))
+    return abelian(rng.randint(1, max_dim), field)
+
+
+def _corpus_bimodule(algebra: LeibnizAlgebra, rng: random.Random):
+    regular = regular_bimodule(algebra)
+    choice = rng.randrange(3)
+    if choice == 0 or algebra.dim == 0:
+        return regular
+    if choice == 1:
+        series = lower_central_series(algebra)
+        sub = series[1] if len(series) > 1 else algebra.zero_space()
+        return quotient_bimodule(regular, sub)
+    v = [algebra.field.from_int(rng.randrange(-2, 3))
+         for _ in range(algebra.dim)]
+    sub = submodule_generated(regular, v)
+    if sub.is_full():
+        series = lower_central_series(algebra)
+        sub = series[1] if len(series) > 1 else algebra.zero_space()
+    return quotient_bimodule(regular, sub)
+
+
+def fuzz_corpus_per_item(seed: int, count: int, max_dim: int) -> list:
+    """The (algebra, bimodule) pairs of ``fuzz_corpus``, every item built
+    in full from the builders, one after another on one seeded generator,
+    and none interned (arguments unchecked)."""
+    rng = random.Random(seed)
+    corpus = []
+    for idx in range(count):
+        algebra = _corpus_algebra(idx, rng, max_dim)
+        corpus.append((algebra, _corpus_bimodule(algebra, rng)))
+    return corpus

@@ -13,13 +13,14 @@ from leibniz_engel import (abelian, basis_change, cyclic, direct_sum,
                            fuzz_corpus, heisenberg3, is_nilpotent_algebra,
                            lie_set_closure, verify_operator_identities)
 from leibniz_engel.algebra import DEFAULT_CLOSURE_CAP, MAX_FUZZ_COUNT
+from leibniz_engel.bimodule import regular_bimodule
 from leibniz_engel.cli import _build_parser, main
 from leibniz_engel.errors import CapExceeded
 from leibniz_engel.families import MAX_SPEC_DEPTH
 from leibniz_engel.fields import GF
 from leibniz_engel.formats import MAX_FILE_BYTES, save_algebra
 from leibniz_engel.reports import EXIT_CODES
-from oracles import fuzz_data_per_item
+from oracles import fuzz_corpus_per_item, fuzz_data_per_item
 
 
 def _write(tmp_path, name, payload):
@@ -379,13 +380,20 @@ def test_fuzz_repeats_a_capped_closure_with_its_note(monkeypatch, tmp_path):
 
 def test_fuzz_verifies_each_distinct_item_once_per_call(monkeypatch,
                                                         tmp_path):
+    """Theorem 2 runs once per distinct module. Corollary 3 is theorem 2
+    on the regular bimodule, so its premises are checked outside theorem 2
+    only for a nilpotent algebra whose regular bimodule is not an item;
+    corollary 6 runs once per distinct nilpotent algebra."""
     corpus = fuzz_corpus(2024, 200, 8)
     algebras = set(a for a, _ in corpus)
     modules = set(m for _, m in corpus)
     nilpotent = [a for a in algebras if is_nilpotent_algebra(a)[0]]
+    unchecked = [a for a in nilpotent if regular_bimodule(a) not in modules]
     assert len(algebras) < 150 and len(modules) < 150
+    assert 0 < len(unchecked) < len(nilpotent)
     calls = {"lie_set_closure": 0, "corollary3_check": 0,
-             "nilradical_from_family": 0, "theorem2_verify": 0}
+             "check_engel_premises": 0, "nilradical_from_family": 0,
+             "theorem2_verify": 0}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(cli_module, name)):
             calls[_name] += 1
@@ -397,9 +405,43 @@ def test_fuzz_verifies_each_distinct_item_once_per_call(monkeypatch,
         assert main(["fuzz", "--seed", "2024", "--count", "200",
                      "--max-dim", "8", "--quiet"]) == 0
         assert calls == {"lie_set_closure": len(algebras),
-                         "corollary3_check": len(nilpotent),
+                         "corollary3_check": 0,
+                         "check_engel_premises": len(unchecked),
                          "nilradical_from_family": len(nilpotent),
                          "theorem2_verify": len(modules)}
+
+
+def test_fuzz_corollary3_reads_theorem2_premises_on_the_regular_module(
+        monkeypatch):
+    """Corollary 3 is theorem 2 on the regular bimodule: every premise list
+    ``fuzz`` decides it on was checked on the algebra's regular bimodule,
+    by theorem 2 when that is an item, else on its own."""
+    regular = {}  # id -> (algebra, premises), each list held alive
+
+    def recorded(inner):
+        def call(module, lie_set):
+            report = inner(module, lie_set)
+            if module == regular_bimodule(module.algebra):
+                regular[id(report.premises)] = (module.algebra,
+                                                report.premises)
+            return report
+        return call
+
+    gated, gate = [], cli_module._nilpotency_report
+
+    def gated_report(algebra, premises):
+        gated.append((algebra, premises))
+        return gate(algebra, premises)
+
+    for name in ("theorem2_verify", "check_engel_premises"):
+        monkeypatch.setattr(cli_module, name,
+                            recorded(getattr(cli_module, name)))
+    monkeypatch.setattr(cli_module, "_nilpotency_report", gated_report)
+    assert main(["fuzz", "--seed", "2024", "--count", "200", "--max-dim",
+                 "8", "--quiet"]) == 0
+    assert gated
+    for algebra, premises in gated:
+        assert regular.get(id(premises), (None,))[0] is algebra
 
 
 def test_fuzz_sums_non_nested_ideals_in_the_fold(monkeypatch):
@@ -430,13 +472,24 @@ def test_fuzz_sums_non_nested_ideals_in_the_fold(monkeypatch):
 def test_fuzz_corpus_interns_equal_items_and_keeps_the_field():
     corpus = fuzz_corpus(10, 24, 4)
     for (a, m), (b, n) in itertools.combinations(corpus, 2):
-        assert (a == b) == (a is b)
+        assert ((a.field, a.structure) == (b.field, b.structure)) == (a is b)
         assert (m == n) == (m is n)
     # abelian(3) over F5 and over F7 share an all-zero tensor, yet are two
-    f5, f7 = (next(a for a, _ in corpus if a == abelian(3, GF(p)))
-              for p in (5, 7))
+    f5, f7 = (next(a for a, _ in corpus
+                   if (a.field, a.structure) == (p.field, p.structure))
+              for p in (abelian(3, GF(5)), abelian(3, GF(7))))
     assert f5.structure == f7.structure and f5 is not f7
     assert (f5.field, f7.field) == (GF(5), GF(7))
+    # abelian(k) has basis names, a basis change of it none, and both have
+    # the zero tensor: each item is the first one built with its field and
+    # tensor, names and all
+    built = [a for a, _ in fuzz_corpus_per_item(10, 24, 4)]
+    first = {}
+    for a in built:
+        first.setdefault((a.field, a.structure), a)
+    assert [a for a, _ in corpus] == [first[a.field, a.structure]
+                                      for a in built]
+    assert any(a != first[a.field, a.structure] for a in built)
 
 
 def test_fuzz_count_past_the_bound_exits_2_before_building(monkeypatch,
@@ -444,7 +497,8 @@ def test_fuzz_count_past_the_bound_exits_2_before_building(monkeypatch,
     def refuse(*args):
         raise AssertionError("a corpus item was built")
 
-    monkeypatch.setattr(families_module, "_corpus_algebra", refuse)
+    monkeypatch.setattr(families_module, "_corpus_spec", refuse)
+    monkeypatch.setattr(families_module, "build", refuse)
     report_path = tmp_path / "fuzz.json"
     for count in (MAX_FUZZ_COUNT + 1, 10**8):
         assert main(["fuzz", "--seed", "1", "--count", str(count),

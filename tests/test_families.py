@@ -12,6 +12,7 @@ from leibniz_engel.algebra import LeibnizAlgebra
 from leibniz_engel.errors import FieldMismatch, InvalidSpec
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.formats import load_algebra, save_algebra
+from oracles import fuzz_corpus_per_item
 
 
 def _satisfies_identity(algebra):
@@ -180,3 +181,37 @@ def test_builders_skip_validation_and_create_and_loaders_keep_it(
         LeibnizAlgebra.create(QQ, cyclic(3).structure)
     with pytest.raises(AssertionError, match="pair contraction"):
         load_algebra(path)
+
+
+def _corpus_keys(corpus) -> list:
+    return [(a.field, a.structure, m.module_dim, m.left_actions,
+             m.right_actions) for a, m in corpus]
+
+
+@pytest.mark.parametrize("seed", [2024, 323, 331, 31337])
+def test_fuzz_corpus_equals_the_per_item_oracle(seed):
+    """Drawn as specs and built once per distinct spec and draw, the
+    corpus has the items of building every one in full."""
+    assert _corpus_keys(fuzz_corpus(seed, 200, 8)) == \
+        _corpus_keys(fuzz_corpus_per_item(seed, 200, 8))
+
+
+@pytest.mark.parametrize("max_dim", range(1, 9))
+def test_fuzz_corpus_equals_the_per_item_oracle_at_every_max_dim(max_dim):
+    for seed in range(4):
+        assert _corpus_keys(fuzz_corpus(seed, 40, max_dim)) == \
+            _corpus_keys(fuzz_corpus_per_item(seed, 40, max_dim))
+
+
+def test_fuzz_corpus_equals_the_per_item_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32), count=st.integers(1, 60),
+                      max_dim=st.integers(1, 8))
+    def check(seed, count, max_dim):
+        assert _corpus_keys(fuzz_corpus(seed, count, max_dim)) == \
+            _corpus_keys(fuzz_corpus_per_item(seed, count, max_dim))
+
+    check()
