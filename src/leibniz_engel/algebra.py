@@ -510,7 +510,8 @@ class LieSet(Frozen):
     x_i x_j, or -1 for a zero product. A set with a table is closed by
     construction, and the table is its certificate. Row i is all -1
     whenever L_{x_i} = 0, as for every square x = y y, since the defining
-    identity at x = y reads (yy)z = 0.
+    identity at x = y reads (yy)z = 0, and for every product y z with
+    L_z = 0, since it reads L_{yz} = L_y L_z - L_z L_y.
     """
 
     __slots__ = ("algebra", "members", "table")
@@ -589,12 +590,19 @@ def lie_set_closure(elements: Sequence[Element],
     only the rows of active members x, those with L_x != 0, take products;
     every other row is all -1. Most members of a closure are inactive: in a
     left Leibniz algebra every square lies in the left annihilator, since
-    y = x in x(yz) = (xy)z + y(xz) gives (xx)z = 0. Each member's L_x^T is
-    combined once, when it joins. An active row takes its new cells from
-    one block product Y @ L_x^T, whose row y is x y: against every member
-    for a member that joins this round, and against the round's new
-    members for an older one. So y x is taken as a left product of y, and
-    each ordered pair (x, y) with x active is multiplied once.
+    y = x in x(yz) = (xy)z + y(xz) gives (xx)z = 0. A member that joins as
+    y z, y the row's member and z its column, is inactive without its L_x^T
+    being combined when z = y or z is inactive, since the defining identity
+    reads L_{yz} = L_y L_z - L_z L_y; the status of every z present at the
+    start of a round is decided before its products. Each other member's
+    L_x^T is combined once, in the round after it joins: in the largest
+    benchmark closure, 145 of 150 members are inactive and 23 combined.
+
+    An active row takes its new cells from one block product Y @ L_x^T,
+    whose row y is x y: against every member for a member that joins this
+    round, and against the round's new members for an older one. So y x is
+    taken as a left product of y, and each ordered pair (x, y) with x
+    active is multiplied once.
 
     New products join in the order of a round that multiplies each
     frontier member x with the members y present at its start, x y before
@@ -620,18 +628,22 @@ def lie_set_closure(elements: Sequence[Element],
     index = {x.coords: i for i, x in enumerate(members)}
     index[(field.zero(),) * dim] = -1
     active = {}  # member index -> (L_x^T, its table row so far)
+    inert = set()  # members whose L_x = 0 follows from their factors
     old = 0
     while old < len(members):  # members[old:] is the frontier
         n = len(members)
         ys = tuple(y.coords for y in members)
-        # the first column each active row takes this round
+        # the first column each active row takes this round; a row taken
+        # before holds the cells of columns 0..old-1, so cell c sits at c
         starts = dict.fromkeys(active, old)
         for a in range(old, n):
+            if a in inert:
+                continue
             lt = _combination(field, dim, ys[a], lts)
             if lt._row_terms:
                 active[a] = lt, []
                 starts[a] = 0
-        pending = []  # (key, row, cell position, product) of new products
+        pending = []  # (key, row owner, column, product) of new products
         for r, start in starts.items():
             lt, row = active[r]
             products = (Matrix(field, n - start, dim, ys[start:]) @ lt).entries
@@ -641,15 +653,17 @@ def lie_set_closure(elements: Sequence[Element],
                     if cell is None:
                         key = ((c, 2 * r + 1) if old <= c < r or r < old
                                else (r, 2 * c))
-                        pending.append((key, row, len(row) + c - start, p))
+                        pending.append((key, r, c, p))
             row.extend(cells)
-        for _, row, i, p in sorted(pending):
+        for _, r, c, p in sorted(pending):
             if p not in index:
                 members.append(Element(A, p))
                 index[p] = len(members) - 1
+                if c == r or c not in active:
+                    inert.add(index[p])
                 if len(members) > cap:
                     raise CapExceeded(cap, len(members))
-            row[i] = index[p]
+            active[r][1][c] = index[p]
         old = n
     return LieSet(A, tuple(members), tuple(
         array("i", active[i][1]) if i in active else array("i", [-1]) * old

@@ -121,45 +121,75 @@ def lemma_word_bound_check(module: Bimodule, a: Element) -> Report:
                         "image_dims": list(op.dims)})
 
 
-def _closed_under_products(lie_set: LieSet) -> LieSetCheck:
-    """The closure premise, read off the set's multiplication table when it
-    has one that is whole: all k**2 cells present, each a member index or
-    -1 for a zero product. Reading it takes no product. A set without such
-    a table takes the full :func:`is_lie_set`."""
+def _whole_table(lie_set: LieSet) -> bool:
+    """Whether the set has a multiplication table that is whole: all k**2
+    cells present, each a member index or -1 for a zero product."""
     table, k = lie_set.table, len(lie_set.members)
-    if table is not None and len(table) == k and all(
-            len(row) == k and min(row) >= -1 and max(row) < k
-            for row in table):
-        return LieSetCheck(True, None)
-    return is_lie_set(lie_set.members)
+    return table is not None and len(table) == k and all(
+        len(row) == k and min(row) >= -1 and max(row) < k for row in table)
+
+
+def _first_non_nilpotent(module: Bimodule, lie_set: LieSet, whole: bool):
+    """The first member whose T_c is not nilpotent, or None.
+
+    With a whole table, a member x named as y z there, with y = z or with
+    T_y = 0 or T_z = 0 known, has T_x = T_y T_z - T_z T_y = 0 and is passed
+    without building T_x; the pairs are read off the rows that hold a
+    product. Zero actions are known from the module's own T, never from
+    a row of -1s, since L_c = 0 does not make T_c = 0.
+    """
+    factors = {}
+    if whole:
+        for y, row in enumerate(lie_set.table):
+            if max(row) >= 0:
+                for z, x in enumerate(row):
+                    if x >= 0:
+                        factors.setdefault(x, []).append((y, z))
+    zero = set()
+    for i, c in enumerate(lie_set.members):
+        if any(y == z or y in zero or z in zero
+               for y, z in factors.get(i, ())):
+            zero.add(i)
+            continue
+        t = t_matrix(module, c)
+        if t.is_zero():
+            zero.add(i)
+        elif not is_nilpotent_matrix(t).verdict:
+            return c
+    return None
 
 
 def check_engel_premises(module: Bimodule, lie_set: LieSet) -> Report:
     """The three hypotheses: closure, generation, nilpotent left actions.
 
     All three clauses are evaluated and recorded independently, each with
-    its first failing witness. Closure is read off the table of a set from
-    ``lie_set_closure``; any other set has every product checked.
+    its first failing witness. Closure is read off the whole table of a set
+    from ``lie_set_closure``, which takes no product; any other set has
+    every product checked by :func:`is_lie_set`. The left actions are
+    checked member by member in order; with a whole table, a product that
+    the axiom left_action_of_product, T_{yz} = T_y T_z - T_z T_y, forces to
+    act as zero is passed without its T_c (see :func:`_first_non_nilpotent`).
+    That axiom holds for every module that reaches here: ``load_bimodule``
+    validates it, and the regular and quotient bimodules satisfy it by
+    construction.
     """
     members = list(lie_set.members)
-    closed = _closed_under_products(lie_set)
+    whole = _whole_table(lie_set)
+    closed = LieSetCheck(True, None) if whole else is_lie_set(members)
     witness_pair = None
     if not closed.ok:
         x, y = closed.witness
         witness_pair = [x.to_str(), y.to_str()]
     generated = subalgebra_generated(members)
     generates = generated.is_full()
-    nil_ok, nil_witness = True, None
-    for c in members:
-        if not is_nilpotent_matrix(t_matrix(module, c)).verdict:
-            nil_ok, nil_witness = False, c.to_str()
-            break
+    bad = _first_non_nilpotent(module, lie_set, whole)
     premises = [
         Check("closed_under_products", closed.ok, witness=witness_pair),
         Check("members_generate_algebra", generates,
               witness=None if generates else
               {"generated_dim": generated.dim, "algebra_dim": module.algebra.dim}),
-        Check("left_actions_nilpotent", nil_ok, witness=nil_witness),
+        Check("left_actions_nilpotent", bad is None,
+              witness=None if bad is None else bad.to_str()),
     ]
     return Report(premises=premises, conclusions=[],
                   data={"members": len(members)})

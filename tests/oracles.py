@@ -31,7 +31,10 @@ carrier takes span(S T + T S) one product of basis vectors per pair, as it
 did before each step became one image under the multiplication operators
 of the carrier's basis, and the flag stacks the projected actions level
 by level, as it did before it became the annihilator of the dual image
-walk. ``fuzz_data_per_item`` runs the checks of ``fuzz`` on every
+walk. ``left_actions_nilpotent_per_member`` builds and powers T_c for
+every member of a Lie set, as the premise check did before it read the
+members whose action must vanish off the closure's table.
+``fuzz_data_per_item`` runs the checks of ``fuzz`` on every
 corpus item from scratch, as ``fuzz`` did before it verified each
 distinct algebra and module once per call, and ``fuzz_corpus_per_item``
 builds every corpus item in full, as the corpus did before it was drawn
@@ -57,7 +60,8 @@ from leibniz_engel.errors import CapExceeded, FlagStalled
 from leibniz_engel.families import (abelian, basis_change, cyclic,
                                     direct_sum, heisenberg3, sol2)
 from leibniz_engel.fields import GF, QQ
-from leibniz_engel.linalg import Matrix, Subspace, invert, kernel_basis
+from leibniz_engel.linalg import (Matrix, Subspace, invert,
+                                  is_nilpotent_matrix, kernel_basis)
 
 
 def unchecked_algebra(field, structure) -> LeibnizAlgebra:
@@ -514,6 +518,16 @@ def engel_flag_all_members(module, generators) -> Flag:
             raise FlagStalled(len(chain), nxt.dim, m)
         chain.append(nxt)
     return Flag(tuple(chain))
+
+
+def left_actions_nilpotent_per_member(module, members) -> tuple:
+    """(ok, witness) of the premise that every member acts nilpotently on
+    the left: T_c built and powered for each member in order; the witness
+    is the first member whose T_c is not nilpotent, as its string."""
+    for c in members:
+        if not is_nilpotent_matrix(t_matrix(module, c)).verdict:
+            return False, c.to_str()
+    return True, None
 
 
 def product_span_per_pair(algebra: LeibnizAlgebra, left: Subspace,

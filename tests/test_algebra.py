@@ -15,7 +15,7 @@ from leibniz_engel import (cyclic, heisenberg3, sol2, abelian, fuzz_corpus,
                            validate_bimodule, validate_leibniz,
                            direct_sum, verify_operator_identities)
 from leibniz_engel.algebra import (Element, LeibnizAlgebra, LieSet,
-                                   carrier_series)
+                                   carrier_series, mult_coords)
 from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   InvalidAlgebra)
 from leibniz_engel.fields import GF, QQ
@@ -25,7 +25,8 @@ import leibniz_engel.linalg as linalg_module
 
 from oracles import (carrier_series_per_pair, ideal_by_unit_vectors,
                      leibniz_triple_violations, lie_set_check_per_pair,
-                     lie_set_closure_per_pair, operator_pair_violations,
+                     lie_set_closure_per_pair, mult_coords_per_scalar,
+                     operator_pair_violations,
                      power_identity_violations, product_span_per_pair,
                      subalgebra_generated_per_round, unchecked_algebra)
 
@@ -70,6 +71,16 @@ def test_multiply_cyclic2():
     assert (e1 * e1).coords == e2.coords
     assert (e2 * e1).is_zero()
     assert (e1 * A.zero()).is_zero()
+
+
+def test_mult_coords_equals_oracle_on_fixed_vectors():
+    """Fixed inputs for the drawn ones of ``test_kernels.py``, on algebras
+    where x y and y x differ."""
+    for A, x, y in ((heisenberg3(), (1, 2, 0), (0, 1, 3)),
+                    (sol2(GF(7)), (1, 3), (2, 5))):
+        assert mult_coords(A, x, y) == \
+            mult_coords_per_scalar(A.field, A.structure, x, y) != \
+            mult_coords(A, y, x)
 
 
 def test_multiply_requires_same_algebra():

@@ -12,6 +12,8 @@ from leibniz_engel.corollaries import MAX_ORDER
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.linalg import Matrix, Subspace
 
+from oracles import automorphism_check_per_pair, derivation_check_per_pair
+
 F7 = GF(7)
 
 
@@ -45,6 +47,23 @@ def test_is_derivation_diag():
 def test_is_automorphism_diag():
     A = cyclic(2)
     assert is_automorphism(A, Matrix.from_rows(QQ, [[-1, 0], [0, 1]])).ok
+
+
+def test_map_checks_equal_per_pair_oracle_on_fixed_maps():
+    """Fixed inputs for the drawn ones of ``test_kernels.py``: maps that are
+    neither derivations nor automorphisms, whose witness rows would change
+    if the two sides were read by columns."""
+    maps = {heisenberg3(): [[1, 2, 0], [0, 1, 3], [4, 0, 1]],
+            sol2(F7): [[1, 2], [3, 1]],
+            cyclic(3, GF(5)): [[2, 0, 1], [1, 3, 0], [0, 4, 2]]}
+    for A, rows in maps.items():
+        m = Matrix.from_rows(A.field, rows)
+        check = is_derivation(A, m)
+        assert not check.ok
+        assert (check.ok, check.witness) == derivation_check_per_pair(A, m)
+        check = is_automorphism(A, m)
+        assert not check.ok
+        assert (check.ok, check.witness) == automorphism_check_per_pair(A, m)
 
 
 def test_identity_map_is_automorphism_not_derivation():

@@ -1,28 +1,32 @@
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from leibniz_engel import (LieSet, abelian, check_engel_premises, cyclic,
-                           engel_flag, heisenberg3,
+                           engel_flag, fuzz_corpus, heisenberg3,
                            image_filtration,
                            is_nilpotent_algebra, joint_annihilator,
                            lemma_word_bound_check, lie_set_closure,
                            lower_central_series, regular_bimodule, sol2,
                            theorem2_verify)
-from leibniz_engel.bimodule import Bimodule
+from leibniz_engel.algebra import Element, LeibnizAlgebra, left_mult_matrix
+from leibniz_engel.bimodule import Bimodule, t_matrix, validate_bimodule
 from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   DimensionMismatch, FieldMismatch,
                                   FlagStalled, NoAnnihilator)
 from leibniz_engel.fields import GF, QQ
-from leibniz_engel.linalg import Matrix, Subspace
+from leibniz_engel.formats import load_algebra
+from leibniz_engel.linalg import Matrix, Subspace, is_nilpotent_matrix
 import leibniz_engel.algebra as algebra_module
 import leibniz_engel.engel as engel_module
 from leibniz_engel.cli import main
 import leibniz_engel.linalg as linalg_module
 
-from oracles import (engel_flag_all_members, min_vanishing_word_length,
-                     operator_algebra_closure)
+from oracles import (basis_change_per_pair, engel_flag_all_members,
+                     left_actions_nilpotent_per_member,
+                     min_vanishing_word_length, operator_algebra_closure)
 
 
 def _zero_module(algebra, dim):
@@ -214,6 +218,151 @@ def test_premises_nilpotency_clause_fails_on_sol2():
     assert by_name["members_generate_algebra"].passed
     assert not by_name["left_actions_nilpotent"].passed
     assert by_name["left_actions_nilpotent"].witness == "(1, 0)"
+
+
+def _sl2_f7():
+    """sl_2 over F_7 in the basis e, f, h + e - f. Each basis element acts
+    nilpotently on the regular module (h + e - f is the nilpotent 2 x 2
+    matrix [[1, 1], [-1, -1]]), but e f = h, with coordinates (6, 1, 1),
+    does not."""
+    F7 = GF(7)
+    std = [[[0] * 3 for _ in range(3)] for _ in range(3)]  # e, f, h
+    std[0][1], std[1][0] = [0, 0, 1], [0, 0, -1]    # ef = h
+    std[2][0], std[0][2] = [2, 0, 0], [-2, 0, 0]    # he = 2e
+    std[2][1], std[1][2] = [0, -2, 0], [0, 2, 0]    # hf = -2f
+    # the columns are e, f and h + e - f in the basis e, f, h
+    p = Matrix.from_rows(F7, [[1, 0, 1], [0, 1, -1], [0, 0, 1]])
+    return LeibnizAlgebra.create(F7, basis_change_per_pair(
+        LeibnizAlgebra.create(F7, std), p))
+
+
+def _e3_acts_by_one():
+    """e1 e3 = e2 and every other product 0, on the 1-dim antisymmetric
+    module where e3 acts on the left by 1 and everything else by 0: L_{e3}
+    is zero, so e3's row of the closure table is all -1, but T_{e3} is not
+    nilpotent."""
+    structure = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    structure[0][2] = [0, 1, 0]
+    A = LeibnizAlgebra.create(QQ, structure)
+    one, zero = Matrix.identity(QQ, 1), Matrix.zero(QQ, 1, 1)
+    return Bimodule.create(A, 1, [zero, zero, one], [zero] * 3)
+
+
+def test_premises_build_the_action_of_a_product_of_nonzero_actions():
+    A = _sl2_f7()
+    module, closure = regular_bimodule(A), lie_set_closure(A.basis())
+    assert all(is_nilpotent_matrix(t_matrix(module, x)).verdict
+               for x in A.basis())
+    premise = check_engel_premises(module, closure).premises[2]
+    assert (premise.passed, premise.witness) == (False, "(6, 1, 1)")
+    assert left_actions_nilpotent_per_member(module, closure.members) == \
+        (False, "(6, 1, 1)")
+
+
+def test_premises_take_zero_actions_from_the_module_not_the_table():
+    module = _e3_acts_by_one()
+    assert validate_bimodule(module).all_ok()
+    closure = lie_set_closure(module.algebra.basis())
+    assert [list(row) for row in closure.table] == \
+        [[-1, -1, 1], [-1, -1, -1], [-1, -1, -1]]
+    premise = check_engel_premises(module, closure).premises[2]
+    assert (premise.passed, premise.witness) == (False, "(0, 0, 1)")
+    assert left_actions_nilpotent_per_member(module, closure.members) == \
+        (False, "(0, 0, 1)")
+
+
+def test_premises_reject_a_table_of_another_algebra():
+    closure = lie_set_closure(cyclic(2).basis())
+    with pytest.raises(AlgebraMismatch):
+        check_engel_premises(regular_bimodule(cyclic(2, GF(5))), closure)
+
+
+def _closure_or_none(algebra):
+    try:
+        return lie_set_closure(algebra.basis())
+    except CapExceeded:
+        return None
+
+
+def test_left_action_premise_equals_per_member_oracle(monkeypatch,
+                                                      small_corpus,
+                                                      corpus2024,
+                                                      closures2024,
+                                                      dense_f7_closures):
+    """The premise read off the closure table has the verdict and witness
+    of building and powering every member's T_c, on the fuzz corpora, their
+    regular and quotient modules, the dense F_7 closures and the two
+    hand-built cases. Most members are passed without building their T_c.
+    """
+    cases = [(module, _closure_or_none(algebra))
+             for algebra, module in small_corpus]
+    cases += [(module, closure) for (_, module), closure
+              in zip(corpus2024, closures2024)]
+    for seed in (323, 331):
+        cases += [(module, _closure_or_none(algebra))
+                  for algebra, module in fuzz_corpus(seed, 200, 8)]
+    cases += [(regular_bimodule(A), closure) for A, closure in dense_f7_closures]
+    cases.append((regular_bimodule(_sl2_f7()),
+                  lie_set_closure(_sl2_f7().basis())))
+    module = _e3_acts_by_one()
+    cases.append((module, lie_set_closure(module.algebra.basis())))
+    verdicts, members, built = Counter(), 0, []
+    real_t = engel_module.t_matrix
+
+    def t(module, c):
+        built.append(c)
+        return real_t(module, c)
+
+    for module, closure in cases:
+        if closure is None or module.module_dim == 0:
+            continue
+        expected = left_actions_nilpotent_per_member(module, closure.members)
+        with monkeypatch.context() as patch:
+            patch.setattr(engel_module, "t_matrix", t)
+            premise = check_engel_premises(module, closure).premises[2]
+        assert (premise.passed, premise.witness) == expected
+        verdicts[premise.passed] += 1
+        members += len(closure.members)
+    assert verdicts[True] > 300 and verdicts[False] > 30
+    # most members are passed without their T_c: 1890 of 4007 are built
+    assert len(built) < 0.6 * members
+
+
+def test_closure_and_premises_skip_the_actions_products_force_to_zero(
+        monkeypatch, tmp_path):
+    """On the largest engel-fp closure (f18, key 4: 150 members, 5 with
+    L_x != 0) the closure combines L_x^T for 23 members, not 150, and the
+    premises build T_c for 19; every member left out acts as zero."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "bench"))
+    import workloads
+    workloads.engel_fp(tmp_path, workloads.DEFAULT_SEED)
+    A = load_algebra(tmp_path / "f18_4.json")
+    combined, built = [], []
+    real_combination, real_t = algebra_module._combination, engel_module.t_matrix
+
+    def combination(field, size, coords, mats):
+        combined.append(coords)
+        return real_combination(field, size, coords, mats)
+
+    def t(module, c):
+        built.append(c.coords)
+        return real_t(module, c)
+
+    monkeypatch.setattr(algebra_module, "_combination", combination)
+    monkeypatch.setattr(engel_module, "t_matrix", t)
+    closure = lie_set_closure(A.basis())
+    members = [x.coords for x in closure.members]
+    assert (len(members), len(combined)) == (150, 23)
+    monkeypatch.undo()
+    active = [x for x in members
+              if not left_mult_matrix(Element(A, x)).is_zero()]
+    assert len(active) == 5 and set(active) <= set(combined)
+    module = regular_bimodule(A)
+    monkeypatch.setattr(engel_module, "t_matrix", t)
+    assert check_engel_premises(module, closure).verdict == "pass"
+    assert len(built) == 19
+    assert set(active) <= set(built)
 
 
 def test_engel_flag_regular_cyclic2():

@@ -96,6 +96,7 @@ def test_files_load_back_to_the_same_algebra(algebra):
 
 @SETTINGS
 @given(family_algebras(), st.integers(0, 10**6))
+@example(heisenberg3(GF(5)), 2)
 def test_basis_change_keeps_class_and_identities(algebra, seed):
     changed = basis_change(algebra, seed)
     assert is_nilpotent_algebra(changed) == is_nilpotent_algebra(algebra)
@@ -198,6 +199,7 @@ DEEPEST = ("basis_change(" * MAX_SPEC_DEPTH + "cyclic(4)"
 @given(st.sampled_from((QQ, GF(5), GF(7))), nested_specs())
 @example(GF(7), DEEPEST)
 @example(QQ, DEEPEST)
+@example(QQ, "direct_sum(abelian(1),cyclic(2))")
 def test_nested_specs_build_valid_canonical_algebras(field, text):
     algebra = build(parse_family_spec(text, field))
     assert algebra.field == field

@@ -48,7 +48,7 @@ from oracles import (add_combination_per_scalar, apply_per_scalar,
                      transpose_per_column, unchecked_algebra)
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 FIELDS = st.sampled_from((QQ, GF(5), GF(7)))
@@ -114,6 +114,8 @@ def flat(m: Matrix) -> list:
 
 @SETTINGS
 @given(matrix_pairs())
+@example(pair=(Matrix.from_rows(GF(7), [[3, 4]]),
+               Matrix.from_rows(GF(7), [[5], [6]])))
 def test_matmul_equals_oracle(pair):
     a, b = pair
     product = a @ b

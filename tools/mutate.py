@@ -16,8 +16,10 @@ run once unmutated, where they must pass. Then one mutant at a time
 replaces its snippet, its tests run in one pytest subprocess (one after
 another, never in parallel), and the file is restored. A mutant is killed
 when pytest exits nonzero, a failure at collection included, or runs past
-the time limit. A kill table goes to standard output; the exit code is 0
-only when every selected mutant was killed. Standard library only.
+the time limit. A kill table goes to standard output, and its last line
+names every mutant not killed, so a rare survivor is named even when only
+the end of the output is kept; the exit code is 0 only when every selected
+mutant was killed. Standard library only.
 """
 
 from __future__ import annotations
@@ -106,9 +108,10 @@ def main(argv=None) -> int:
     print(f"{'mutant':<{width}}  {'verdict':<16}  seconds")
     for name, verdict, seconds in rows:
         print(f"{name:<{width}}  {verdict:<16}  {seconds:7.1f}")
-    killed = sum(r[1].startswith("killed") for r in rows)
-    print(f"{killed} of {len(rows)} mutants killed")
-    return 0 if killed == len(rows) else 1
+    missed = [r[0] for r in rows if not r[1].startswith("killed")]
+    print(f"{len(rows) - len(missed)} of {len(rows)} mutants killed"
+          + (f"; not killed: {' '.join(missed)}" if missed else ""))
+    return 0 if not missed else 1
 
 
 if __name__ == "__main__":
