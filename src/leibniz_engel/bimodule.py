@@ -159,6 +159,14 @@ def quotient_bimodule(module: Bimodule, sub: Subspace) -> Bimodule:
         raise ShapeMismatch("subspace does not sit inside the module")
     if not is_submodule(module, sub):
         raise ShapeMismatch("subspace is not invariant under the actions")
+    return _quotient_bimodule(module, sub)
+
+
+def _quotient_bimodule(module: Bimodule, sub: Subspace) -> Bimodule:
+    """:func:`quotient_bimodule` for a subspace known to be a submodule of
+    the module, such as a spin or a term of the lower central series of
+    the regular bimodule; nothing is checked."""
+    field = module.algebra.field
     q, lifts = sub.quotient_data()
     # the lifts are the columns of the lift matrix
     lift_mat = Matrix(field, len(lifts), module.module_dim,

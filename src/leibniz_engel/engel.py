@@ -12,6 +12,15 @@ module under the actions, and the flag is the annihilator of the dual
 walk, the images of the whole dual space under the transposed actions
 (Jacobson's duality between the two), each level read off an echelon basis
 by ``linalg._annihilator``.
+
+Theorem 2 reads two of its own steps off these walks. If the image
+filtration under all 2n basis actions reaches 0 in J steps, every word of
+length J in them vanishes; T_c is a combination of the T_i, so T_c^J is a
+sum of such words and every member acts nilpotently. And once the members
+generate the algebra, the flag's first level is the joint kernel of every
+action: a vector killed by T_x, S_x, T_y and S_y is killed by
+T_{xy} = T_x T_y - T_y T_x and S_{xy} = S_y S_x + T_x S_y, so the
+elements that kill it form a subalgebra, which holds the members.
 """
 
 from __future__ import annotations
@@ -173,7 +182,19 @@ def check_engel_premises(module: Bimodule, lie_set: LieSet) -> Report:
     validates it, and the regular and quotient bimodules satisfy it by
     construction.
     """
+    return _engel_premises(module, lie_set, None)
+
+
+def _engel_premises(module: Bimodule, lie_set: LieSet,
+                    joint: ImageFiltration | None) -> Report:
+    """:func:`check_engel_premises`, with the left-action clause certified
+    by ``joint``, the image filtration under all 2n actions, when that
+    reaches 0: each T_c^J is then a sum of vanishing words of length J.
+    Without it, or on a stalled walk, the members go one by one."""
     members = list(lie_set.members)
+    A = module.algebra
+    if any(c.algebra != A for c in members):
+        raise AlgebraMismatch("element does not belong to the module's algebra")
     whole = _whole_table(lie_set)
     closed = LieSetCheck(True, None) if whole else is_lie_set(members)
     witness_pair = None
@@ -182,12 +203,13 @@ def check_engel_premises(module: Bimodule, lie_set: LieSet) -> Report:
         witness_pair = [x.to_str(), y.to_str()]
     generated = subalgebra_generated(members)
     generates = generated.is_full()
-    bad = _first_non_nilpotent(module, lie_set, whole)
+    bad = None if joint is not None and joint.index is not None \
+        else _first_non_nilpotent(module, lie_set, whole)
     premises = [
         Check("closed_under_products", closed.ok, witness=witness_pair),
         Check("members_generate_algebra", generates,
               witness=None if generates else
-              {"generated_dim": generated.dim, "algebra_dim": module.algebra.dim}),
+              {"generated_dim": generated.dim, "algebra_dim": A.dim}),
         Check("left_actions_nilpotent", bad is None,
               witness=None if bad is None else bad.to_str()),
     ]
@@ -273,11 +295,32 @@ def theorem2_verify(module: Bimodule, lie_set: LieSet) -> Report:
     set members alone. Premise failure short-circuits with no conclusions
     attempted. The theorem is about a nonzero module: a zero one raises
     DimensionMismatch.
+
+    The image filtration under all 2n actions is walked once, first, and
+    serves twice. If it reaches 0 in J steps, every word of length J in the
+    T_i and S_i vanishes, and T_c^J, a sum of such words, vanishes for every
+    c in A: the left-action premise holds without any T_c being built or
+    powered. A stalled walk leaves that premise to the member-by-member
+    check of :func:`check_engel_premises`, which names the first
+    non-nilpotent member. The same walk then decides
+    joint_operator_algebra_nilpotent.
+
+    The joint annihilator is read off the flag: level 1 is the kernel of
+    T_c and S_c over a basis of the members' span, in canonical echelon
+    form. The members generate A, and a vector v killed by T_x, S_x, T_y
+    and S_y is killed by T_{xy} = T_x T_y - T_y T_x and by
+    S_{xy} = S_y S_x + T_x S_y (the axioms left_action_of_product and
+    right_action_of_product), so the elements that kill v form a
+    subalgebra holding the members, which is A: level 1 is the joint
+    kernel of every action, the subspace :func:`joint_annihilator` takes
+    its vector from. Only a stalled flag calls that function.
     """
     A = module.algebra
     if module.module_dim < 1:
         raise DimensionMismatch("the module must be nonzero")
-    premises_report = check_engel_premises(module, lie_set)
+    actions = list(module.left_actions) + list(module.right_actions)
+    joint = image_filtration(actions)
+    premises_report = _engel_premises(module, lie_set, joint)
     if not all(c.passed for c in premises_report.premises):
         return Report(premises=premises_report.premises, conclusions=[],
                       data={"note": "premises failed; conclusions not attempted"})
@@ -311,9 +354,10 @@ def theorem2_verify(module: Bimodule, lie_set: LieSet) -> Report:
                                           "dim": exc.stalled_dim}))
 
     try:
-        v = joint_annihilator(module)
-        killed = all(mat.apply(v) == tuple([A.field.zero()] * module.module_dim)
-                     for mat in list(module.left_actions) + list(module.right_actions))
+        v = flag.chain[1].basis[0] if flag is not None \
+            else joint_annihilator(module)
+        zero = tuple([A.field.zero()] * module.module_dim)
+        killed = all(mat.apply(v) == zero for mat in actions)
         vec_str = [A.field.to_str(x) for x in v]
         conclusions.append(Check("joint_annihilator_exists", killed,
                                  witness=None if killed else vec_str,
@@ -323,8 +367,6 @@ def theorem2_verify(module: Bimodule, lie_set: LieSet) -> Report:
         conclusions.append(Check("joint_annihilator_exists", False,
                                  witness="joint kernel is zero"))
 
-    joint = image_filtration(
-        list(module.left_actions) + list(module.right_actions))
     bound = module.module_dim + 1
     joint_ok = joint.index is not None and joint.index <= bound
     conclusions.append(Check("joint_operator_algebra_nilpotent", joint_ok,

@@ -23,7 +23,7 @@ import re
 
 from .algebra import (MAX_DIM, MAX_FUZZ_COUNT, LeibnizAlgebra, _combination,
                       lower_central_series)
-from .bimodule import (Bimodule, quotient_bimodule, regular_bimodule,
+from .bimodule import (Bimodule, _quotient_bimodule, regular_bimodule,
                        submodule_generated)
 from .errors import FieldMismatch, InvalidSpec
 from .fields import GF, QQ, Field, Frozen, _checked_int
@@ -310,7 +310,8 @@ def fuzz_corpus(seed: int, count: int, max_dim: int) -> list:
     Each item is drawn first as a family spec, then, once its algebra is
     at hand, as a bimodule draw (see :func:`_corpus_submodule`). Within a
     call each distinct spec is built once, and each bimodule once per
-    algebra and submodule divided out.
+    algebra and submodule divided out, with no invariance check: a spin
+    and a series term are submodules by construction.
     Equal items are one object: an algebra with the field and tensor of
     one built earlier in the call is replaced by that object (so it keeps
     that object's basis names, which no verdict reads), and a bimodule
@@ -341,7 +342,7 @@ def fuzz_corpus(seed: int, count: int, max_dim: int) -> list:
         if module is None:
             regular = regular_bimodule(algebra)
             module = regular if sub.is_zero() else \
-                quotient_bimodule(regular, sub)
+                _quotient_bimodule(regular, sub)
             module = by_sub[algebra, sub] = modules.setdefault(module, module)
         corpus.append((algebra, module))
     return corpus

@@ -1,3 +1,5 @@
+import json
+import random
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -18,7 +20,7 @@ from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   FlagStalled, NoAnnihilator)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.formats import load_algebra
-from leibniz_engel.linalg import Matrix, Subspace, is_nilpotent_matrix
+from leibniz_engel.linalg import Matrix, Subspace, invert, is_nilpotent_matrix
 import leibniz_engel.algebra as algebra_module
 import leibniz_engel.engel as engel_module
 from leibniz_engel.cli import main
@@ -27,6 +29,11 @@ import leibniz_engel.linalg as linalg_module
 from oracles import (basis_change_per_pair, engel_flag_all_members,
                      left_actions_nilpotent_per_member,
                      min_vanishing_word_length, operator_algebra_closure)
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
 
 
 def _zero_module(algebra, dim):
@@ -275,6 +282,11 @@ def test_premises_reject_a_table_of_another_algebra():
     closure = lie_set_closure(cyclic(2).basis())
     with pytest.raises(AlgebraMismatch):
         check_engel_premises(regular_bimodule(cyclic(2, GF(5))), closure)
+    # theorem 2 builds no T_c when its joint walk reaches 0, and still
+    # refuses a foreign set whose other premises fail
+    foreign = lie_set_closure(cyclic(2).basis()[1:])
+    with pytest.raises(AlgebraMismatch):
+        theorem2_verify(regular_bimodule(cyclic(2, GF(5))), foreign)
 
 
 def _closure_or_none(algebra):
@@ -363,6 +375,207 @@ def test_closure_and_premises_skip_the_actions_products_force_to_zero(
     assert check_engel_premises(module, closure).verdict == "pass"
     assert len(built) == 19
     assert set(active) <= set(built)
+
+
+@pytest.fixture(scope="module")
+def theorem2_cases(small_corpus, corpus2024, dense_f7_closures):
+    """(module, basis closure) once per distinct nonzero module of the
+    small corpus and of fuzz seeds 2024, 323 and 331 (an algebra past the
+    closure cap left out), then the dense F_7 closures, sol2, sl_2 over
+    F_7 and e3 acting by one."""
+    items = list(small_corpus) + list(corpus2024)
+    for seed in (323, 331):
+        items += fuzz_corpus(seed, 200, 8)
+    closures, by_module = {}, {}
+    for algebra, module in items:
+        if algebra not in closures:
+            closures[algebra] = _closure_or_none(algebra)
+        if module.module_dim and closures[algebra] is not None:
+            by_module.setdefault(module, closures[algebra])
+    cases = list(by_module.items())
+    cases += [(regular_bimodule(A), closure) for A, closure in dense_f7_closures]
+    for A in (sol2(), _sl2_f7()):
+        cases.append((regular_bimodule(A), lie_set_closure(A.basis())))
+    module = _e3_acts_by_one()
+    cases.append((module, lie_set_closure(module.algebra.basis())))
+    return cases
+
+
+def _joint_walk_stalls(module):
+    return image_filtration(module.left_actions + module.right_actions) \
+        .index is None
+
+
+def test_theorem2_premises_equal_the_premise_check_and_the_oracle(
+        theorem2_cases):
+    """Theorem 2 takes the left-action premise from its joint walk when
+    that reaches 0 and member by member when it stalls; either way its
+    premise list is that of ``check_engel_premises``, and the left-action
+    verdict and witness are those of building and powering every T_c."""
+    outcomes = Counter()
+    for module, closure in theorem2_cases:
+        premises = theorem2_verify(module, closure).premises
+        assert premises == check_engel_premises(module, closure).premises
+        assert (premises[2].passed, premises[2].witness) == \
+            left_actions_nilpotent_per_member(module, closure.members)
+        outcomes[_joint_walk_stalls(module), premises[2].passed] += 1
+    # a walk that reaches 0 certifies the premise; a stalled one may not
+    assert outcomes[False, False] == 0
+    assert outcomes[False, True] > 200 and outcomes[True, False] >= 5
+
+
+def test_theorem2_reads_the_annihilator_off_the_flag(monkeypatch,
+                                                      theorem2_cases):
+    """On every item whose premises pass, ``data.annihilator`` is the
+    vector of ``joint_annihilator``, which theorem 2 calls only when the
+    flag stalls; with ``engel_flag`` made to stall, the vector comes from
+    that fallback and is the same."""
+    calls = []
+    real = joint_annihilator
+
+    def counted(module):
+        calls.append(module)
+        return real(module)
+
+    monkeypatch.setattr(engel_module, "joint_annihilator", counted)
+    passing = []
+    for module, closure in theorem2_cases:
+        report = theorem2_verify(module, closure)
+        if report.conclusions:
+            vector = report.data["annihilator"]
+            field = module.algebra.field
+            assert vector == [field.to_str(x) for x in real(module)]
+            passing.append((module, closure, vector))
+    assert calls == [] and len(passing) > 200
+
+    def stall(module, generators):
+        raise FlagStalled(1, 0, module.module_dim)
+
+    monkeypatch.setattr(engel_module, "engel_flag", stall)
+    for module, closure, vector in passing:
+        report = theorem2_verify(module, closure)
+        assert report.data["annihilator"] == vector
+        assert report.conclusions[2].name == "joint_annihilator_exists"
+        assert report.conclusions[2].passed
+    assert calls == [module for module, _, _ in passing]
+
+
+def test_theorem2_builds_no_action_for_the_premise_on_engel_fp(monkeypatch,
+                                                               tmp_path):
+    """On the five engel-fp inputs the joint walk reaches 0, so theorem 2
+    builds no T_c for the left-action premise and powers none: its only
+    T_c are the flag's, one per basis vector of the members' span. The
+    member-by-member check that ``check_engel_premises`` keeps builds 103
+    and powers 26 on the same inputs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "bench"))
+    import workloads
+    workloads.engel_fp(tmp_path, workloads.DEFAULT_SEED)
+    cases = []
+    for path in sorted(tmp_path.glob("f*.json")):
+        A = load_algebra(path)
+        cases.append((regular_bimodule(A), lie_set_closure(A.basis())))
+    assert len(cases) == 5
+    built, powered = [], []
+    real_t, real_power = engel_module.t_matrix, engel_module.is_nilpotent_matrix
+
+    def t(module, c):
+        built.append(c)
+        return real_t(module, c)
+
+    def power(m):
+        powered.append(m)
+        return real_power(m)
+
+    monkeypatch.setattr(engel_module, "t_matrix", t)
+    monkeypatch.setattr(engel_module, "is_nilpotent_matrix", power)
+    for module, closure in cases:
+        assert theorem2_verify(module, closure).verdict == "pass"
+    assert len(built) == sum(m.algebra.dim for m, _ in cases)
+    assert powered == []
+    built.clear()
+    for module, closure in cases:
+        assert check_engel_premises(module, closure).verdict == "pass"
+    assert (len(built), len(powered)) == (103, 26)
+
+
+def _natural_sl2():
+    """sl_2 over Q in the basis e, f, h on its natural module, with
+    T = rho and S = 0 (an antisymmetric module)."""
+    structure = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    structure[0][1], structure[1][0] = [0, 0, 1], [0, 0, -1]    # ef = h
+    structure[2][0], structure[0][2] = [2, 0, 0], [-2, 0, 0]    # he = 2e
+    structure[2][1], structure[1][2] = [0, -2, 0], [0, 2, 0]    # hf = -2f
+    A = LeibnizAlgebra.create(QQ, structure)
+    rho = [Matrix.from_rows(QQ, rows) for rows in
+           ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]])]
+    return Bimodule.create(A, 2, rho, [Matrix.zero(QQ, 2, 2)] * 3)
+
+
+def test_theorem2_premise_on_a_stalled_walk_goes_member_by_member(
+        monkeypatch):
+    """On the natural sl_2 module T_h is invertible, so the joint walk
+    stalls, yet e and f act nilpotently: the left-action premise passes
+    through the member-by-member check, and {e, f} fails only closure."""
+    module = _natural_sl2()
+    assert validate_bimodule(module).all_ok()
+    assert _joint_walk_stalls(module)
+    e, f, _ = module.algebra.basis()
+    members = LieSet(module.algebra, (e, f))
+    walked = []
+    real = engel_module._first_non_nilpotent
+
+    def counted(*args):
+        walked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engel_module, "_first_non_nilpotent", counted)
+    report = theorem2_verify(module, members)
+    assert len(walked) == 1
+    assert [c.passed for c in report.premises] == [False, True, True]
+    assert report.premises == check_engel_premises(module, members).premises
+    assert report.verdict == "premises_failed"
+
+
+def test_theorem2_certifies_a_thousand_multiples_of_one_element(
+        monkeypatch, tmp_path):
+    """A hostile ``--lieset``: the multiples j e1, j = 1..1000, of the
+    basis element of abelian(1) over Q, acting by T = P J P^-1 (P a dense
+    unimodular matrix, J the 24 x 24 shift) and S = 0. The joint walk
+    reaches 0 in 24 steps and certifies every member's T_c without
+    building one, so the request takes about a second and a half, where
+    building and powering each T_c took about 38 s."""
+    m, rng = 24, random.Random(5)
+    lower = Matrix.from_rows(QQ, [[1 if i == j else rng.choice((-1, 0, 1))
+                                   if j < i else 0 for j in range(m)]
+                                  for i in range(m)])
+    upper = Matrix.from_rows(QQ, [[1 if i == j else rng.choice((-1, 0, 1))
+                                   if j > i else 0 for j in range(m)]
+                                  for i in range(m)])
+    p = lower @ upper
+    shift = Matrix.from_rows(QQ, [[int(i == j + 1) for j in range(m)]
+                                  for i in range(m)])
+    t = p @ shift @ invert(p)
+    algebra = _write_json(tmp_path / "a1.json",
+                          {"field": "Q", "dim": 1, "products": []})
+    module = _write_json(tmp_path / "t.json", {
+        "module_dim": m,
+        "left_actions": [[[int(x) for x in row] for row in t.entries]],
+        "right_actions": [[[0] * m for _ in range(m)]]})
+    lieset = _write_json(tmp_path / "multiples.json",
+                         [[j] for j in range(1, 1001)])
+
+    def refuse(*args):
+        raise AssertionError("a T_c was built for the premise")
+
+    monkeypatch.setattr(engel_module, "_first_non_nilpotent", refuse)
+    out = tmp_path / "report.json"
+    assert main(["engel", algebra, "--module", module, "--lieset", lieset,
+                 "--quiet", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "pass"
+    assert report["data"]["joint_index"] == m
+    assert report["data"]["flag_dims"] == list(range(m + 1))
 
 
 def test_engel_flag_regular_cyclic2():
