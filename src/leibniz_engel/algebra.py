@@ -32,6 +32,12 @@ One sparse contraction, ``_pair_identity_violations``, takes no matrix
 product: it checks the pair identities of the identity suite on (L, R),
 the bimodule axioms on (T, S), and the defining identity, which is the
 pair identity L_{xy} = L_x L_y - L_y L_x, on (L, 0).
+
+The identity suite follows from the defining identity: its pair identities
+are that identity at permuted triples, and its power identities follow from
+two of those (``verify_operator_identities`` has the proof). So it does no
+work on an algebra ``_validated`` marked and one contraction on any other;
+only a tensor on which a pair identity fails has its powers walked.
 """
 
 from __future__ import annotations
@@ -181,8 +187,8 @@ class LeibnizAlgebra(Frozen):
                                   algebra._operators)
         if not report.ok:
             raise InvalidAlgebra(report)
-        # the identity just checked is left_mult_of_product on the cached
-        # operators, so the identity suite need not sum it again
+        # the identity just checked is left_mult_of_product, from which the
+        # identity suite follows, so the suite reads its verdict off this
         algebra._cache["left_mult_of_product"] = True
         return algebra
 
@@ -307,8 +313,7 @@ class IdentityReport(Record):
 
 def _pair_identity_violations(field: Field, L: Sequence[Matrix],
                                lefts: Sequence[Matrix],
-                               rights: Sequence[Matrix], size: int,
-                               tt: bool = True) -> list:
+                               rights: Sequence[Matrix], size: int) -> list:
     """The four pair identities of :func:`verify_operator_identities` with
     L, R replaced by an action family T, S of size x size matrices, one per
     basis element, the constants of the products read off the left
@@ -332,9 +337,7 @@ def _pair_identity_violations(field: Field, L: Sequence[Matrix],
     each family are indexed by that shared index once per call, so only
     nonzero products touch a row, and at most 4 n size rows of length size
     are alive. With S = 0, or no S at all, only the third identity has
-    terms, and the loops that read S are skipped. With ``tt`` false the
-    three loops of T T terms, which only the third identity has, are
-    skipped: the caller knows that identity holds. An identity fails at
+    terms, and the loops that read S are skipped. An identity fails at
     (b, c) when one of its rows is nonzero after ``reduce_row``.
     """
     zero, reduce_row = field.zero(), field.reduce_row
@@ -364,23 +367,22 @@ def _pair_identity_violations(field: Field, L: Sequence[Matrix],
     for b in range(len(T)):
         # (c, identity, r) -> row r of that identity's residual at (b, c)
         res = defaultdict(lambda: [zero] * size)
-        if tt:
-            for q, terms in T[b]:
-                for c, r, x in T_col[q]:  # T_c T_b
-                    acc = res[c, 2, r]
-                    for t, y in terms:
-                        acc[t] += x * y
-            for r, row in T[b]:
-                for q, x in row:
-                    for c, terms in T_row[q]:  # T_b T_c
-                        acc = res[c, 2, r]
-                        for t, y in terms:
-                            acc[t] -= x * y
-            for c, s, x in L_col[b]:  # T_{cb}
-                for r, terms in T[s]:
+        for q, terms in T[b]:
+            for c, r, x in T_col[q]:  # T_c T_b
+                acc = res[c, 2, r]
+                for t, y in terms:
+                    acc[t] += x * y
+        for r, row in T[b]:
+            for q, x in row:
+                for c, terms in T_row[q]:  # T_b T_c
                     acc = res[c, 2, r]
                     for t, y in terms:
                         acc[t] -= x * y
+        for c, s, x in L_col[b]:  # T_{cb}
+            for r, terms in T[s]:
+                acc = res[c, 2, r]
+                for t, y in terms:
+                    acc[t] -= x * y
         if any(S):  # the other three identities vanish with S = 0
             for q, terms in S[b]:
                 for c, r, x in S_col[q]:  # S_c S_b
@@ -419,54 +421,51 @@ def verify_operator_identities(algebra: LeibnizAlgebra) -> IdentityReport:
     - left_mult_of_power_vanishes:  L_{a^i} = 0 for 2 <= i <= n + 1
     - right_power_reduction:        R_a^k = (-1)^(k-1) R_a L_a^(k-1), 2 <= k <= n
 
-    The power walks of one basis element stop early: at the first a^i = 0,
-    since every later power is 0 too, and once the right power identity
-    holds at k = 2 (R_a^2 = -R_a L_a), since by induction and associativity
-    alone R_a^(k+1) = R_a R_a^k = (-1)^(k-1) R_a^2 L_a^(k-1) = (-1)^k R_a L_a^k.
-    After a failure at k = 2 the walk goes on, for the later witnesses,
-    until R_a^k = 0 with the identity holding at k (both sides 0 from then).
+    Each follows from the defining identity. With D(x, y, z) = x(yz) -
+    (xy)z - y(xz), column z of the four pair residuals at (b, c) is
+    D(z, b, c), D(b, z, c), D(c, b, z) and -D(z, b, c) - D(b, z, c), so
+    left_mult_of_product is the defining identity. Once that holds,
+    (aa)z = -D(a, a, z) = 0 and L_{ap} = L_a L_p - L_p L_a give L_{a^i} = 0
+    by induction; right_power_reduction at k = 2 is right_right_reduction
+    at b = c = a, and by associativity alone R_a^(k+1) = R_a R_a^k =
+    (-1)^(k-1) R_a^2 L_a^(k-1) = (-1)^k R_a L_a^k.
 
-    ``left_mult_of_product`` is the defining identity itself, so on an
-    algebra that ``_validated`` built, which marks its cache, that identity
-    is not summed a second time; every other algebra gets all four.
+    So an algebra that ``_validated`` built, which marks its cache, is
+    certified with no work; any other takes one contraction for the pair
+    identities, and only a tensor on which one fails has its powers walked,
+    over every exponent, for the witnesses.
 
-    Violations indicate an implementation bug on a validated algebra; they
-    are collected, not raised.
+    Violations are collected, not raised.
     """
     A = algebra
+    if "left_mult_of_product" in A._cache:
+        return IdentityReport(True, [])
     n = A.dim
     _, _, lefts, rights = A._operators()
     names = ("right_mult_of_product", "mixed_mult_commutation",
              "left_mult_of_product", "right_right_reduction")
     violations = [IdentityViolation(names[t], {"pair": (b + 1, c + 1)})
                   for b, c, t, _ in _pair_identity_violations(
-                      A.field, lefts, lefts, rights, n,
-                      tt="left_mult_of_product" not in A._cache)]
+                      A.field, lefts, lefts, rights, n)]
 
-    for i in range(n):
-        a = A.basis_element(i)
-        La, Ra = lefts[i], rights[i]
-        p = a
-        for exp in range(2, n + 2):
-            p = a * p
-            if p.is_zero():
-                break
-            if not left_mult_matrix(p).is_zero():
-                violations.append(IdentityViolation(
-                    "left_mult_of_power_vanishes",
-                    {"basis": i + 1, "exponent": exp}))
-        # r_pow = R_a^k and rl = R_a L_a^(k-1), both carried forward
-        r_pow = rl = Ra
-        sign = 1
-        for k in range(2, n + 1):
-            r_pow = r_pow @ Ra
-            rl = rl @ La
-            sign = -sign
-            if r_pow != (rl if sign > 0 else -rl):
-                violations.append(IdentityViolation(
-                    "right_power_reduction", {"basis": i + 1, "exponent": k}))
-            elif k == 2 or r_pow.is_zero():
-                break
+    if violations:  # else the power identities hold, as shown above
+        for i in range(n):
+            a = p = A.basis_element(i)
+            for exp in range(2, n + 2):
+                p = a * p
+                if not left_mult_matrix(p).is_zero():
+                    violations.append(IdentityViolation(
+                        "left_mult_of_power_vanishes",
+                        {"basis": i + 1, "exponent": exp}))
+            # r_pow = R_a^k and rl = (-1)^(k-1) R_a L_a^(k-1), carried forward
+            r_pow = rl = Ra = rights[i]
+            for k in range(2, n + 1):
+                r_pow = r_pow @ Ra
+                rl = -(rl @ lefts[i])
+                if r_pow != rl:
+                    violations.append(IdentityViolation(
+                        "right_power_reduction",
+                        {"basis": i + 1, "exponent": k}))
 
     return IdentityReport(not violations, violations)
 

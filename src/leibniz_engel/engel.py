@@ -330,8 +330,8 @@ def theorem2_verify(module: Bimodule, lie_set: LieSet) -> Report:
 
     indices = []
     per_element_ok, witness = True, None
-    for i in range(A.dim):
-        pair = image_filtration(
+    for i in range(A.dim):  # on a 1-dim algebra the pair is all the actions
+        pair = joint if A.dim == 1 else image_filtration(
             [module.left_actions[i], module.right_actions[i]])
         indices.append(pair.index)
         if pair.index is None:

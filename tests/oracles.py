@@ -7,8 +7,9 @@ operator algebra by span-closing it in the m*m-dim matrix space, the
 defining identity triple by triple, the ideal property one basis product at
 a time, the operator pair identities with every matrix product written
 out, and the power identities with L_a^(k-1) multiplied up from the
-identity matrix. They exist to cross-check the production algorithms, so they must stay
-dumb.
+identity matrix, every one of them computed on every tensor, whatever the
+others give. They exist to cross-check the production algorithms, so they
+must stay dumb.
 
 The per-scalar kernels below (matrix product, transpose read column by
 column, matrix-vector product, row reduction, the product of coordinate
@@ -316,6 +317,26 @@ def power_identity_violations(algebra: LeibnizAlgebra) -> list:
             if r_pow != expected:
                 violations.append(("right_power_reduction", i + 1, k))
     return violations
+
+
+def operator_suite_violations(algebra: LeibnizAlgebra) -> tuple:
+    """(pair violations, power violations) of the whole identity suite of
+    ``verify_operator_identities``, each an (identity, witness) list in its
+    order: the pair identities of L and R, read column by column off the
+    tensor, by ``operator_pair_violations``, and the power identities by
+    ``power_identity_violations``. Every identity is computed, whatever
+    the other list holds."""
+    c, n, f = algebra.structure, algebra.dim, algebra.field
+    names = ("right_mult_of_product", "mixed_mult_commutation",
+             "left_mult_of_product", "right_right_reduction")
+    lefts = [Matrix.from_rows(f, [c[i][j] for j in range(n)]).transpose()
+             for i in range(n)]
+    rights = [Matrix.from_rows(f, [c[j][i] for j in range(n)]).transpose()
+              for i in range(n)]
+    pairs = operator_pair_violations(c, lefts, rights, names) if n else []
+    return ([(name, {"pair": pair}) for name, pair in pairs],
+            [(name, {"basis": i, "exponent": k})
+             for name, i, k in power_identity_violations(algebra)])
 
 
 def matmul_per_scalar(a: Matrix, b: Matrix) -> Matrix:

@@ -13,12 +13,14 @@ from leibniz_engel import (cyclic, heisenberg3, sol2, abelian, fuzz_corpus,
                            right_mult_matrix, subalgebra_generated,
                            submodule_generated,
                            validate_bimodule, validate_leibniz,
-                           direct_sum, verify_operator_identities)
+                           verify_operator_identities)
 from leibniz_engel.algebra import (Element, LeibnizAlgebra, LieSet,
                                    carrier_series, mult_coords)
 from leibniz_engel.errors import (AlgebraMismatch, CapExceeded,
                                   InvalidAlgebra)
+from leibniz_engel.families import FAMILIES, build, parse_family_spec
 from leibniz_engel.fields import GF, QQ
+from leibniz_engel.formats import load_algebra, save_algebra
 from leibniz_engel.linalg import Matrix, Subspace
 import leibniz_engel.algebra as algebra_module
 import leibniz_engel.linalg as linalg_module
@@ -26,7 +28,7 @@ import leibniz_engel.linalg as linalg_module
 from oracles import (carrier_series_per_pair, ideal_by_unit_vectors,
                      leibniz_triple_violations, lie_set_check_per_pair,
                      lie_set_closure_per_pair, mult_coords_per_scalar,
-                     operator_pair_violations,
+                     operator_pair_violations, operator_suite_violations,
                      power_identity_violations, product_span_per_pair,
                      subalgebra_generated_per_round, unchecked_algebra)
 
@@ -527,14 +529,16 @@ def test_power_identities_match_three_product_oracle_on_small_corpus(
         assert got == power_identity_violations(A) == []
 
 
-def test_power_walks_stop_at_zero(monkeypatch):
-    # heisenberg3 (e1 e2 = e3 = -e2 e1): a^2 = 0 and R_a^2 = 0 = -R_a L_a
-    # for every basis element a, so each power walk ends at its first step
-    # and the chain of R_a takes the two products of k = 2 alone
-    A = heisenberg3()
-    assert all((a * a).is_zero() for a in A.basis())
+def _count_suite_work(monkeypatch) -> Counter:
+    """Counts, from here on, the pair contractions, the matrix products and
+    the left-multiplication read-offs of the power walks."""
     counts = Counter()
+    contract = algebra_module._pair_identity_violations
     matmul, left = Matrix.__matmul__, algebra_module.left_mult_matrix
+
+    def counted_contract(*args):
+        counts["contraction"] += 1
+        return contract(*args)
 
     def counted_matmul(self, other):
         counts["matmul"] += 1
@@ -544,29 +548,51 @@ def test_power_walks_stop_at_zero(monkeypatch):
         counts["left"] += 1
         return left(a)
 
+    monkeypatch.setattr(algebra_module, "_pair_identity_violations",
+                        counted_contract)
     monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
     monkeypatch.setattr(algebra_module, "left_mult_matrix", counted_left)
-    assert verify_operator_identities(A).ok
-    assert counts == {"matmul": 2 * A.dim}
+    return counts
 
 
-def test_right_power_chain_stops_once_k2_holds(monkeypatch):
-    # in sol2 + abelian(3), e2 e1 = -e2, so no power of R_{e1} is 0; the
-    # identity holds at k = 2 for every basis element, so each chain of R_a
-    # takes the two products of k = 2 alone (walking on until R_a^k = 0
-    # would take 2 more per exponent up to k = 5 for e1)
-    A = direct_sum(sol2(), abelian(3))
-    assert not (right_mult_matrix(A.basis_element(0)) ** A.dim).is_zero()
-    counts = Counter()
-    matmul = Matrix.__matmul__
+# heisenberg3 (e1 e2 = e3 = -e2 e1), where every a^2 and R_a^2 is 0, and
+# sol2 + abelian(3), where e2 e1 = -e2 makes no power of R_{e1} zero
+SUITE_ALGEBRAS = ("heisenberg3", "direct_sum(sol2,abelian(3))")
 
-    def counted_matmul(self, other):
-        counts["matmul"] += 1
-        return matmul(self, other)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
-    assert verify_operator_identities(A).ok
-    assert counts == {"matmul": 2 * A.dim}
+def test_identity_suite_on_a_marked_algebra_takes_no_work(monkeypatch,
+                                                          tmp_path):
+    # create and the loaders check the defining identity and mark the
+    # algebra; every identity of the suite follows from that identity
+    path = tmp_path / "algebra.json"
+    marked = []
+    for spec in SUITE_ALGEBRAS:
+        family = build(parse_family_spec(spec))
+        marked.append(LeibnizAlgebra.create(family.field, family.structure))
+        save_algebra(family, path)
+        marked.append(load_algebra(path))
+    counts = _count_suite_work(monkeypatch)
+    for A in marked:
+        assert "left_mult_of_product" in A._cache
+        report = verify_operator_identities(A)
+        assert report.ok and report.violations == []
+    assert counts == {}
+
+
+def test_identity_suite_on_a_family_algebra_takes_one_contraction(
+        monkeypatch):
+    # a family builder's algebra is not marked, so the suite contracts it
+    # once; no pair identity fails, so no power walk runs
+    algebras = [build(parse_family_spec(spec)) for spec in SUITE_ALGEBRAS]
+    assert not (right_mult_matrix(algebras[1].basis_element(0))
+                ** algebras[1].dim).is_zero()
+    for A in algebras:
+        assert "left_mult_of_product" not in A._cache
+        counts = _count_suite_work(monkeypatch)
+        report = verify_operator_identities(A)
+        assert report.ok and report.violations == []
+        assert counts == {"contraction": 1}
+        monkeypatch.undo()
 
 
 def test_right_power_chain_goes_on_after_a_failure_at_k2():
@@ -583,6 +609,45 @@ def test_right_power_chain_goes_on_after_a_failure_at_k2():
     assert got == power_identity_violations(A)
     assert [g[1:] for g in got if g[0] == "right_power_reduction"] == \
         [(1, 2), (1, 4)]
+
+
+def assert_suite_equals_oracles(A) -> bool:
+    """The identity suite of A equals the pair and power oracles'
+    identities, witnesses and order; True when something fails. On the
+    oracles alone, no failing pair identity comes with no failing power
+    identity: the fact the suite's gate rests on."""
+    pairs, powers = operator_suite_violations(A)
+    assert pairs or not powers
+    assert [(v.identity, v.witness)
+            for v in verify_operator_identities(A).violations] == \
+        pairs + powers
+    return bool(pairs)
+
+
+# one algebra of every family of the grammar table
+FAMILY_SPECS = ("cyclic(4)", "heisenberg3", "abelian(3)", "sol2",
+                "direct_sum(sol2,cyclic(3))",
+                "basis_change(direct_sum(heisenberg3,cyclic(2)),5)")
+
+
+def test_identity_suite_equals_the_oracles(corpus2024):
+    """On the corrupted tensors, on every family over Q, F5 and F7, and on
+    every distinct algebra of fuzz seeds 2024, 323 and 331, each also as
+    ``create`` builds and marks it."""
+    broken = sum(assert_suite_equals_oracles(B)
+                 for _, B in _corrupted_algebras())
+    assert broken > 20
+    specs = [parse_family_spec(text, f) for text in FAMILY_SPECS
+             for f in (QQ, GF(5), GF(7))]
+    assert {spec.kind for spec in specs} == set(FAMILIES)
+    algebras = [build(spec) for spec in specs]
+    for seed in (323, 331):
+        algebras += [A for A, _ in fuzz_corpus(seed, 200, 8)]
+    algebras += [A for A, _ in corpus2024]
+    for A in dict.fromkeys(algebras):
+        assert not assert_suite_equals_oracles(A)
+        marked = LeibnizAlgebra.create(A.field, A.structure)
+        assert verify_operator_identities(marked).violations == []
 
 
 def _raw_triple_terms(c, i, j, k, t) -> list:
@@ -671,6 +736,8 @@ def test_validation_and_axioms_take_no_matrix_product(corpus2024,
         fresh = LeibnizAlgebra.create(A.field, A.structure, A.basis_names)
         assert fresh == A
         assert validate_bimodule(regular_bimodule(fresh)) == expected
+        assert verify_operator_identities(fresh).ok
+        assert verify_operator_identities(A).ok
     for B, report in zip(corrupted, reports):
         if report.ok:
             assert LeibnizAlgebra.create(B.field, B.structure) == B
@@ -678,9 +745,11 @@ def test_validation_and_axioms_take_no_matrix_product(corpus2024,
         with pytest.raises(InvalidAlgebra) as refused:
             LeibnizAlgebra.create(B.field, B.structure)
         assert refused.value.report == report
-    # positive control: the power identities still multiply matrices
+    # positive control: on a tensor that fails a pair identity the power
+    # identities still multiply matrices
     with pytest.raises(AssertionError, match="matrix product"):
-        verify_operator_identities(heisenberg3())
+        verify_operator_identities(
+            next(B for B, report in zip(corrupted, reports) if not report.ok))
 
 
 # e1 e2 = e2: span(e1) is a left ideal (A e1 = 0) but e1 e2 = e2 leaves it

@@ -513,23 +513,24 @@ def test_fuzz_count_past_the_bound_exits_2_before_building(monkeypatch,
 
 def test_validate_sums_left_mult_of_product_once(monkeypatch, tmp_path):
     """Loading checks the defining identity, the pair identity
-    left_mult_of_product, on the cached operators; the identity suite of
-    validate then skips its T T loops, and only for that algebra."""
+    left_mult_of_product, by one contraction with no right actions; the
+    identity suite of validate reads its verdict off that and contracts
+    nothing, and an algebra not loaded gets one contraction of L and R."""
     path = tmp_path / "algebra.json"
     save_algebra(basis_change(direct_sum(heisenberg3(), cyclic(5)), 3), path)
     runs = []
     contract = algebra_module._pair_identity_violations
 
-    def counted(*args, tt=True):
-        runs.append(tt)
-        return contract(*args, tt=tt)
+    def counted(*args):
+        runs.append(len(args[3]))  # the number of right actions
+        return contract(*args)
 
     monkeypatch.setattr(algebra_module, "_pair_identity_violations", counted)
     assert main(["validate", str(path), "--quiet"]) == 0
-    assert runs == [True, False]
+    assert runs == [0]
     runs.clear()
     assert verify_operator_identities(cyclic(4)).ok
-    assert runs == [True]
+    assert runs == [4]
 
 
 def test_reports_carry_conventions(c2_file, tmp_path):

@@ -537,14 +537,11 @@ def test_theorem2_premise_on_a_stalled_walk_goes_member_by_member(
     assert report.verdict == "premises_failed"
 
 
-def test_theorem2_certifies_a_thousand_multiples_of_one_element(
-        monkeypatch, tmp_path):
-    """A hostile ``--lieset``: the multiples j e1, j = 1..1000, of the
-    basis element of abelian(1) over Q, acting by T = P J P^-1 (P a dense
-    unimodular matrix, J the 24 x 24 shift) and S = 0. The joint walk
-    reaches 0 in 24 steps and certifies every member's T_c without
-    building one, so the request takes about a second and a half, where
-    building and powering each T_c took about 38 s."""
+def _thousand_multiples_request(tmp_path) -> list:
+    """The arguments of ``engel`` on a hostile ``--lieset``: the multiples
+    j e1, j = 1..1000, of the basis element of abelian(1) over Q, acting by
+    T = P J P^-1 (P a dense unimodular matrix, J the 24 x 24 shift) and
+    S = 0. The report goes to ``tmp_path / "report.json"``."""
     m, rng = 24, random.Random(5)
     lower = Matrix.from_rows(QQ, [[1 if i == j else rng.choice((-1, 0, 1))
                                    if j < i else 0 for j in range(m)]
@@ -564,18 +561,65 @@ def test_theorem2_certifies_a_thousand_multiples_of_one_element(
         "right_actions": [[[0] * m for _ in range(m)]]})
     lieset = _write_json(tmp_path / "multiples.json",
                          [[j] for j in range(1, 1001)])
+    return ["engel", algebra, "--module", module, "--lieset", lieset,
+            "--quiet", "--json", str(tmp_path / "report.json")]
 
+
+def test_theorem2_certifies_a_thousand_multiples_of_one_element(
+        monkeypatch, tmp_path):
+    """The joint walk of the thousand multiples of ``e1`` reaches 0 in 24
+    steps and certifies every member's T_c without building one, so the
+    request takes about a second and a half, where building and powering
+    each T_c took about 38 s."""
     def refuse(*args):
         raise AssertionError("a T_c was built for the premise")
 
     monkeypatch.setattr(engel_module, "_first_non_nilpotent", refuse)
-    out = tmp_path / "report.json"
-    assert main(["engel", algebra, "--module", module, "--lieset", lieset,
-                 "--quiet", "--json", str(out)]) == 0
-    report = json.loads(out.read_text())
+    assert main(_thousand_multiples_request(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"] == "pass"
-    assert report["data"]["joint_index"] == m
-    assert report["data"]["flag_dims"] == list(range(m + 1))
+    assert report["data"]["joint_index"] == 24
+    assert report["data"]["flag_dims"] == list(range(25))
+
+
+def test_theorem2_walks_one_filtration_on_a_one_dimensional_algebra(
+        monkeypatch, tmp_path):
+    """On a one-dimensional algebra the per-element pair (T_1, S_1) is all
+    the actions, so the joint walk serves as its walk too: the thousand
+    multiples of ``e1`` take one image filtration, and the per-element
+    index is that of the pair walked on its own. On n >= 2 each basis
+    element's pair gets its own walk after the joint one: n + 1 walks."""
+    walks = []
+    real = engel_module.image_filtration
+
+    def counted(ops):
+        walks.append(len(ops))
+        return real(ops)
+
+    monkeypatch.setattr(engel_module, "image_filtration", counted)
+    argv = _thousand_multiples_request(tmp_path)
+    assert main(argv) == 0
+    assert walks == [2]
+    report = json.loads((tmp_path / "report.json").read_text())
+    module = json.loads(Path(argv[3]).read_text())
+    pair = [Matrix.from_rows(QQ, module[side][0])
+            for side in ("left_actions", "right_actions")]
+    index = real(pair).index
+    assert index == report["data"]["joint_index"] == 24
+    assert report["data"]["per_element_indices"] == [index]
+    per_element = next(c for c in report["conclusions"] if c["name"] ==
+                       "per_element_operator_algebras_nilpotent")
+    assert per_element == {"name": "per_element_operator_algebras_nilpotent",
+                           "pass": True, "data": {"indices": [index]}}
+    for A in (cyclic(2), heisenberg3(), cyclic(4, GF(5))):
+        walks.clear()
+        module = regular_bimodule(A)
+        report = theorem2_verify(module, lie_set_closure(A.basis()))
+        assert report.verdict == "pass"
+        assert walks == [2 * A.dim] + [2] * A.dim
+        assert report.data["per_element_indices"] == [
+            real([module.left_actions[i], module.right_actions[i]]).index
+            for i in range(A.dim)]
 
 
 def test_engel_flag_regular_cyclic2():

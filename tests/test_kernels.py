@@ -11,10 +11,11 @@ that checks the defining identity and the operator pair identities is checked
 against the triple-by-triple and matrix-product oracles on random tensors,
 mostly not Leibniz, and on random action families that are mostly not
 bimodules; the violating triples are the swapped pairs at which
-left_mult_of_product fails. A right operand is read
-through the nonzero rows it caches, so reuse, equality and hashing are
-checked too, and a recording row shows that a product reads only those
-rows. The echelon reducer is checked against column-wise Gauss-Jordan
+left_mult_of_product fails, and the whole identity suite equals the pair
+and power oracles on random violating tensors over Q, F_2, F_3, F_5 and
+F_7. A right operand is read through the nonzero rows it caches, so
+reuse, equality and hashing are checked too, and a recording row shows
+that a product reads only those rows. The echelon reducer is checked against column-wise Gauss-Jordan
 on tall matrices with zero and copied rows, a recording row stream shows
 that it reads no row after the one that completes full rank, and the
 image step and the annihilator read-off are checked against spans and
@@ -44,11 +45,12 @@ from oracles import (add_combination_per_scalar, apply_per_scalar,
                      leibniz_triple_violations, lie_set_closure_per_pair,
                      matmul_per_scalar,
                      mult_coords_per_scalar, operator_pair_violations,
+                     operator_suite_violations,
                      quotient_data_by_inverse, rref_per_scalar,
                      transpose_per_column, unchecked_algebra)
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 FIELDS = st.sampled_from((QQ, GF(5), GF(7)))
@@ -363,6 +365,34 @@ def test_operator_pair_identities_equal_product_oracle(data):
            for v in verify_operator_identities(algebra).violations
            if v.identity in MULT_IDENTITIES]
     assert got == expected
+
+
+@st.composite
+def field_tensors(draw):
+    """(field, tensor) over Q, F2, F3, F5 or F7."""
+    field = draw(st.sampled_from((QQ, GF(2), GF(3), GF(5), GF(7))))
+    return field, draw(tensors(field))
+
+
+# over F3: e1 e1 = e1 (R_{e1} = L_{e1} an idempotent, so the right power
+# identity fails at k = 2 but not at 3) and e1 e2 = e2 e1 = 2 e3
+IDEMPOTENT_F3 = (GF(3), [[[1, 0, 0], [0, 0, 2], [0, 0, 0]],
+                         [[0, 0, 2], [0, 0, 0], [0, 0, 0]],
+                         [[0, 0, 0], [0, 0, 0], [0, 0, 0]]])
+
+
+@SETTINGS
+@given(field_tensors())
+@example(case=IDEMPOTENT_F3)
+def test_identity_suite_equals_the_oracles_on_violating_tensors(case):
+    field, tensor = case
+    algebra = unchecked_algebra(field, tensor)
+    assume(not validate_leibniz(algebra.structure, field, algebra.dim).ok)
+    pairs, powers = operator_suite_violations(algebra)
+    assert pairs
+    assert [(v.identity, v.witness)
+            for v in verify_operator_identities(algebra).violations] == \
+        pairs + powers
 
 
 @SETTINGS
