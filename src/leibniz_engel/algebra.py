@@ -42,7 +42,6 @@ only a tensor on which a pair identity fails has its powers walked.
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from itertools import compress, count
 from typing import Callable, Sequence
@@ -503,27 +502,28 @@ class LieSet(Frozen):
     """Finite list of distinct nonzero elements closed under products.
 
     Members are compared by exact coordinates; closure is not enforced at
-    construction (see :func:`is_lie_set`). ``table``, set only by
-    :func:`lie_set_closure`, is the multiplication table of the members:
-    row i is an ``array('i')`` whose cell j is the member index of
-    x_i x_j, or -1 for a zero product. A set with a table is closed by
-    construction, and the table is its certificate. Row i is all -1
-    whenever L_{x_i} = 0, as for every square x = y y, since the defining
-    identity at x = y reads (yy)z = 0, and for every product y z with
-    L_z = 0, since it reads L_{yz} = L_y L_z - L_z L_y.
+    construction, and a set built through this constructor is checked
+    product by product (see :func:`is_lie_set`). Only
+    :func:`lie_set_closure` marks its result closed, through the private
+    :meth:`_closed_set`; the mark is not a field, so it stays out of
+    equality, the repr and a pickled copy.
     """
 
-    __slots__ = ("algebra", "members", "table")
-    _compared = ("algebra", "members")
+    __slots__ = ("algebra", "members", "_closed")
+    _fields = ("algebra", "members")
     algebra: LeibnizAlgebra
     members: tuple
-    table: tuple | None  # not compared
 
-    def __init__(self, algebra: LeibnizAlgebra, members: tuple,
-                 table: tuple | None = None):
+    def __init__(self, algebra: LeibnizAlgebra, members: tuple):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_closed", False)
+
+    @classmethod
+    def _closed_set(cls, algebra: LeibnizAlgebra, members: tuple) -> "LieSet":
+        lie_set = cls(algebra, members)
+        object.__setattr__(lie_set, "_closed", True)
+        return lie_set
 
     def __len__(self) -> int:
         return len(self.members)
@@ -565,11 +565,10 @@ def _products_with(x: Element, ys: Matrix) -> tuple:
 def is_lie_set(elements: Sequence[Element]) -> LieSetCheck:
     """Every pairwise product must be zero or exactly a listed member.
 
-    This is the check for a list of elements that comes without a table,
-    such as a user's ``--lieset``; the closure's table already certifies
-    its own set. The products x y of one member x with all members y come
-    from one matmul; the first failing pair is reported, x outer and y
-    inner.
+    This is the check for a set not marked closed, such as a user's
+    ``--lieset``; :func:`lie_set_closure` marks its own result. The
+    products x y of one member x with all members y come from one matmul;
+    the first failing pair is reported, x outer and y inner.
     """
     A, members = _prepare_members(elements)
     coords = {x.coords for x in members}
@@ -585,38 +584,35 @@ def lie_set_closure(elements: Sequence[Element],
                     cap: int = DEFAULT_CLOSURE_CAP) -> LieSet:
     """Adjoin nonzero products until closed; CapExceeded past ``cap`` members.
 
-    The multiplication table (see :class:`LieSet`) is filled by rows, and
-    only the rows of active members x, those with L_x != 0, take products;
-    every other row is all -1. Most members of a closure are inactive: in a
-    left Leibniz algebra every square lies in the left annihilator, since
-    y = x in x(yz) = (xy)z + y(xz) gives (xx)z = 0. A member that joins as
-    y z, y the row's member and z its column, is inactive without its L_x^T
-    being combined when z = y or z is inactive, since the defining identity
-    reads L_{yz} = L_y L_z - L_z L_y; the status of every z present at the
-    start of a round is decided before its products. Each other member's
-    L_x^T is combined once, in the round after it joins: in the largest
-    benchmark closure, 145 of 150 members are inactive and 23 combined.
+    The result is marked closed (see :class:`LieSet`), so the Engel
+    premises take no product of it again. Only active members x, those
+    with L_x != 0, take products x y; for any other x every x y is zero.
+    Most members of a closure are inactive: in a left Leibniz algebra every
+    square lies in the left annihilator, since y = x in
+    x(yz) = (xy)z + y(xz) gives (xx)z = 0. A member that joins as y z, y
+    the active member and z the other factor, is inactive without its
+    L_x^T being combined when z = y or z is inactive, since the defining
+    identity reads L_{yz} = L_y L_z - L_z L_y; the status of every z
+    present at the start of a round is decided before its products. Each
+    other member's L_x^T is combined once, in the round after it joins: in
+    the largest benchmark closure, 145 of 150 members are inactive and 23
+    combined.
 
-    An active row takes its new cells from one block product Y @ L_x^T,
-    whose row y is x y: against every member for a member that joins this
-    round, and against the round's new members for an older one. So y x is
-    taken as a left product of y, and each ordered pair (x, y) with x
-    active is multiplied once.
+    An active member x takes its new products from one block product
+    Y @ L_x^T, whose row y is x y: against every member for a member that
+    joins this round, and against the round's new members for an older
+    one. So y x is taken as a left product of y, and each ordered pair
+    (x, y) with x active is multiplied once.
 
     New products join in the order of a round that multiplies each
     frontier member x with the members y present at its start, x y before
     y x, skipping the frontier members before x (they took both products
-    with x already). A cell's key is (owner, 2 other + side): the owner is
-    the frontier member of the pair, the earlier one when both are, and
+    with x already). A product's key is (owner, 2 other + side): the owner
+    is the frontier member of the pair, the earlier one when both are, and
     side is 0 for owner * other and 1 for other * owner. The products of a
-    round that the index does not hold yet are walked in key order, so the
-    members, the table and the point of CapExceeded are those of that pair
-    by pair order; a skipped row holds only zero products, which never
-    join.
-
-    One dict maps coordinates to member indices, and the zero vector to
-    -1; each block is looked up in it whole. The rows grow as lists and
-    end as arrays of 4-byte cells: about 4 MB at the default cap.
+    round not yet seen are walked in key order, so the members and the
+    point of CapExceeded are those of that pair by pair order; a skipped
+    member's products are all zero, and zero never joins.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -624,49 +620,44 @@ def lie_set_closure(elements: Sequence[Element],
     if len(members) > cap:
         raise CapExceeded(cap, len(members))
     field, dim, lts = A.field, A.dim, A._operators()[0]
-    index = {x.coords: i for i, x in enumerate(members)}
-    index[(field.zero(),) * dim] = -1
-    active = {}  # member index -> (L_x^T, its table row so far)
+    seen = {x.coords for x in members}
+    seen.add((field.zero(),) * dim)
+    active = {}  # member index -> L_x^T
     inert = set()  # members whose L_x = 0 follows from their factors
     old = 0
     while old < len(members):  # members[old:] is the frontier
         n = len(members)
         ys = tuple(y.coords for y in members)
-        # the first column each active row takes this round; a row taken
-        # before holds the cells of columns 0..old-1, so cell c sits at c
+        # the first member each active one multiplies this round; an older
+        # one took the members before ``old`` in earlier rounds
         starts = dict.fromkeys(active, old)
         for a in range(old, n):
             if a in inert:
                 continue
             lt = _combination(field, dim, ys[a], lts)
             if lt._row_terms:
-                active[a] = lt, []
+                active[a] = lt
                 starts[a] = 0
-        pending = []  # (key, row owner, column, product) of new products
+        pending = []  # (key, active member, other, product) of new products
         for r, start in starts.items():
-            lt, row = active[r]
-            products = (Matrix(field, n - start, dim, ys[start:]) @ lt).entries
-            cells = list(map(index.get, products))
-            if None in cells:
-                for c, cell, p in zip(count(start), cells, products):
-                    if cell is None:
+            products = (Matrix(field, n - start, dim, ys[start:])
+                        @ active[r]).entries
+            if not seen.issuperset(products):
+                for c, p in zip(count(start), products):
+                    if p not in seen:
                         key = ((c, 2 * r + 1) if old <= c < r or r < old
                                else (r, 2 * c))
                         pending.append((key, r, c, p))
-            row.extend(cells)
         for _, r, c, p in sorted(pending):
-            if p not in index:
-                members.append(Element(A, p))
-                index[p] = len(members) - 1
+            if p not in seen:
+                seen.add(p)
                 if c == r or c not in active:
-                    inert.add(index[p])
+                    inert.add(len(members))
+                members.append(Element(A, p))
                 if len(members) > cap:
                     raise CapExceeded(cap, len(members))
-            active[r][1][c] = index[p]
         old = n
-    return LieSet(A, tuple(members), tuple(
-        array("i", active[i][1]) if i in active else array("i", [-1]) * old
-        for i in range(old)))
+    return LieSet._closed_set(A, tuple(members))
 
 
 def carrier_series(algebra: LeibnizAlgebra, carrier: Subspace) -> list:

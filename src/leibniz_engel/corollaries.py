@@ -19,7 +19,7 @@ from .algebra import (LeibnizAlgebra, LieSet, _add_combination,
                       _combination, carrier_series, is_ideal,
                       lower_central_series, series_nilpotency)
 from .bimodule import regular_bimodule
-from .engel import check_engel_premises
+from .engel import _engel_premises
 from .errors import ShapeMismatch
 from .fields import RationalField, Record
 from .linalg import Matrix, Subspace, kernel_basis, matrix_rank
@@ -104,9 +104,17 @@ def _nilpotency_report(algebra: LeibnizAlgebra, premises: list,
 def corollary3_check(algebra: LeibnizAlgebra, lie_set: LieSet) -> Report:
     """Generating Lie set with nilpotent left multiplications forces the
     whole algebra nilpotent; premises are checked on the regular bimodule,
-    where the left action of an element is its left multiplication."""
-    return _nilpotency_report(algebra, check_engel_premises(
-        regular_bimodule(algebra), lie_set).premises)
+    where the left action of an element is its left multiplication.
+
+    The lower central series, walked first, settles the left-action
+    premise whenever it reaches 0: if A^{c+1} = 0, then L_x maps A^k into
+    A^{k+1} = span(A A^k) for every x, so L_x^c maps A into A^{c+1} = 0,
+    and no L_x is built. A series that stalls leaves the premise to the
+    member loop, which names the first member acting non-nilpotently.
+    """
+    nilpotent = series_nilpotency(lower_central_series(algebra))[0]
+    return _nilpotency_report(algebra, _engel_premises(
+        regular_bimodule(algebra), lie_set, nilpotent).premises)
 
 
 # Largest order corollary 4 accepts. Trial division factors every order up

@@ -21,6 +21,11 @@ generate the algebra, the flag's first level is the joint kernel of every
 action: a vector killed by T_x, S_x, T_y and S_y is killed by
 T_{xy} = T_x T_y - T_y T_x and S_{xy} = S_y S_x + T_x S_y, so the
 elements that kill it form a subalgebra, which holds the members.
+
+The premise check has one member loop, building and powering T_c member
+by member, and a caller that already knows every T_c to be nilpotent
+skips it: theorem 2 when that walk reaches 0, corollary 3 when the lower
+central series does.
 """
 
 from __future__ import annotations
@@ -130,40 +135,11 @@ def lemma_word_bound_check(module: Bimodule, a: Element) -> Report:
                         "image_dims": list(op.dims)})
 
 
-def _whole_table(lie_set: LieSet) -> bool:
-    """Whether the set has a multiplication table that is whole: all k**2
-    cells present, each a member index or -1 for a zero product."""
-    table, k = lie_set.table, len(lie_set.members)
-    return table is not None and len(table) == k and all(
-        len(row) == k and min(row) >= -1 and max(row) < k for row in table)
-
-
-def _first_non_nilpotent(module: Bimodule, lie_set: LieSet, whole: bool):
-    """The first member whose T_c is not nilpotent, or None.
-
-    With a whole table, a member x named as y z there, with y = z or with
-    T_y = 0 or T_z = 0 known, has T_x = T_y T_z - T_z T_y = 0 and is passed
-    without building T_x; the pairs are read off the rows that hold a
-    product. Zero actions are known from the module's own T, never from
-    a row of -1s, since L_c = 0 does not make T_c = 0.
-    """
-    factors = {}
-    if whole:
-        for y, row in enumerate(lie_set.table):
-            if max(row) >= 0:
-                for z, x in enumerate(row):
-                    if x >= 0:
-                        factors.setdefault(x, []).append((y, z))
-    zero = set()
-    for i, c in enumerate(lie_set.members):
-        if any(y == z or y in zero or z in zero
-               for y, z in factors.get(i, ())):
-            zero.add(i)
-            continue
-        t = t_matrix(module, c)
-        if t.is_zero():
-            zero.add(i)
-        elif not is_nilpotent_matrix(t).verdict:
+def _first_non_nilpotent(module: Bimodule, members: Sequence[Element]):
+    """The first member whose T_c is not nilpotent, or None: T_c built
+    and powered for each member in order."""
+    for c in members:
+        if not is_nilpotent_matrix(t_matrix(module, c)).verdict:
             return c
     return None
 
@@ -172,39 +148,34 @@ def check_engel_premises(module: Bimodule, lie_set: LieSet) -> Report:
     """The three hypotheses: closure, generation, nilpotent left actions.
 
     All three clauses are evaluated and recorded independently, each with
-    its first failing witness. Closure is read off the whole table of a set
-    from ``lie_set_closure``, which takes no product; any other set has
-    every product checked by :func:`is_lie_set`. The left actions are
-    checked member by member in order; with a whole table, a product that
-    the axiom left_action_of_product, T_{yz} = T_y T_z - T_z T_y, forces to
-    act as zero is passed without its T_c (see :func:`_first_non_nilpotent`).
-    That axiom holds for every module that reaches here: ``load_bimodule``
-    validates it, and the regular and quotient bimodules satisfy it by
-    construction.
+    its first failing witness. A set that :func:`lie_set_closure` marked
+    closed passes the closure clause without a product taken; any other
+    set has every product checked by :func:`is_lie_set`. The left actions
+    are checked member by member in order, each T_c built and powered.
     """
-    return _engel_premises(module, lie_set, None)
+    return _engel_premises(module, lie_set, False)
 
 
 def _engel_premises(module: Bimodule, lie_set: LieSet,
-                    joint: ImageFiltration | None) -> Report:
-    """:func:`check_engel_premises`, with the left-action clause certified
-    by ``joint``, the image filtration under all 2n actions, when that
-    reaches 0: each T_c^J is then a sum of vanishing words of length J.
-    Without it, or on a stalled walk, the members go one by one."""
+                    actions_nilpotent: bool) -> Report:
+    """:func:`check_engel_premises`, with the left-action clause passed
+    without a T_c built when the caller already knows every T_c to be
+    nilpotent (``actions_nilpotent``); otherwise the members go one by
+    one. Theorem 2 knows it when its joint walk reaches 0, corollary 3
+    when the lower central series does."""
     members = list(lie_set.members)
     A = module.algebra
     if any(c.algebra != A for c in members):
         raise AlgebraMismatch("element does not belong to the module's algebra")
-    whole = _whole_table(lie_set)
-    closed = LieSetCheck(True, None) if whole else is_lie_set(members)
+    closed = LieSetCheck(True, None) if lie_set._closed \
+        else is_lie_set(members)
     witness_pair = None
     if not closed.ok:
         x, y = closed.witness
         witness_pair = [x.to_str(), y.to_str()]
     generated = subalgebra_generated(members)
     generates = generated.is_full()
-    bad = None if joint is not None and joint.index is not None \
-        else _first_non_nilpotent(module, lie_set, whole)
+    bad = None if actions_nilpotent else _first_non_nilpotent(module, members)
     premises = [
         Check("closed_under_products", closed.ok, witness=witness_pair),
         Check("members_generate_algebra", generates,
@@ -320,7 +291,8 @@ def theorem2_verify(module: Bimodule, lie_set: LieSet) -> Report:
         raise DimensionMismatch("the module must be nonzero")
     actions = list(module.left_actions) + list(module.right_actions)
     joint = image_filtration(actions)
-    premises_report = _engel_premises(module, lie_set, joint)
+    premises_report = _engel_premises(module, lie_set,
+                                      joint.index is not None)
     if not all(c.passed for c in premises_report.premises):
         return Report(premises=premises_report.premises, conclusions=[],
                       data={"note": "premises failed; conclusions not attempted"})

@@ -33,8 +33,9 @@ did before each step became one image under the multiplication operators
 of the carrier's basis, and the flag stacks the projected actions level
 by level, as it did before it became the annihilator of the dual image
 walk. ``left_actions_nilpotent_per_member`` builds and powers T_c for
-every member of a Lie set, as the premise check did before it read the
-members whose action must vanish off the closure's table.
+every member of a Lie set, the loop the premise check runs, kept apart
+from it to check the certificates that let corollary 3 and theorem 2
+skip that loop.
 ``fuzz_data_per_item`` runs the checks of ``fuzz`` on every
 corpus item from scratch, as ``fuzz`` did before it verified each
 distinct algebra and module once per call, and ``fuzz_corpus_per_item``

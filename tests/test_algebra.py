@@ -247,6 +247,21 @@ def _check_outcome(ok, witness):
     return ok, witness and tuple(x.coords for x in witness)
 
 
+def _sl2_on_its_plane(field):
+    """The hemisemidirect product of sl_2 and its natural module V, basis
+    e, f, h, v1, v2: sl_2 multiplies as itself, x v = rho(x) v, and
+    v y = 0. Products of active members join right after one another, so
+    the closure must mark inert the member that joins, not its
+    predecessor."""
+    structure = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for i, j, k, scalar in ((0, 1, 2, 1), (1, 0, 2, -1), (2, 0, 0, 2),
+                            (0, 2, 0, -2), (2, 1, 1, -2), (1, 2, 1, 2),
+                            (0, 4, 3, 1), (1, 3, 4, 1), (2, 3, 3, 1),
+                            (2, 4, 4, -1)):
+        structure[i][j][k] = field.from_int(scalar)
+    return LeibnizAlgebra.create(field, structure)
+
+
 def test_lie_sets_match_per_pair_oracles(small_corpus, corpus2024,
                                          closures2024, dense_f7_closures):
     def batched(elements, cap):
@@ -256,6 +271,8 @@ def test_lie_sets_match_per_pair_oracles(small_corpus, corpus2024,
     cases += [(A, closure) for (A, _), closure in zip(corpus2024, closures2024)
               if closure is not None]
     cases += dense_f7_closures
+    A = _sl2_on_its_plane(GF(7))
+    cases.append((A, lie_set_closure(A.basis())))
     stopped = open_sets = 0
     for A, closure in cases:
         basis, members = A.basis(), closure.members
@@ -266,14 +283,11 @@ def test_lie_sets_match_per_pair_oracles(small_corpus, corpus2024,
             assert ours == _closure_outcome(lie_set_closure_per_pair,
                                             basis, cap)
             stopped += ours[0] == "cap"
+        # the set marked closed is closed: every x y is zero or a member
         check = is_lie_set(members)
         assert (check.ok, check.witness) == (True, None)
         assert lie_set_check_per_pair(members) == (True, None)
-        # the table holds the member index of every x y, or -1 for zero
-        index = {x.coords: i for i, x in enumerate(members)}
-        assert [list(row) for row in closure.table] == \
-            [[-1 if (x * y).is_zero() else index[(x * y).coords]
-              for y in members] for x in members]
+        assert closure._closed
         module = regular_bimodule(A)
         premises = check_engel_premises(module, closure)
         assert premises == check_engel_premises(
@@ -288,14 +302,12 @@ def test_lie_sets_match_per_pair_oracles(small_corpus, corpus2024,
             assert not check.ok
             expected = _check_outcome(*lie_set_check_per_pair(dropped))
             assert _check_outcome(check.ok, check.witness) == expected
-            # without a table, or with the table of the whole closure, the
-            # premise is checked product by product
-            for open_set in (LieSet(A, dropped),
-                             LieSet(closure.algebra, dropped, closure.table)):
-                closed = check_engel_premises(module, open_set).premises[0]
-                assert not closed.passed
-                assert closed.witness == [
-                    Element(A, c).to_str() for c in expected[1]]
+            # a set not marked closed is checked product by product
+            closed = check_engel_premises(module, LieSet(A, dropped)) \
+                .premises[0]
+            assert not closed.passed
+            assert closed.witness == [
+                Element(A, c).to_str() for c in expected[1]]
             open_sets += 1
     # e1 e2 = 2 e2 doubles forever over Q: both stop at the same count
     A = LeibnizAlgebra.create(QQ, [[[0, 0], [0, 2]], [[0, -2], [0, 0]]])

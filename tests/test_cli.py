@@ -8,12 +8,12 @@ import pytest
 import leibniz_engel.algebra as algebra_module
 import leibniz_engel.cli as cli_module
 import leibniz_engel.corollaries as corollaries_module
+import leibniz_engel.engel as engel_module
 import leibniz_engel.families as families_module
 from leibniz_engel import (abelian, basis_change, cyclic, direct_sum,
                            fuzz_corpus, heisenberg3, is_nilpotent_algebra,
                            lie_set_closure, verify_operator_identities)
 from leibniz_engel.algebra import DEFAULT_CLOSURE_CAP, MAX_FUZZ_COUNT
-from leibniz_engel.bimodule import regular_bimodule
 from leibniz_engel.cli import _build_parser, main
 from leibniz_engel.errors import CapExceeded
 from leibniz_engel.families import MAX_SPEC_DEPTH
@@ -321,9 +321,8 @@ def test_fuzz_small_corpus(tmp_path):
 
 def test_fuzz_closes_each_item_within_the_default_cap(monkeypatch,
                                                      tmp_path):
-    """fuzz closes every basis with the default member cap, which bounds
-    its multiplication table, and reports an item whose closure exceeds
-    the cap as premises_failed."""
+    """fuzz closes every basis with the default member cap and reports an
+    item whose closure exceeds the cap as premises_failed."""
     caps = []
 
     def capped(elements, cap=DEFAULT_CLOSURE_CAP):
@@ -380,68 +379,43 @@ def test_fuzz_repeats_a_capped_closure_with_its_note(monkeypatch, tmp_path):
 
 def test_fuzz_verifies_each_distinct_item_once_per_call(monkeypatch,
                                                         tmp_path):
-    """Theorem 2 runs once per distinct module. Corollary 3 is theorem 2
-    on the regular bimodule, so its premises are checked outside theorem 2
-    only for a nilpotent algebra whose regular bimodule is not an item;
-    corollary 6 runs once per distinct nilpotent algebra."""
+    """Theorem 2 runs once per distinct module; corollaries 3 and 6 run
+    once per distinct nilpotent algebra, corollary 3 on the algebra's
+    basis closure, and no premise check runs outside them."""
     corpus = fuzz_corpus(2024, 200, 8)
     algebras = set(a for a, _ in corpus)
     modules = set(m for _, m in corpus)
     nilpotent = [a for a in algebras if is_nilpotent_algebra(a)[0]]
-    unchecked = [a for a in nilpotent if regular_bimodule(a) not in modules]
     assert len(algebras) < 150 and len(modules) < 150
-    assert 0 < len(unchecked) < len(nilpotent)
+    assert 0 < len(nilpotent) < len(algebras)
     calls = {"lie_set_closure": 0, "corollary3_check": 0,
-             "check_engel_premises": 0, "nilradical_from_family": 0,
-             "theorem2_verify": 0}
+             "nilradical_from_family": 0, "theorem2_verify": 0}
+    corollary3_sets = []
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(cli_module, name)):
             calls[_name] += 1
+            if _name == "corollary3_check":
+                corollary3_sets.append(args)
             return _inner(*args)
         monkeypatch.setattr(cli_module, name, counted)
+    premise_checks = []
+    monkeypatch.setattr(engel_module, "check_engel_premises",
+                        lambda *args: premise_checks.append(args))
     for _ in range(2):  # no call keeps anything for the next
         for name in calls:
             calls[name] = 0
+        corollary3_sets.clear()
         assert main(["fuzz", "--seed", "2024", "--count", "200",
                      "--max-dim", "8", "--quiet"]) == 0
         assert calls == {"lie_set_closure": len(algebras),
-                         "corollary3_check": 0,
-                         "check_engel_premises": len(unchecked),
+                         "corollary3_check": len(nilpotent),
                          "nilradical_from_family": len(nilpotent),
                          "theorem2_verify": len(modules)}
-
-
-def test_fuzz_corollary3_reads_theorem2_premises_on_the_regular_module(
-        monkeypatch):
-    """Corollary 3 is theorem 2 on the regular bimodule: every premise list
-    ``fuzz`` decides it on was checked on the algebra's regular bimodule,
-    by theorem 2 when that is an item, else on its own."""
-    regular = {}  # id -> (algebra, premises), each list held alive
-
-    def recorded(inner):
-        def call(module, lie_set):
-            report = inner(module, lie_set)
-            if module == regular_bimodule(module.algebra):
-                regular[id(report.premises)] = (module.algebra,
-                                                report.premises)
-            return report
-        return call
-
-    gated, gate = [], cli_module._nilpotency_report
-
-    def gated_report(algebra, premises):
-        gated.append((algebra, premises))
-        return gate(algebra, premises)
-
-    for name in ("theorem2_verify", "check_engel_premises"):
-        monkeypatch.setattr(cli_module, name,
-                            recorded(getattr(cli_module, name)))
-    monkeypatch.setattr(cli_module, "_nilpotency_report", gated_report)
-    assert main(["fuzz", "--seed", "2024", "--count", "200", "--max-dim",
-                 "8", "--quiet"]) == 0
-    assert gated
-    for algebra, premises in gated:
-        assert regular.get(id(premises), (None,))[0] is algebra
+        assert premise_checks == []
+        assert {a for a, _ in corollary3_sets} == set(nilpotent)
+        for algebra, lie_set in corollary3_sets:
+            assert lie_set._closed
+            assert lie_set == lie_set_closure(algebra.basis())
 
 
 def test_fuzz_sums_non_nested_ideals_in_the_fold(monkeypatch):

@@ -1,13 +1,13 @@
 import json
 import random
-from array import array
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from leibniz_engel import (LieSet, abelian, check_engel_premises, cyclic,
-                           engel_flag, fuzz_corpus, heisenberg3,
+from leibniz_engel import (LieSet, abelian, check_engel_premises,
+                           corollary3_check, cyclic, direct_sum, engel_flag,
+                           fuzz_corpus, heisenberg3,
                            image_filtration,
                            is_nilpotent_algebra, joint_annihilator,
                            lemma_word_bound_check, lie_set_closure,
@@ -175,8 +175,8 @@ def test_premises_generation_clause_fails():
 
 def test_premises_read_closure_off_the_closure_table(monkeypatch,
                                                      dense_f7_closures):
-    """A basis closure's table certifies the closure premise: checking it
-    multiplies no pair of members again."""
+    """A basis closure is marked closed, which certifies the closure
+    premise: checking it multiplies no pair of members again."""
     calls = []
     real = algebra_module._products_with
 
@@ -189,31 +189,30 @@ def test_premises_read_closure_off_the_closure_table(monkeypatch,
         report = check_engel_premises(regular_bimodule(A), closure)
         assert report.premises[0].passed
     assert calls == []
-    # the same members without their table are multiplied again
+    # the same members through the public constructor are multiplied again
     A, closure = dense_f7_closures[0]
     check_engel_premises(regular_bimodule(A), LieSet(A, closure.members))
     assert len(calls) == len(closure.members)
 
 
-def test_premise_read_off_needs_the_whole_table():
-    """Only a table of k rows of k cells, each a member index or -1, stands
-    for the products; any other falls back to checking every product."""
+def test_a_public_lie_set_is_never_taken_as_closed():
+    """Only ``lie_set_closure`` marks a set closed. A set built through
+    the public constructor has every product checked, so {e1, e2} in sol2,
+    where e2 e1 = -e2 is no member, fails the closure premise, and theorem
+    2 and corollary 3 stop at their premises."""
     A = sol2()
     e1, e2 = A.basis()
     module = regular_bimodule(A)
-    open_set = LieSet(A, (e1, e2))  # e2 e1 = -e2 is no member
-    for table in ((), (array("i", (-1, -1)),),
-                  (array("i", (-1, -1)), array("i", (-1,))),
-                  (array("i", (0, 1)), array("i", (-1, -2))),
-                  (array("i", (0, 1)), array("i", (2, -1)))):
-        forged = LieSet(open_set.algebra, open_set.members, table)
-        closed = check_engel_premises(module, forged).premises[0]
-        assert not closed.passed
-        assert closed.witness == ["(0, 1)", "(1, 0)"]
-    # a whole table is taken as it stands: only lie_set_closure makes one
-    whole = LieSet(open_set.algebra, open_set.members,
-                   (array("i", (-1, 1)), array("i", (-1, -1))))
-    assert check_engel_premises(module, whole).premises[0].passed
+    open_set = LieSet(A, (e1, e2))
+    assert not open_set._closed and lie_set_closure(A.basis())._closed
+    closed = check_engel_premises(module, open_set).premises[0]
+    assert (closed.passed, closed.witness) == (False, ["(0, 1)", "(1, 0)"])
+    report = theorem2_verify(module, open_set)
+    assert report.verdict == "premises_failed"
+    assert report.premises[0] == closed
+    report = corollary3_check(A, open_set)
+    assert report.verdict == "premises_failed"
+    assert report.premises[0] == closed
 
 
 def test_premises_nilpotency_clause_fails_on_sol2():
@@ -246,8 +245,7 @@ def _sl2_f7():
 def _e3_acts_by_one():
     """e1 e3 = e2 and every other product 0, on the 1-dim antisymmetric
     module where e3 acts on the left by 1 and everything else by 0: L_{e3}
-    is zero, so e3's row of the closure table is all -1, but T_{e3} is not
-    nilpotent."""
+    is zero, but T_{e3} is not nilpotent."""
     structure = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     structure[0][2] = [0, 1, 0]
     A = LeibnizAlgebra.create(QQ, structure)
@@ -270,12 +268,64 @@ def test_premises_take_zero_actions_from_the_module_not_the_table():
     module = _e3_acts_by_one()
     assert validate_bimodule(module).all_ok()
     closure = lie_set_closure(module.algebra.basis())
-    assert [list(row) for row in closure.table] == \
-        [[-1, -1, 1], [-1, -1, -1], [-1, -1, -1]]
+    # only e1 multiplies anything: L_{e2} = L_{e3} = 0
+    assert [left_mult_matrix(x).is_zero() for x in closure.members] == \
+        [False, True, True]
     premise = check_engel_premises(module, closure).premises[2]
     assert (premise.passed, premise.witness) == (False, "(0, 0, 1)")
     assert left_actions_nilpotent_per_member(module, closure.members) == \
         (False, "(0, 0, 1)")
+
+
+def _distinct_closures(seeds):
+    """(algebra, basis closure) once per distinct algebra of the fuzz
+    corpora of the seeds whose closure stays within the default cap."""
+    closures = {}
+    for seed in seeds:
+        for algebra, _ in fuzz_corpus(seed, 200, 8):
+            if algebra not in closures:
+                closures[algebra] = _closure_or_none(algebra)
+    return [(a, c) for a, c in closures.items() if c is not None]
+
+
+def test_corollary3_builds_no_action_on_a_nilpotent_algebra(
+        monkeypatch, dense_f7_closures):
+    """Corollary 3 walks the lower central series first; when it reaches
+    0, L_x maps A^k into A^{k+1} for every x, so every left action is
+    nilpotent and no T_c is built: on every nilpotent algebra of fuzz seeds
+    2024, 323 and 331 and on the dense F_7 closures. On sol2, sl_2 over
+    F_7, its sum with the 10-dim dense F_7 algebra (368 members, the
+    witness 14th) and the non-nilpotent fuzz algebras the member loop
+    decides the premise, with the verdict and witness of the per-member
+    oracle."""
+    cases = _distinct_closures((2024, 323, 331)) + list(dense_f7_closures)
+    sl2 = _sl2_f7()
+    for A in (sol2(), sl2, direct_sum(sl2, dense_f7_closures[2][0])):
+        cases.append((A, lie_set_closure(A.basis())))
+    built = []
+    real_t = engel_module.t_matrix
+
+    def t(module, c):
+        built.append(c)
+        return real_t(module, c)
+
+    outcomes = Counter()
+    for A, closure in cases:
+        nilpotent = is_nilpotent_algebra(A)[0]
+        expected = left_actions_nilpotent_per_member(regular_bimodule(A),
+                                                     closure.members)
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(engel_module, "t_matrix", t)
+            premise = corollary3_check(A, closure).premises[2]
+        if nilpotent:
+            assert built == [] and premise.passed
+        else:
+            assert (premise.passed, premise.witness) == expected
+            assert built
+        outcomes[nilpotent, premise.passed] += 1
+    assert outcomes[True, True] > 100 and outcomes[False, False] == 6
+    assert outcomes[True, False] == 0
 
 
 def test_premises_reject_a_table_of_another_algebra():
@@ -301,11 +351,12 @@ def test_left_action_premise_equals_per_member_oracle(monkeypatch,
                                                       corpus2024,
                                                       closures2024,
                                                       dense_f7_closures):
-    """The premise read off the closure table has the verdict and witness
-    of building and powering every member's T_c, on the fuzz corpora, their
-    regular and quotient modules, the dense F_7 closures and the two
-    hand-built cases. Most members are passed without building their T_c.
-    """
+    """The left-action premise has the verdict and witness of building
+    and powering every member's T_c, on the fuzz corpora, their regular and
+    quotient modules, the dense F_7 closures and the two hand-built cases.
+    The premise check builds T_c for the members up to its witness, or for
+    all of them, in order; corollary 3, on the regular module of a
+    nilpotent algebra, builds none."""
     cases = [(module, _closure_or_none(algebra))
              for algebra, module in small_corpus]
     cases += [(module, closure) for (_, module), closure
@@ -318,7 +369,7 @@ def test_left_action_premise_equals_per_member_oracle(monkeypatch,
                   lie_set_closure(_sl2_f7().basis())))
     module = _e3_acts_by_one()
     cases.append((module, lie_set_closure(module.algebra.basis())))
-    verdicts, members, built = Counter(), 0, []
+    verdicts, certified, built = Counter(), 0, []
     real_t = engel_module.t_matrix
 
     def t(module, c):
@@ -329,22 +380,33 @@ def test_left_action_premise_equals_per_member_oracle(monkeypatch,
         if closure is None or module.module_dim == 0:
             continue
         expected = left_actions_nilpotent_per_member(module, closure.members)
+        built.clear()
         with monkeypatch.context() as patch:
             patch.setattr(engel_module, "t_matrix", t)
             premise = check_engel_premises(module, closure).premises[2]
+            assert built == list(closure.members[:len(built)])
+            assert len(built) == len(closure.members) if premise.passed \
+                else built[-1].to_str() == premise.witness
+            algebra = module.algebra
+            if module == regular_bimodule(algebra) and \
+                    is_nilpotent_algebra(algebra)[0]:
+                built.clear()
+                premises = corollary3_check(algebra, closure).premises
+                assert premises[2] == premise and built == []
+                certified += 1
         assert (premise.passed, premise.witness) == expected
         verdicts[premise.passed] += 1
-        members += len(closure.members)
     assert verdicts[True] > 300 and verdicts[False] > 30
-    # most members are passed without their T_c: 1890 of 4007 are built
-    assert len(built) < 0.6 * members
+    assert certified > 100
 
 
 def test_closure_and_premises_skip_the_actions_products_force_to_zero(
         monkeypatch, tmp_path):
     """On the largest engel-fp closure (f18, key 4: 150 members, 5 with
-    L_x != 0) the closure combines L_x^T for 23 members, not 150, and the
-    premises build T_c for 19; every member left out acts as zero."""
+    L_x != 0) the closure combines L_x^T for 23 members, not 150, and every
+    member left out acts as zero. The premise check builds T_c for all 150
+    members; corollary 3, whose lower central series reaches 0, builds
+    none."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
                                     / "bench"))
     import workloads
@@ -373,8 +435,10 @@ def test_closure_and_premises_skip_the_actions_products_force_to_zero(
     module = regular_bimodule(A)
     monkeypatch.setattr(engel_module, "t_matrix", t)
     assert check_engel_premises(module, closure).verdict == "pass"
-    assert len(built) == 19
-    assert set(active) <= set(built)
+    assert built == members
+    built.clear()
+    assert corollary3_check(A, closure).verdict == "pass"
+    assert built == []
 
 
 @pytest.fixture(scope="module")
@@ -464,9 +528,10 @@ def test_theorem2_builds_no_action_for_the_premise_on_engel_fp(monkeypatch,
                                                                tmp_path):
     """On the five engel-fp inputs the joint walk reaches 0, so theorem 2
     builds no T_c for the left-action premise and powers none: its only
-    T_c are the flag's, one per basis vector of the members' span. The
-    member-by-member check that ``check_engel_premises`` keeps builds 103
-    and powers 26 on the same inputs."""
+    T_c are the flag's, one per basis vector of the members' span.
+    Corollary 3, whose lower central series reaches 0, builds and powers
+    none either. The member loop of ``check_engel_premises`` builds and
+    powers one for each of the 453 members."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
                                     / "bench"))
     import workloads
@@ -495,8 +560,11 @@ def test_theorem2_builds_no_action_for_the_premise_on_engel_fp(monkeypatch,
     assert powered == []
     built.clear()
     for module, closure in cases:
+        assert corollary3_check(module.algebra, closure).verdict == "pass"
+    assert (built, powered) == ([], [])
+    for module, closure in cases:
         assert check_engel_premises(module, closure).verdict == "pass"
-    assert (len(built), len(powered)) == (103, 26)
+    assert len(built) == len(powered) == 453
 
 
 def _natural_sl2():

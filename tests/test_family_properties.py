@@ -8,9 +8,12 @@ and optionally with basis names. Files written by ``dump_algebra`` and
 the nilpotency verdict and class and the operator identities and equals
 the basis change taken one product per pair. Random family specs drawn
 from the table build what direct calls of the family functions build.
-The builders skip validation, so every algebra they build, from these
-draws, from random specs nested up to ``MAX_SPEC_DEPTH`` deep and from the
-fuzz corpora, is validated again here and must come back unchanged.
+The premises of corollary 3, on the closure of drawn generators or on the
+drawn elements as they are, equal those assembled from ``is_lie_set``,
+``subalgebra_generated`` and the per-member oracle. The builders skip
+validation, so every algebra they build, from these draws, from random
+specs nested up to ``MAX_SPEC_DEPTH`` deep and from the fuzz corpora, is
+validated again here and must come back unchanged.
 Skipped when hypothesis is not installed.
 """
 
@@ -21,18 +24,24 @@ from pathlib import Path
 
 import pytest
 
-from leibniz_engel import (abelian, basis_change, cyclic, direct_sum,
-                           heisenberg3, is_nilpotent_algebra, sol2,
+from leibniz_engel import (LieSet, abelian, basis_change, corollary3_check,
+                           cyclic, direct_sum, heisenberg3,
+                           is_nilpotent_algebra, lie_set_closure, sol2,
                            verify_operator_identities)
-from leibniz_engel.algebra import LeibnizAlgebra
+from leibniz_engel.algebra import (Element, LeibnizAlgebra, is_lie_set,
+                                   subalgebra_generated)
+from leibniz_engel.bimodule import regular_bimodule
+from leibniz_engel.errors import CapExceeded
 from leibniz_engel.families import (FAMILIES, MAX_SPEC_DEPTH, FamilySpec,
                                     _unimodular, build, fuzz_corpus,
                                     parse_family_spec)
 from leibniz_engel.fields import GF, QQ
 from leibniz_engel.formats import (dump_algebra, load_algebra,
                                    load_algebra_dict, save_algebra)
+from leibniz_engel.reports import Check
 
-from oracles import basis_change_per_pair, leibniz_triple_violations
+from oracles import (basis_change_per_pair, left_actions_nilpotent_per_member,
+                     leibniz_triple_violations)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -103,6 +112,45 @@ def test_basis_change_keeps_class_and_identities(algebra, seed):
     assert verify_operator_identities(changed).ok
     p = _unimodular(algebra.field, algebra.dim, random.Random(seed))
     assert changed.structure == basis_change_per_pair(algebra, p)
+
+
+def _drawn_lie_set(algebra, coords, close):
+    """The distinct nonzero vectors read off ``coords`` dim at a time (the
+    basis when there is none), closed under products when ``close`` and
+    the closure stays within 200 members, else as a public set."""
+    n, field = algebra.dim, algebra.field
+    vectors = [tuple(map(field.from_int, coords[i:i + n]))
+               for i in range(0, len(coords) - n + 1, n)]
+    elements = [Element(algebra, v) for v in dict.fromkeys(vectors)
+                if any(v)] or algebra.basis()
+    if close:
+        try:
+            return lie_set_closure(elements, cap=200)
+        except CapExceeded:
+            pass
+    return LieSet(algebra, tuple(elements))
+
+
+@SETTINGS
+@given(family_algebras(),
+       st.lists(st.integers(-2, 2), min_size=2, max_size=24), st.booleans())
+@example(sol2(QQ), [], True)
+@example(sol2(QQ), [1, 0, 0, 1], False)
+def test_corollary3_premises_equal_their_parts(algebra, coords, close):
+    lie_set = _drawn_lie_set(algebra, coords, close)
+    members = list(lie_set.members)
+    closed = is_lie_set(members)
+    generated = subalgebra_generated(members)
+    nilpotent, witness = left_actions_nilpotent_per_member(
+        regular_bimodule(algebra), members)
+    assert corollary3_check(algebra, lie_set).premises == [
+        Check("closed_under_products", closed.ok, witness=None if closed.ok
+              else [x.to_str() for x in closed.witness]),
+        Check("members_generate_algebra", generated.is_full(),
+              witness=None if generated.is_full() else
+              {"generated_dim": generated.dim, "algebra_dim": algebra.dim}),
+        Check("left_actions_nilpotent", nilpotent, witness=witness),
+    ]
 
 
 # each family by a direct call, independent of the table's builders

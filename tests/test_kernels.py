@@ -4,11 +4,12 @@ Random sparse and dense inputs over Q, F_5 and F_7, with negative and
 fractional entries, all-zero rows and zero-row shapes; the batched
 products of one element with many are checked against the product of
 coordinate vectors on the small fuzz corpus, the Lie-set closure of random
-generators (repeats and squares among them) and its table against the
-pair-by-pair closure at random caps, and the derivation and
-automorphism checks against their per-pair loops. The sparse contraction
-that checks the defining identity and the operator pair identities is checked
-against the triple-by-triple and matrix-product oracles on random tensors,
+generators (repeats and squares among them) against the pair-by-pair
+closure at random caps, with the set it returns checked to be closed,
+and the derivation and automorphism checks against their per-pair loops.
+The sparse contraction that checks the defining identity and the operator
+pair identities is checked against the triple-by-triple and
+matrix-product oracles on random tensors,
 mostly not Leibniz, and on random action families that are mostly not
 bimodules; the violating triples are the swapped pairs at which
 left_mult_of_product fails, and the whole identity suite equals the pair
@@ -30,7 +31,8 @@ from functools import partial
 import pytest
 
 from leibniz_engel.algebra import (Element, _add_combination, _products_with,
-                                   left_mult_matrix, lie_set_closure,
+                                   is_lie_set, left_mult_matrix,
+                                   lie_set_closure,
                                    mult_coords, validate_leibniz,
                                    verify_operator_identities)
 from leibniz_engel.bimodule import Bimodule, validate_bimodule
@@ -272,7 +274,7 @@ def generator_lists(draw, algebra):
 def test_closure_of_generators_equals_per_pair_oracle(small_corpus, data):
     """The closure of any nonzero generators, not only of a basis, adjoins
     the members of the pair-by-pair closure in its order and stops at the
-    same cap; each table cell is the member index of x y, or -1."""
+    same cap; the set it marks closed is a Lie set."""
     algebra, _ = data.draw(st.sampled_from(small_corpus))
     gens = data.draw(generator_lists(algebra))
     cap = data.draw(st.integers(1, 1000))
@@ -282,10 +284,7 @@ def test_closure_of_generators_equals_per_pair_oracle(small_corpus, data):
         ours = ("cap", exc.cap, exc.members_so_far)
     else:
         ours = [x.coords for x in closure.members]
-        index = {x: i for i, x in enumerate(ours)}
-        products = [[mult_coords(algebra, x, y) for y in ours] for x in ours]
-        assert [list(row) for row in closure.table] == [
-            [index[p] if any(p) else -1 for p in row] for row in products]
+        assert closure._closed and is_lie_set(closure.members).ok
     try:
         expected = [x.coords for x in lie_set_closure_per_pair(gens, cap)]
     except CapExceeded as exc:

@@ -1,7 +1,8 @@
 """The contract of the package's immutable value classes.
 
-Equality reads the fields and nothing cached (``LeibnizAlgebra._cache``,
-``LieSet.table``, the kept hashes, row terms and transposes), equal objects
+Equality reads the fields and nothing cached or marked
+(``LeibnizAlgebra._cache``, the closed mark of a ``LieSet`` from
+``lie_set_closure``, the kept hashes, row terms and transposes), equal objects
 hash alike before and after their caches fill, assignment raises
 ``AttributeError``, the reprs are the literal strings below, and every
 frozen class survives a pickle round trip. The result records stay
@@ -22,7 +23,7 @@ from leibniz_engel.algebra import (IdentityReport, IdentityViolation,
                                    LeibnizValidation, LieSetCheck)
 from leibniz_engel.bimodule import BimoduleValidation
 from leibniz_engel.corollaries import MapCheck
-from leibniz_engel.fields import GF, QQ, PrimeField, RationalField
+from leibniz_engel.fields import GF, QQ, Frozen, PrimeField, RationalField
 from leibniz_engel.linalg import Matrix, Subspace
 from leibniz_engel.reports import Check, Report
 
@@ -94,7 +95,7 @@ def test_hashes_are_those_of_the_compared_fields():
     assert hash(closure) == hash((A, closure.members))
 
 
-def test_cache_and_table_stay_out_of_equality():
+def test_cache_and_closed_mark_stay_out_of_equality():
     A = cyclic(3)
     B = _copy_algebra(A)
     _fill_caches(A)
@@ -102,9 +103,32 @@ def test_cache_and_table_stay_out_of_equality():
     assert A == B and hash(A) == hash(B)
     closure = lie_set_closure(A.basis())
     bare = LieSet(B, closure.members)
-    assert closure.table is not None and bare.table is None
+    assert closure._closed and not bare._closed
     assert closure == bare and hash(closure) == hash(bare)
     assert LieSet(A, closure.members[:-1]) != closure
+
+
+class _Tagged(Frozen):
+    """A value whose equality reads ``value`` alone: no package class
+    leaves a field out of equality, so this one shows that ``_compared``
+    does."""
+
+    __slots__ = ("value", "tag")
+    _compared = ("value",)
+
+    def __init__(self, value, tag):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "tag", tag)
+
+
+def test_a_field_left_out_of_compared_stays_out_of_equality():
+    a, b = _Tagged(1, "a"), _Tagged(1, "b")
+    assert a == b and hash(a) == hash(b) == hash((1,))
+    assert a != _Tagged(2, "a")
+    assert repr(b) == "_Tagged(value=1, tag='b')"
+    # a copy is rebuilt from every field, the uncompared one too
+    copy = pickle.loads(pickle.dumps(b))
+    assert (copy.value, copy.tag) == (1, "b")
 
 
 def test_each_compared_field_tells_objects_apart():
@@ -198,8 +222,9 @@ def test_matrices_subspaces_and_fields_survive_pickle():
         assert copy == obj and hash(copy) == hash(obj)
         assert repr(copy) == repr(obj)
     assert weakref.ref(m)() is m
+    # the closed mark is not a field: a copy is checked as any public set
     copy = pickle.loads(pickle.dumps(closure))
-    assert closure.table is not None and copy.table == closure.table
+    assert closure._closed and not copy._closed
     assert not pickle.loads(pickle.dumps(A))._cache
 
 
@@ -259,11 +284,9 @@ def test_reprs_are_unchanged():
     assert repr(MapCheck(False, {"pair": [1, 2]})) == \
         "MapCheck(ok=False, witness={'pair': [1, 2]})"
     y = A.basis_element(1)
-    assert repr(lie_set_closure(A.basis())) == (
-        f"LieSet(algebra={A!r}, members=({x!r}, {y!r}), "
-        "table=(array('i', [1, -1]), array('i', [-1, -1])))")
-    assert repr(LieSet(A, (x,))) == \
-        f"LieSet(algebra={A!r}, members=({x!r},), table=None)"
+    assert repr(lie_set_closure(A.basis())) == \
+        f"LieSet(algebra={A!r}, members=({x!r}, {y!r}))"
+    assert repr(LieSet(A, (x,))) == f"LieSet(algebra={A!r}, members=({x!r},))"
     assert repr(Flag((Subspace.zero(QQ, 1), Subspace.full(QQ, 1)))) == (
         "Flag(chain=(Subspace(field=RationalField(characteristic=0), "
         "ambient_dim=1, basis=()), Subspace(field=RationalField("
