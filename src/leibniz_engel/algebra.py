@@ -19,14 +19,15 @@ carrier, the series and the ideal verdict, each computed once, and
 The multiplication operators of the basis are read once per algebra off
 the tensor when first needed, as by validation: row j of ``c[i]`` is e_i e_j,
 so ``c[i]`` is L_{e_i}^T as it stands. Every product is taken from them,
-with ``_combination`` building the operator of any element: x y is L_x
+with ``linalg._combination`` building the operator of any element: x y is L_x
 applied to y, the Lie sets take row y of Y @ L_x^T as x y (the closure
 takes y x as a left product of y, and no product at all of an x with
 L_x = 0, which every square is: (xx)z = 0), and the ideal test, the
 regular bimodule and the identity suite use them as they are. The series
 of a carrier is the image walk ``linalg._walk`` under such operators, the
 generated subalgebra is the spin ``linalg._spin`` under those of the
-generators, and the ideal test takes one image step ``linalg._image``.
+generators, and the ideal test is the invariance test
+``linalg._is_invariant`` under every L_{e_i} and R_{e_i}.
 
 One sparse contraction, ``_pair_identity_violations``, takes no matrix
 product: it checks the pair identities of the identity suite on (L, R),
@@ -49,7 +50,8 @@ from typing import Callable, Sequence
 from .errors import (AlgebraMismatch, CapExceeded, InvalidAlgebra,
                      ShapeMismatch)
 from .fields import Field, Frozen, Record
-from .linalg import Matrix, Subspace, _image, _spin, _walk
+from .linalg import (Matrix, Subspace, _combination, _is_invariant, _spin,
+                     _walk)
 
 DEFAULT_CLOSURE_CAP = 1000
 
@@ -75,36 +77,6 @@ class LeibnizValidation(Record):
     def __init__(self, ok: bool, violations: list):
         self.ok = ok
         self.violations = violations
-
-
-def _add_combination(base: Matrix, coords: Sequence, mats: Sequence[Matrix]) -> Matrix:
-    """base + sum_t coords[t] mats[t], touching only the nonzero terms and
-    reducing only the rows that received one."""
-    rows = list(base.entries)
-    touched = {}
-    for c, m in zip(coords, mats):
-        if not c:
-            continue
-        for i, ts in m._row_terms:
-            acc = touched.get(i)
-            if acc is None:
-                acc = touched[i] = list(rows[i])
-            for k, x in ts:
-                acc[k] += c * x
-    reduce_row = base.field.reduce_row
-    for i, acc in touched.items():
-        rows[i] = reduce_row(acc)
-    return Matrix(base.field, base.rows, base.cols, tuple(rows))
-
-
-def _combination(field: Field, size: int, coords: Sequence,
-                 mats: Sequence[Matrix]) -> Matrix:
-    """sum_t coords[t] mats[t] over size x size matrices: the operator of
-    an element from the operators of the basis. A unit vector picks its
-    matrix itself, whose row terms and transpose are then read once."""
-    if coords.count(1) == 1 and coords.count(0) == len(coords) - 1:
-        return mats[coords.index(1)]
-    return _add_combination(Matrix.zero(field, size, size), coords, mats)
 
 
 def validate_leibniz(structure, field: Field, n: int,
@@ -491,8 +463,6 @@ def subalgebra_generated(elements: Sequence[Element]) -> Subspace:
         if x.algebra != A:
             raise AlgebraMismatch("generators from different algebras")
     span = Subspace._span(A.field, A.dim, [x.coords for x in elements])
-    if span.is_full():  # closed already: no operator needs building
-        return span
     lts = A._operators()[0]
     return _spin(span, [_combination(A.field, A.dim, u, lts)
                         for u in span.basis])
@@ -730,8 +700,7 @@ def is_ideal(algebra: LeibnizAlgebra, carrier: Subspace) -> bool:
     verdict = memo.get(carrier)
     if verdict is None:
         lts, rts, _, _ = algebra._operators()
-        verdict = memo[carrier] = carrier.contains_subspace(
-            _image(carrier, lts + rts))
+        verdict = memo[carrier] = _is_invariant(carrier, lts + rts)
     return verdict
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import (Element, IdentityViolation, LeibnizAlgebra,
-                      _combination, _pair_identity_violations, is_ideal)
+                      _pair_identity_violations, is_ideal)
 from .errors import AlgebraMismatch, ShapeMismatch
 from .fields import Frozen, Record
-from .linalg import Matrix, Subspace, _image, _spin, kernel_basis
+from .linalg import (Matrix, Subspace, _combination, _is_invariant, _spin,
+                     kernel_basis)
 
 
 class Bimodule(Frozen):
@@ -149,7 +150,7 @@ def is_submodule(module: Bimodule, carrier: Subspace) -> bool:
     """Whether every left and right action maps the carrier into itself."""
     transposes = [m.transpose()
                   for m in module.left_actions + module.right_actions]
-    return carrier.contains_subspace(_image(carrier, transposes))
+    return _is_invariant(carrier, transposes)
 
 
 def quotient_bimodule(module: Bimodule, sub: Subspace) -> Bimodule:

@@ -225,34 +225,29 @@ def _cmd_generate(args):
 
 def _cmd_fuzz(args):
     """Each distinct algebra and module of the corpus, which hands out
-    equal items as one object, is verified once. Pass 1 closes each basis
-    (None past the cap) and runs theorem 2 once per module, keeping the
-    verdict. Pass 2 decides each algebra's own verdicts once and assembles
-    the items. The dicts live for this call only."""
-    corpus = fuzz_corpus(args.seed, args.count, args.max_dim)
-    closures, module_verdicts = {}, {}
-    for algebra, module in corpus:
+    equal items as one object, is verified once, in one walk of the
+    corpus. The first time an item's algebra is seen its basis is closed
+    (None past the cap) and, for a closure, its own verdicts are decided;
+    the first time its module is seen theorem 2 runs on it. The verdicts
+    are kept in dicts that live for this call only."""
+    closures, module_verdicts, algebra_verdicts = {}, {}, {}
+    items, violations = [], []
+    premises_failed = passes = 0
+    for idx, (algebra, module) in enumerate(
+            fuzz_corpus(args.seed, args.count, args.max_dim)):
         if algebra not in closures:
             try:
                 closures[algebra] = _default_lie_set(algebra)
             except CapExceeded:
                 closures[algebra] = None
         closure = closures[algebra]
-        if closure is None or module in module_verdicts:
-            continue
-        module_verdicts[module] = theorem2_verify(module, closure).verdict
-    algebra_verdicts = {}
-    items = []
-    violations = []
-    premises_failed = 0
-    passes = 0
-    for idx, (algebra, module) in enumerate(corpus):
-        closure = closures[algebra]
         if closure is None:
             premises_failed += 1
             items.append({"index": idx, "verdict": "premises_failed",
                           "note": "basis closure exceeded the closure cap"})
             continue
+        if module not in module_verdicts:
+            module_verdicts[module] = theorem2_verify(module, closure).verdict
         if algebra not in algebra_verdicts:
             algebra_verdicts[algebra] = _algebra_verdicts(algebra, closure)
         verdicts = [module_verdicts[module], *algebra_verdicts[algebra]]
@@ -267,7 +262,7 @@ def _cmd_fuzz(args):
             items.append({"index": idx, "verdict": "premises_failed"})
     conclusions = [Check("no_theorem_violations", not violations,
                          witness=violations or None,
-                         data={"items": len(corpus), "passes": passes,
+                         data={"items": len(items), "passes": passes,
                                "premises_failed": premises_failed})]
     data = {"items": items, "passes": passes,
             "premises_failed": premises_failed,

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algebra import (LeibnizAlgebra, LieSet, _add_combination,
-                      _combination, carrier_series, is_ideal,
+from .algebra import (LeibnizAlgebra, LieSet, carrier_series, is_ideal,
                       lower_central_series, series_nilpotency)
 from .bimodule import regular_bimodule
 from .engel import _engel_premises
 from .errors import ShapeMismatch
 from .fields import RationalField, Record
-from .linalg import Matrix, Subspace, kernel_basis, matrix_rank
+from .linalg import (Matrix, Subspace, _combination, kernel_basis,
+                     matrix_rank)
 from .reports import THEOREM_VIOLATION, Check, Report
 
 
@@ -69,7 +69,9 @@ def is_derivation(algebra: LeibnizAlgebra, d: Matrix) -> MapCheck:
     _check_map_shape(algebra, d)
     dt, lts = d.transpose(), algebra._operators()[0]
     return _first_failing_pair(algebra, lambda i, lt: (
-        lt @ dt, _add_combination(dt @ lt, dt.entries[i], lts)))
+        lt @ dt,
+        dt @ lt + _combination(algebra.field, algebra.dim, dt.entries[i],
+                               lts)))
 
 
 def is_automorphism(algebra: LeibnizAlgebra, t: Matrix) -> MapCheck:

@@ -135,15 +135,6 @@ def lemma_word_bound_check(module: Bimodule, a: Element) -> Report:
                         "image_dims": list(op.dims)})
 
 
-def _first_non_nilpotent(module: Bimodule, members: Sequence[Element]):
-    """The first member whose T_c is not nilpotent, or None: T_c built
-    and powered for each member in order."""
-    for c in members:
-        if not is_nilpotent_matrix(t_matrix(module, c)).verdict:
-            return c
-    return None
-
-
 def check_engel_premises(module: Bimodule, lie_set: LieSet) -> Report:
     """The three hypotheses: closure, generation, nilpotent left actions.
 
@@ -160,9 +151,10 @@ def _engel_premises(module: Bimodule, lie_set: LieSet,
                     actions_nilpotent: bool) -> Report:
     """:func:`check_engel_premises`, with the left-action clause passed
     without a T_c built when the caller already knows every T_c to be
-    nilpotent (``actions_nilpotent``); otherwise the members go one by
-    one. Theorem 2 knows it when its joint walk reaches 0, corollary 3
-    when the lower central series does."""
+    nilpotent (``actions_nilpotent``); otherwise T_c is built and powered
+    member by member, and the first that is not nilpotent is the witness.
+    Theorem 2 knows it when its joint walk reaches 0, corollary 3 when the
+    lower central series does."""
     members = list(lie_set.members)
     A = module.algebra
     if any(c.algebra != A for c in members):
@@ -175,7 +167,12 @@ def _engel_premises(module: Bimodule, lie_set: LieSet,
         witness_pair = [x.to_str(), y.to_str()]
     generated = subalgebra_generated(members)
     generates = generated.is_full()
-    bad = None if actions_nilpotent else _first_non_nilpotent(module, members)
+    bad = None
+    if not actions_nilpotent:
+        for c in members:
+            if not is_nilpotent_matrix(t_matrix(module, c)).verdict:
+                bad = c
+                break
     premises = [
         Check("closed_under_products", closed.ok, witness=witness_pair),
         Check("members_generate_algebra", generates,

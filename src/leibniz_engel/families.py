@@ -21,13 +21,13 @@ from __future__ import annotations
 import random
 import re
 
-from .algebra import (MAX_DIM, MAX_FUZZ_COUNT, LeibnizAlgebra, _combination,
+from .algebra import (MAX_DIM, MAX_FUZZ_COUNT, LeibnizAlgebra,
                       lower_central_series)
 from .bimodule import (Bimodule, _quotient_bimodule, regular_bimodule,
                        submodule_generated)
 from .errors import FieldMismatch, InvalidSpec
 from .fields import GF, QQ, Field, Frozen, _checked_int
-from .linalg import Matrix, Subspace, invert
+from .linalg import Matrix, Subspace, _combination, invert
 
 
 class FamilySpec(Frozen):

@@ -20,12 +20,17 @@ per-scalar methods remain for parsing, for ``normalize`` (which divides over
 a prime field) and for the signs of the fixed family tensors (``neg``). No
 code in the package calls ``add`` or ``sub``; they stay, with the rest,
 because ``bench/tracing.py`` counts calls to each per-scalar method of the
-field classes (ROADMAP item 5). Either way no code branches on the field
+field classes (ROADMAP item 1). Either way no code branches on the field
 kind.
 
 The two field classes derive from ``Frozen``, so the bases of the
 package's value classes live here: ``Record`` for the result records and
-``Frozen`` for the immutable values.
+``Frozen`` for the immutable values. Equality, the repr and, for
+``Frozen``, the hash and a pickled copy read every field a class names,
+and only those.
+
+Integer literals are checked against ``sys.get_int_max_str_digits``,
+which Python has from 3.10.7 on; that is the floor in pyproject.toml.
 """
 
 from __future__ import annotations
@@ -129,12 +134,10 @@ class Record:
 
     A class names its fields once, in the order of its ``__init__``
     parameters: as its ``__slots__``, or as ``_fields`` where instances
-    keep caches in a ``__dict__``. ``_compared`` names the fields that
-    equality reads, where that is not all of them. When the class is
-    created, this base builds its getters of the compared fields and of
-    all fields, and its repr template, once, so no call loops over names.
-    ``__eq__`` checks identity first, then the class, then the compared
-    fields; ``__repr__`` shows every field."""
+    keep caches in a ``__dict__``. When the class is created, this base
+    builds one getter of its fields, ``_values``, and its repr template,
+    once, so no call loops over names. ``__eq__`` checks identity first,
+    then the class, then the fields; ``__repr__`` shows every field."""
 
     __slots__ = ()
     __hash__ = None
@@ -144,8 +147,6 @@ class Record:
         fields = cls.__dict__.get("_fields", cls.__dict__.get("__slots__"))
         if not fields:  # Frozen itself names none
             return
-        compared = cls.__dict__.get("_compared", fields)
-        cls._key = staticmethod(_tuple_getter(compared))
         cls._values = staticmethod(_tuple_getter(fields))
         cls._template = f"{cls.__name__}(" + ", ".join(
             f"{name}=%r" for name in fields) + ")"
@@ -155,8 +156,8 @@ class Record:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        key = self._key
-        return key(self) == key(other)
+        values = self._values
+        return values(self) == values(other)
 
     def __repr__(self):
         return self._template % self._values(self)
@@ -169,9 +170,9 @@ class Frozen(Record):
     (into ``__slots__`` through ``object.__setattr__``, or into the
     instance ``__dict__``); any later assignment or deletion raises
     ``AttributeError``. On top of ``Record``'s equality and repr, the hash
-    is that of the tuple of the compared fields, kept in the ``__dict__``
-    once computed where the class sets ``_keeps_hash``, and ``__reduce__``
-    rebuilds a pickled copy through ``__init__`` from all fields: plain
+    is that of the tuple of the fields, kept in the ``__dict__`` once
+    computed where the class sets ``_keeps_hash``, and ``__reduce__``
+    rebuilds a pickled copy through ``__init__`` from the fields: plain
     unpickling would assign slots through this guard, or carry caches
     along (a kept hash of ``str`` basis names differs from process to
     process)."""
@@ -189,10 +190,10 @@ class Frozen(Record):
 
     def __hash__(self):
         if not self._keeps_hash:
-            return hash(self._key(self))
+            return hash(self._values(self))
         h = self.__dict__.get("_hash")
         if h is None:
-            h = self.__dict__["_hash"] = hash(self._key(self))
+            h = self.__dict__["_hash"] = hash(self._values(self))
         return h
 
     def __reduce__(self):

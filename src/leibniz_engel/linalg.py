@@ -10,16 +10,22 @@ entries, then pass each row that received a term through the field's
 ``reduce_row`` once (see fields.py); a row that received none is a shared
 zero row. A product walks only the nonzero rows of its right operand, read
 with their nonzero entries once per matrix (``Matrix._row_terms``), so an
-operator that is reused is scanned once.
+operator that is reused is scanned once; so does the one linear
+combination ``_combination``, the operator of an element from the
+operators of the basis.
 
-One reducer, ``_echelon``, serves ``rref``, the rank, every span and image;
-the inverse is ``rref`` of the rows [m | I].
-One image step, ``_image``, streams each g v into it without building a
-product matrix. It serves the ideal and invariance tests, the one spin
-``_spin``, which adds images until the space is invariant (the spun
-submodule and the generated subalgebra), and the one walk of repeated
-images, ``_walk``, which is the image filtration, a carrier's lower
-central series and the dual walk of the flag. One read-off,
+One reducer, ``_echelon``, serves ``rref``, the rank, every span and
+image, membership and invariance; the inverse is ``rref`` of the rows
+[m | I]. Vectors lie in a subspace, and operators map it into itself, when
+the vectors, or the images g v, read after its echelon basis give no new
+pivot (``Subspace.contains``, ``Subspace.contains_subspace`` and
+``_is_invariant``, the ideal and submodule tests).
+One image step, ``_image``, streams each g v into the reducer without
+building a product matrix. It serves the one spin ``_spin``, which adds
+images until the space is invariant (the spun submodule and the
+generated subalgebra), and the one walk of repeated images, ``_walk``,
+which is the image filtration, a carrier's lower central series and the
+dual walk of the flag. One read-off,
 ``_annihilator``, gives the annihilator of an echelon basis: the kernel,
 the quotient projection and each flag level.
 ``Subspace.span`` and ``Matrix.from_rows`` normalise what they are handed,
@@ -46,7 +52,7 @@ cache.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, count
+from itertools import chain, compress, count
 from typing import Iterable, NamedTuple, Sequence
 from weakref import ref
 
@@ -200,6 +206,31 @@ class Matrix(Frozen):
                     s += a * x
             out.append(s)
         return self.field.reduce_row(out)
+
+
+def _combination(field: Field, size: int, coords: Sequence,
+                 mats: Sequence[Matrix]) -> Matrix:
+    """sum_t coords[t] mats[t] over size x size matrices, touching only the
+    nonzero terms and reducing only the rows that received one: the
+    operator of an element from the operators of the basis. A unit vector
+    picks its matrix itself, whose row terms and transpose are then read
+    once."""
+    if coords.count(1) == 1 and coords.count(0) == len(coords) - 1:
+        return mats[coords.index(1)]
+    zero = field.zero()
+    touched = {}
+    for c, m in zip(coords, mats):
+        if c:
+            for i, ts in m._row_terms:
+                acc = touched.get(i)
+                if acc is None:
+                    acc = touched[i] = [zero] * size
+                for k, x in ts:
+                    acc[k] += c * x
+    rows = [(zero,) * size] * size
+    for i, acc in touched.items():
+        rows[i] = field.reduce_row(acc)
+    return Matrix(field, size, size, tuple(rows))
 
 
 class RrefResult(NamedTuple):
@@ -387,24 +418,19 @@ class Subspace(Frozen):
             raise DimensionMismatch("subspaces of different ambient dimension")
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        """Membership by reduction against the echelon basis."""
+        """Membership: the vector, read by the reducer after the echelon
+        basis, gives no new pivot."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        return self._contains(tuple(map(self.field.normalize, v)))
-
-    def _contains(self, work: tuple) -> bool:
-        """Membership of a vector already in canonical form."""
-        field = self.field
-        for row in self.basis:
-            f = work[next(j for j, x in enumerate(row) if x)]
-            if f:
-                work = field.reduce_row([x - f * y if y else x
-                                         for x, y in zip(work, row)])
-        return not any(work)
+        return len(_echelon(self.field, self.ambient_dim, (
+            *self.basis, tuple(map(self.field.normalize, v))))) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        """Containment: the other basis, read by the reducer after this
+        one, gives no new pivot."""
         self._check_compatible(other)
-        return all(map(self._contains, other.basis))
+        return len(_echelon(self.field, self.ambient_dim,
+                            self.basis + other.basis)) == self.dim
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -434,12 +460,18 @@ class Subspace(Frozen):
 
 def _image(space: Subspace, transposes: Sequence[Matrix]) -> Subspace:
     """span{g v : g an operator, v in the basis of ``space``}, each operator
-    passed as its transpose g^T, so that g v is v @ g^T; the zero space is
-    its own image."""
-    if not space.basis:
-        return space
+    passed as its transpose g^T, so that g v is v @ g^T."""
     field, n = space.field, space.ambient_dim
     return Subspace(field, n, _echelon(field, n, _image_rows(space, transposes)))
+
+
+def _is_invariant(space: Subspace, transposes: Sequence[Matrix]) -> bool:
+    """Whether the operators of ``_image`` map ``space`` into itself: each
+    g v, streamed by the reducer after the echelon basis, gives no new
+    pivot. A full space is read no further than its basis."""
+    field, n = space.field, space.ambient_dim
+    return len(_echelon(field, n, chain(space.basis, _image_rows(
+        space, transposes)))) == len(space.basis)
 
 
 def _spin(space: Subspace, transposes: Sequence[Matrix]) -> Subspace:

@@ -384,6 +384,11 @@ def test_is_ideal_examples():
     assert is_ideal(A, Subspace.span(QQ, 2, [(0, 1)]))
     assert not is_ideal(A, Subspace.span(QQ, 2, [(1, 0)]))
     assert is_ideal(A, Subspace.full(QQ, 2))
+    # e1 e2 = e2 and no other product: A e1 = 0, yet e1 e2 = e2 leaves
+    # span{e1}, so only the right multiplications show it is no ideal
+    B = LeibnizAlgebra.create(QQ, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])
+    assert not is_ideal(B, Subspace.span(QQ, 2, [(1, 0)]))
+    assert is_ideal(B, Subspace.span(QQ, 2, [(0, 1)]))
 
 
 def test_left_mult_of_powers_vanishes_on_random_combinations():
@@ -810,10 +815,10 @@ def test_is_ideal_verdicts_are_kept_per_algebra(small_corpus, monkeypatch):
 
     # repeated calls answer from the algebra's cache: the invariance step
     # is not taken again, and an equal carrier built anew hits the same entry
-    def no_image(*args):
+    def no_invariance_test(*args):
         raise AssertionError("is_ideal recomputed a cached verdict")
 
-    monkeypatch.setattr(algebra_module, "_image", no_image)
+    monkeypatch.setattr(algebra_module, "_is_invariant", no_invariance_test)
     assert first == [is_ideal(A, carrier) for A, carrier in pairs]
     assert first == [is_ideal(A, Subspace.span(A.field, A.dim, carrier.basis))
                      for A, carrier in pairs]

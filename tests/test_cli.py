@@ -418,6 +418,16 @@ def test_fuzz_verifies_each_distinct_item_once_per_call(monkeypatch,
             assert lie_set == lie_set_closure(algebra.basis())
 
 
+def test_fuzz_walks_its_corpus_once(monkeypatch, tmp_path):
+    """Handed its corpus as an iterator that can be read only once, fuzz
+    still gives the report of checking every item from scratch."""
+    corpus = fuzz_corpus(11, 16, 4)
+    monkeypatch.setattr(cli_module, "fuzz_corpus",
+                        lambda *args: iter(fuzz_corpus(*args)))
+    assert _fuzz_data(tmp_path, 11, 16, 4) == fuzz_data_per_item(
+        corpus, lambda a: lie_set_closure(a.basis()))
+
+
 def test_fuzz_sums_non_nested_ideals_in_the_fold(monkeypatch):
     """The corollary-6 family of each nilpotent algebra, the ideals
     generated by e_1 and by e_n, is not always nested, so its sum is more

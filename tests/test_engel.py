@@ -590,16 +590,16 @@ def test_theorem2_premise_on_a_stalled_walk_goes_member_by_member(
     assert _joint_walk_stalls(module)
     e, f, _ = module.algebra.basis()
     members = LieSet(module.algebra, (e, f))
-    walked = []
-    real = engel_module._first_non_nilpotent
+    built = []
+    real = engel_module.t_matrix
 
-    def counted(*args):
-        walked.append(args)
-        return real(*args)
+    def counted(module, c):
+        built.append(c)
+        return real(module, c)
 
-    monkeypatch.setattr(engel_module, "_first_non_nilpotent", counted)
+    monkeypatch.setattr(engel_module, "t_matrix", counted)
     report = theorem2_verify(module, members)
-    assert len(walked) == 1
+    assert built == [e, f]
     assert [c.passed for c in report.premises] == [False, True, True]
     assert report.premises == check_engel_premises(module, members).premises
     assert report.verdict == "premises_failed"
@@ -638,12 +638,17 @@ def test_theorem2_certifies_a_thousand_multiples_of_one_element(
     """The joint walk of the thousand multiples of ``e1`` reaches 0 in 24
     steps and certifies every member's T_c without building one, so the
     request takes about a second and a half, where building and powering
-    each T_c took about 38 s."""
-    def refuse(*args):
-        raise AssertionError("a T_c was built for the premise")
+    each T_c took about 38 s. The one T_c built is the flag's, over the
+    basis of the members' span."""
+    built, real = [], engel_module.t_matrix
 
-    monkeypatch.setattr(engel_module, "_first_non_nilpotent", refuse)
+    def counted(module, c):
+        built.append(c.coords)
+        return real(module, c)
+
+    monkeypatch.setattr(engel_module, "t_matrix", counted)
     assert main(_thousand_multiples_request(tmp_path)) == 0
+    assert built == [(1,)]
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"] == "pass"
     assert report["data"]["joint_index"] == 24

@@ -30,7 +30,7 @@ from functools import partial
 
 import pytest
 
-from leibniz_engel.algebra import (Element, _add_combination, _products_with,
+from leibniz_engel.algebra import (Element, _products_with,
                                    is_lie_set, left_mult_matrix,
                                    lie_set_closure,
                                    mult_coords, validate_leibniz,
@@ -39,8 +39,9 @@ from leibniz_engel.bimodule import Bimodule, validate_bimodule
 from leibniz_engel.corollaries import is_automorphism, is_derivation
 from leibniz_engel.errors import CapExceeded
 from leibniz_engel.fields import GF, QQ, RationalField
-from leibniz_engel.linalg import (Matrix, Subspace, _annihilator, _echelon,
-                                  _image, kernel_basis, rref)
+from leibniz_engel.linalg import (Matrix, Subspace, _annihilator,
+                                  _combination, _echelon, _image,
+                                  kernel_basis, rref)
 
 from oracles import (add_combination_per_scalar, apply_per_scalar,
                      automorphism_check_per_pair, derivation_check_per_pair,
@@ -210,15 +211,19 @@ def test_add_and_neg_equal_elementwise(data):
 @SETTINGS
 @given(st.data())
 def test_add_combination_equals_oracle(data):
+    """The operators combined are square, as the operators of a basis are;
+    the derivation test adds the combination to a product."""
     field = data.draw(FIELDS)
-    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
-    count = data.draw(st.integers(0, 4))
-    base = data.draw(matrices(field, rows, cols))
-    mats = [data.draw(matrices(field, rows, cols)) for _ in range(count)]
+    size, count = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
+    base = data.draw(matrices(field, size, size))
+    mats = [data.draw(matrices(field, size, size)) for _ in range(count)]
     coords = data.draw(vectors(field, count))
-    out = _add_combination(base, coords, mats)
-    assert out == add_combination_per_scalar(base, coords, mats)
-    assert_canonical(field, flat(out))
+    out = _combination(field, size, coords, mats)
+    assert out == add_combination_per_scalar(Matrix.zero(field, size, size),
+                                             coords, mats)
+    total = base + out
+    assert total == add_combination_per_scalar(base, coords, mats)
+    assert_canonical(field, flat(out) + flat(total))
 
 
 @SETTINGS
@@ -533,6 +538,25 @@ def test_contains_agrees_with_rank(data):
     grown = Matrix(field, m.rows + 1, m.cols, m.entries + (v,))
     assert space.contains(v) == (rref_per_scalar(grown)[1] == space.dim)
     assert all(space.contains(row) for row in m.entries)
+    # a second subspace: one inside the first (combinations of its rows),
+    # any other, or one that, added to the first, spans the whole space,
+    # where the reducer stops at the last pivot
+    kind = data.draw(st.sampled_from(("inside", "any", "full")))
+    n = m.cols
+    if kind == "inside":
+        coeffs = data.draw(matrices(field, cols=m.rows))
+        rows = matmul_per_scalar(coeffs, m).entries
+    else:
+        rows = data.draw(matrices(field, cols=n)).entries
+    if kind == "full":
+        rows += tuple(row for row in Matrix.identity(field, n).entries
+                      if not space.contains(row))
+    other = Subspace.span(field, n, rows)
+    stacked = Matrix(field, space.dim + other.dim, n, space.basis + other.basis)
+    rank = rref_per_scalar(stacked)[1]
+    assert space.contains_subspace(other) == (rank == space.dim)
+    assert kind != "inside" or space.contains_subspace(other)
+    assert kind != "full" or rank == n
 
 
 @SETTINGS
@@ -688,7 +712,8 @@ def test_kernels_never_return_a_float(data):
                  for _ in range(n)]
     algebra = unchecked_algebra(field, structure)
     x, y = data.draw(vectors(field, n)), data.draw(vectors(field, n))
-    combination = _add_combination(m, v, [m] * len(v))
+    square = data.draw(matrices(field, m.cols, m.cols))
+    combination = square + _combination(field, m.cols, v, [square] * len(v))
     results = (flat(m @ other) + list(m.apply(v)) + flat(rref(m).matrix)
                + [c for u in kernel_basis(m).basis for c in u]
                + flat(combination) + list(mult_coords(algebra, x, y)))

@@ -7,13 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from leibniz_engel.algebra import _add_combination
 from leibniz_engel.cli import main
 from leibniz_engel.errors import (DimensionMismatch, FieldMismatch,
                                   FormatError, NonSquareError)
 from leibniz_engel.fields import GF, QQ
-from leibniz_engel.linalg import (Matrix, Subspace, _walk, invert,
-                                  is_nilpotent_matrix, kernel_basis,
+from leibniz_engel.linalg import (Matrix, Subspace, _combination, _walk,
+                                  invert, is_nilpotent_matrix, kernel_basis,
                                   matrix_rank, rref)
 import leibniz_engel.linalg as linalg_module
 
@@ -101,6 +100,11 @@ def test_subspace_sum_and_contains():
     assert (s1 + s2).is_full()
     assert Subspace.span(QQ, 2, [(1, 1)]).contains((2, 2))
     assert not Subspace.span(QQ, 2, [(1, 1)]).contains((1, 2))
+    # a basis row past the first gives the new pivot
+    line = Subspace.span(QQ, 3, [(1, 0, 0)])
+    plane = Subspace.span(QQ, 3, [(2, 0, 0), (0, 1, 1)])
+    assert plane.contains_subspace(line) and not line.contains_subspace(plane)
+    assert not s1.contains_subspace(s1 + s2)
 
 
 def test_public_span_normalises_its_input():
@@ -118,8 +122,9 @@ def test_public_span_normalises_its_input():
 
 
 def test_public_contains_normalises_its_input():
-    # 5 and 10 are zero mod 5; contains_subspace hands the private
-    # membership loop echelon rows, which are canonical already
+    # 5 and 10 are zero mod 5: contains normalises the vector before the
+    # reducer reads it; contains_subspace hands it echelon rows, which are
+    # canonical already
     assert Subspace.zero(F5, 2).contains((5, 10))
     assert Subspace.span(F5, 2, [(1, 0)]).contains((0, 5))
     assert not Subspace.span(F5, 2, [(1, 0)]).contains((0, 6))
@@ -316,9 +321,14 @@ def test_add_combination_leaves_the_shared_zero_rows_zero():
     zero = Matrix.zero(F5, 3, 3)
     assert len({id(row) for row in zero.entries}) == 1
     ops = [Matrix.identity(F5, 3), Matrix.from_rows(F5, [[0, 1, 2]] * 3)]
-    total = _add_combination(zero, (2, 3), ops)
+    total = _combination(F5, 3, (2, 3), ops)
     assert total == Matrix.from_rows(F5, [[2, 3, 1], [0, 0, 1], [0, 3, 3]])
     assert zero.is_zero() and zero == Matrix.zero(F5, 3, 3)
+    # a row that receives no term is one shared zero row
+    first = Matrix.from_rows(F5, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    total = _combination(F5, 3, (2, 0), [first, ops[1]])
+    assert total == Matrix.from_rows(F5, [[2, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert total.entries[1] is total.entries[2]
 
 
 def test_field_check_by_identity_then_equality():

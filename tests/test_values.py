@@ -23,7 +23,7 @@ from leibniz_engel.algebra import (IdentityReport, IdentityViolation,
                                    LeibnizValidation, LieSetCheck)
 from leibniz_engel.bimodule import BimoduleValidation
 from leibniz_engel.corollaries import MapCheck
-from leibniz_engel.fields import GF, QQ, Frozen, PrimeField, RationalField
+from leibniz_engel.fields import GF, QQ, PrimeField, RationalField
 from leibniz_engel.linalg import Matrix, Subspace
 from leibniz_engel.reports import Check, Report
 
@@ -83,7 +83,7 @@ def test_equal_objects_hash_alike_before_and_after_caches_fill():
         assert x == y and hash(x) == hash(y) == before
 
 
-def test_hashes_are_those_of_the_compared_fields():
+def test_hashes_are_those_of_the_fields():
     A = cyclic(3)
     m = Matrix.identity(GF(5), 2)
     s = Subspace.full(QQ, 2)
@@ -106,29 +106,6 @@ def test_cache_and_closed_mark_stay_out_of_equality():
     assert closure._closed and not bare._closed
     assert closure == bare and hash(closure) == hash(bare)
     assert LieSet(A, closure.members[:-1]) != closure
-
-
-class _Tagged(Frozen):
-    """A value whose equality reads ``value`` alone: no package class
-    leaves a field out of equality, so this one shows that ``_compared``
-    does."""
-
-    __slots__ = ("value", "tag")
-    _compared = ("value",)
-
-    def __init__(self, value, tag):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "tag", tag)
-
-
-def test_a_field_left_out_of_compared_stays_out_of_equality():
-    a, b = _Tagged(1, "a"), _Tagged(1, "b")
-    assert a == b and hash(a) == hash(b) == hash((1,))
-    assert a != _Tagged(2, "a")
-    assert repr(b) == "_Tagged(value=1, tag='b')"
-    # a copy is rebuilt from every field, the uncompared one too
-    copy = pickle.loads(pickle.dumps(b))
-    assert (copy.value, copy.tag) == (1, "b")
 
 
 def test_each_compared_field_tells_objects_apart():
